@@ -43,15 +43,16 @@ METHODS = ("inherit", "disinherit", "kron")
 
 
 def _read(path: str) -> str:
+    """The text of ``path``, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_pair(graph_path: str, hierarchy_path: str) -> tuple[Graph, Hierarchy]:
-    graph = load_graph(_read(graph_path))
-    hierarchy = load_hierarchy(_read(hierarchy_path), graph)
+def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
+    graph = load_graph(graph_text)
+    hierarchy = load_hierarchy(hierarchy_text, graph)
     # Work over the full tree universe so container vertices are counted.
     return graph.with_vertices(hierarchy.vertices), hierarchy
 
@@ -95,7 +96,8 @@ def _provenance_lines(result: ResolutionResult) -> str:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    graph, hierarchy = _load_pair(args.graph, args.hierarchy)
+    graph_text, hierarchy_text = _read(args.graph), _read(args.hierarchy)
+    graph, hierarchy = _load_pair(graph_text, hierarchy_text)
     if args.method == "inherit":
         result = inherit(graph, hierarchy)
     elif args.method == "disinherit":
@@ -122,8 +124,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
             "guard_mode": args.guard_mode,
         },
         "inputs": {
-            "graph": {"path": args.graph, "sha256": _sha256(_read(args.graph))},
-            "hierarchy": {"path": args.hierarchy, "sha256": _sha256(_read(args.hierarchy))},
+            "graph": {"path": args.graph, "sha256": _sha256(graph_text)},
+            "hierarchy": {"path": args.hierarchy, "sha256": _sha256(hierarchy_text)},
         },
         "outputs": names[:3],
     }
@@ -149,7 +151,7 @@ def _metrics_text(report) -> str:
 
 def _load_graph_for_analysis(args: argparse.Namespace) -> Graph:
     if getattr(args, "hierarchy", None):
-        graph, _ = _load_pair(args.graph, args.hierarchy)
+        graph, _ = _load_pair(_read(args.graph), _read(args.hierarchy))
         return graph
     return load_graph(_read(args.graph))
 
@@ -181,7 +183,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
 
 
 def cmd_spyplot(args: argparse.Namespace) -> int:
-    graph, hierarchy = _load_pair(args.graph, args.hierarchy)
+    graph, hierarchy = _load_pair(_read(args.graph), _read(args.hierarchy))
     preorder = hierarchy.dfs_preorder()
     ordering = [v for v in preorder if not hierarchy.is_leaf(v)]
     ordering += [v for v in preorder if hierarchy.is_leaf(v)]
@@ -302,3 +304,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:  # pragma: no cover - console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -17,7 +17,6 @@ unit lengths.  Conventions that the literature leaves open are pinned here:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ CENTRALITY_METRICS = (
 
 MAX_ITERATIONS = 10_000
 POWER_TOL = 1e-12
+PATH_COUNT_LIMIT = 2.0**53  # float64 counts paths exactly below this
 
 
 class DegenerateFitError(NumericalError):
@@ -94,32 +94,56 @@ class DegreeFit:
     ccdf_points: tuple[tuple[int, float, float], ...]
 
 
-def _bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def _out_adjacency(g: Graph) -> list[list[int]]:
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense 0/1 adjacency and sorted-row CSR ``(indptr, indices)`` over dense ids."""
     idx = g.index
-    return [[idx[w] for w in g.out_map[v]] for v in g.vertices]
+    rows = [[idx[w] for w in g.out_map[v]] for v in g.vertices]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([w for r in rows for w in r], dtype=np.int64)
+    a = np.zeros((len(rows), len(rows)))
+    a[np.repeat(np.arange(len(rows)), np.diff(indptr)), indices] = 1.0
+    return a, indptr, indices
 
 
-def _clustering_directed(g: Graph) -> float:
-    n = len(g.vertices)
-    a = np.zeros((n, n))
-    idx = g.index
-    for u, v in g.weights:
-        a[idx[u], idx[v]] = 1.0
+def _bfs(indptr: np.ndarray, indices: np.ndarray):
+    """Level-synchronous BFS from each vertex with an out-edge, in id order,
+    at O(n + m) array work per source.  Yields ``(source, levels, dist,
+    arcs)``: each level's vertex ids in the discovery order of a FIFO-queue
+    BFS, distances (-1 where unreached), and per level after the first the
+    shortest-path arcs ``(tails, heads)`` into it."""
+    n = len(indptr) - 1
+    has_in = np.bincount(indices, minlength=n) > 0  # the only vertices a BFS reaches
+    for source in np.flatnonzero(np.diff(indptr)).tolist():
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[source] = 0
+        levels, arcs = [np.array([source])], []
+        unreached = int(has_in.sum()) - int(has_in[source])
+        while unreached:
+            frontier = levels[-1]
+            starts = indptr[frontier]
+            degree = indptr[frontier + 1] - starts
+            ends = np.cumsum(degree)
+            # Every out-edge of the frontier, row after row, as CSR positions.
+            heads = indices[np.arange(ends[-1]) + np.repeat(starts - ends + degree, degree)]
+            # An arc into an unvisited head lies on a shortest path.
+            on_path = dist[heads] < 0
+            fresh = heads[on_path]
+            if not fresh.size:
+                break
+            # The next level in order of first appearance among the heads.
+            first = np.full(n, fresh.size)
+            np.minimum.at(first, fresh, np.arange(fresh.size))
+            level = fresh[np.sort(first[first < fresh.size])]
+            dist[level] = len(levels)
+            arcs.append((np.repeat(frontier, degree)[on_path], fresh))
+            levels.append(level)
+            unreached -= level.size
+        yield source, levels, dist, arcs
+
+
+def _clustering_directed(a: np.ndarray) -> float:
     s = a + a.T
-    triangles = np.einsum("ii->i", s @ s @ s) / 2.0
+    triangles = ((s @ s) * s).sum(axis=1) / 2.0
     d_tot = a.sum(axis=0) + a.sum(axis=1)
     d_bi = (a * a.T).sum(axis=1)
     denom = d_tot * (d_tot - 1.0) - 2.0 * d_bi
@@ -140,66 +164,46 @@ def metrics_report(g: Graph) -> MetricsReport:
         raise DomainError("metrics need at least one edge")
     n = len(g.vertices)
     n_active = len(g.active_vertices())
-    reciprocal = sum(1 for (u, v) in g.weights if (v, u) in g.weights)
-    adjacency = _out_adjacency(g)
-    total = 0
-    finite_pairs = 0
-    diameter = 0
-    for source in range(n):
-        if not adjacency[source]:
-            continue
-        dist = _bfs_distances(adjacency, source)
-        for target, d in enumerate(dist):
-            if target != source and d > 0:
-                total += d
-                finite_pairs += 1
-                if d > diameter:
-                    diameter = d
+    a, indptr, indices = _adjacency(g)
+    total = finite_pairs = diameter = 0
+    for _, levels, _, _ in _bfs(indptr, indices):
+        total += sum(d * len(level) for d, level in enumerate(levels))
+        finite_pairs += sum(map(len, levels)) - 1
+        diameter = max(diameter, len(levels) - 1)
     return MetricsReport(
         vertex_count=n,
         active_vertex_count=n_active,
         edge_count=m,
         density=m / (n_active * (n_active - 1)),
         density_all_vertices=m / (n * (n - 1)) if n > 1 else 0.0,
-        reciprocity=reciprocal / m,
+        reciprocity=int((a * a.T).sum()) / m,
         diameter=diameter,
         characteristic_path_length=total / finite_pairs,
-        mean_clustering_directed=_clustering_directed(g),
+        mean_clustering_directed=_clustering_directed(a),
     )
 
 
-def _betweenness(adjacency: list[list[int]]) -> list[float]:
-    # Brandes accumulation; path counts stay integral, so only the final
-    # dependency sums are floating point.
-    n = len(adjacency)
-    scores = [0.0] * n
-    for source in range(n):
-        if not adjacency[source]:
-            continue
-        sigma = [0] * n
-        sigma[source] = 1
-        dist = [-1] * n
-        dist[source] = 0
-        preds: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                scores[w] += delta[w]
-    return scores
+def _dependencies(levels, arcs, n: int) -> np.ndarray:
+    """Brandes (2001) dependencies on one BFS source, bit-identical to a
+    queue-based loop over integer path counts: the counts are exact below
+    ``PATH_COUNT_LIMIT`` (reaching it raises), and ``np.bincount`` adds each
+    vertex's terms in the loop's order, heads in reverse discovery order."""
+    sigma = np.zeros(n)
+    sigma[levels[0]] = 1.0
+    for tails, heads in arcs:
+        sigma += np.bincount(heads, sigma[tails], minlength=n)
+    if sigma.max() >= PATH_COUNT_LIMIT:
+        raise NumericalError("a shortest-path count reaches 2**53; betweenness would be inexact")
+    position = np.empty(n, dtype=np.int64)
+    position[np.concatenate(levels)] = np.arange(sum(map(len, levels)))
+    delta = np.zeros(n)
+    for tails, heads in reversed(arcs):
+        # Equal heads come in any order: their terms go to distinct tails.
+        back = np.argsort(-position[heads])
+        tails, heads = tails[back], heads[back]
+        delta += np.bincount(tails, sigma[tails] / sigma[heads] * (1.0 + delta[heads]), minlength=n)
+    delta[levels[0]] = 0.0
+    return delta
 
 
 def _hits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +250,8 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
 
     Raises :class:`~unires.graph.DomainError` on an edgeless graph and
     :class:`~unires.spectral.NumericalError` if a power iteration fails to
-    converge within 10^4 steps.
+    converge within 10^4 steps or if some pair has 2**53 or more shortest
+    paths, beyond which betweenness could not be exact.
     """
     if g.edge_count == 0:
         raise DomainError("centrality needs at least one edge")
@@ -255,44 +260,35 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
     names = g.vertices
     n = len(names)
     n_active = len(g.active_vertices())
-    adjacency = _out_adjacency(g)
+    a, indptr, indices = _adjacency(g)
 
-    sum_out = [0] * n
-    reach_out = [0] * n
-    sum_in = [0] * n
-    reach_in = [0] * n
-    for source in range(n):
-        if not adjacency[source]:
-            continue
-        dist = _bfs_distances(adjacency, source)
-        for target, d in enumerate(dist):
-            if target != source and d > 0:
-                sum_out[source] += d
-                reach_out[source] += 1
-                sum_in[target] += d
-                reach_in[target] += 1
+    # One BFS per source serves closeness and betweenness alike.
+    sum_out, reach_out, sum_in, reach_in = np.zeros((4, n), dtype=np.int64)
+    betweenness = np.zeros(n)
+    for source, levels, dist, arcs in _bfs(indptr, indices):
+        reached = np.maximum(dist, 0)
+        sum_out[source], reach_out[source] = reached.sum(), np.count_nonzero(reached)
+        sum_in += reached
+        reach_in += reached > 0
+        betweenness += _dependencies(levels, arcs, n)
 
-    def closeness(reach: list[int], sums: list[int], i: int) -> float:
-        if sums[i] == 0:
-            return 0.0
-        return reach[i] * reach[i] / ((n_active - 1) * sums[i])
+    def closeness(reach: np.ndarray, sums: np.ndarray) -> dict[str, float]:
+        # On Python ints, so each score is the exact ratio rounded once.
+        pairs = zip(names, reach.tolist(), sums.tolist())
+        return {v: r * r / ((n_active - 1) * s) if s else 0.0 for v, r, s in pairs}
 
-    a = np.zeros((n, n))
-    for u, v in g.weights:
-        a[g.index[u], g.index[v]] = 1.0
     hub, auth = _hits(a)
     pagerank = _pagerank(a, pagerank_damping)
-    betweenness = _betweenness(adjacency)
 
     scores = {
-        "in_degree": {v: float(len(g.in_map[v])) for v in names},
-        "out_degree": {v: float(len(g.out_map[v])) for v in names},
-        "in_closeness": {v: closeness(reach_in, sum_in, i) for i, v in enumerate(names)},
-        "out_closeness": {v: closeness(reach_out, sum_out, i) for i, v in enumerate(names)},
-        "betweenness": {v: betweenness[i] for i, v in enumerate(names)},
-        "hub": {v: float(hub[i]) for i, v in enumerate(names)},
-        "authority": {v: float(auth[i]) for i, v in enumerate(names)},
-        "pagerank": {v: float(pagerank[i]) for i, v in enumerate(names)},
+        "in_degree": dict(zip(names, a.sum(axis=0).tolist())),
+        "out_degree": dict(zip(names, a.sum(axis=1).tolist())),
+        "in_closeness": closeness(reach_in, sum_in),
+        "out_closeness": closeness(reach_out, sum_out),
+        "betweenness": dict(zip(names, betweenness.tolist())),
+        "hub": dict(zip(names, hub.tolist())),
+        "authority": dict(zip(names, auth.tolist())),
+        "pagerank": dict(zip(names, pagerank.tolist())),
     }
     return CentralityTable(names, scores)
 

@@ -15,9 +15,11 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .graph import DomainError, Edge, Graph
+
+# scipy.linalg is imported inside the functions that factorize: importing it
+# takes about 0.3 s, which commands without linear algebra should not pay.
 
 # Relative threshold below which a reduced-Laplacian entry counts as exact
 # cancellation rather than an edge.
@@ -111,6 +113,8 @@ def kron_reduce(g: Graph, retain: Iterable[str]) -> Graph:
     neighbours persist edgeless.  Pairwise effective resistance among
     retained vertices is preserved.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     retain_set = set(retain)
     for v in retain_set:
         if not g.has_vertex(v):
@@ -154,6 +158,8 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     """Inverse of the Laplacian grounded at index 0, re-embedded with a zero
     row/column at the ground.  Symmetrized to make resistances exact under
     argument swap."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     n = lap.shape[0]
     full = np.zeros((n, n))
     if n > 1:
@@ -212,6 +218,8 @@ def grounded_solve(lap: LaplacianView, component: Iterable[str], rhs: np.ndarray
     (balanced current injection); :class:`~unires.graph.DomainError`
     otherwise.  The returned vector is 0 outside the component.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     members = set(component)
     for v in members:
         if v not in lap.index:

@@ -1,12 +1,13 @@
 """Independent brute-force implementations used only to check the library.
 
 Everything here is written the slow, obvious way (recursion, pseudoinverse,
-Floyd-Warshall, explicit path enumeration) and deliberately shares no code
-with the package internals.
+Floyd-Warshall, explicit path enumeration, queue-based BFS) and deliberately
+shares no code with the package internals.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -165,3 +166,82 @@ def betweenness_paths(g: Graph) -> dict[str, Fraction]:
                 for interior in path[1:-1]:
                     scores[interior] += Fraction(1, total)
     return scores
+
+
+def out_adjacency(g: Graph) -> list[list[int]]:
+    idx = g.index
+    return [[idx[w] for w in g.out_map[v]] for v in g.vertices]
+
+
+def bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:
+    """Queue-based BFS distances from ``source``; -1 where unreached."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def brandes_betweenness(g: Graph) -> dict[str, float]:
+    """Brandes (2001) with a FIFO queue and integer path counts.
+
+    This is the loop the vectorised kernel must reproduce bit for bit: the
+    same floating-point terms, summed in the same order.
+    """
+    adjacency = out_adjacency(g)
+    n = len(adjacency)
+    scores = [0.0] * n
+    for source in range(n):
+        if not adjacency[source]:
+            continue
+        sigma = [0] * n
+        sigma[source] = 1
+        dist = [-1] * n
+        dist[source] = 0
+        preds: list[list[int]] = [[] for _ in range(n)]
+        order: list[int] = []
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for u in preds[w]:
+                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+            if w != source:
+                scores[w] += delta[w]
+    return dict(zip(g.vertices, scores))
+
+
+def path_sums(g: Graph) -> dict[str, object]:
+    """Distance sums and reach counts, per source and per target, with the
+    diameter and characteristic path length, from queue-based BFS."""
+    adjacency = out_adjacency(g)
+    n = len(adjacency)
+    sum_out, reach_out, sum_in, reach_in = ([0] * n for _ in range(4))
+    diameter = 0
+    for source in range(n):
+        for target, d in enumerate(bfs_distances(adjacency, source)):
+            if d > 0:
+                sum_out[source] += d
+                reach_out[source] += 1
+                sum_in[target] += d
+                reach_in[target] += 1
+                diameter = max(diameter, d)
+    pairs = sum(reach_out)
+    return {
+        "sum_out": sum_out, "reach_out": reach_out, "sum_in": sum_in, "reach_in": reach_in,
+        "diameter": diameter, "characteristic_path_length": sum(sum_out) / pairs if pairs else None,
+    }

@@ -1,8 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from unires.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -105,6 +112,43 @@ def test_manifest_reconstructs_run(tmp_path):
     assert manifest["version"]
 
 
+def test_byte_order_mark_is_not_part_of_a_name(tmp_path):
+    plain_g, plain_h = write_pair(tmp_path)
+    bom_g, bom_h = tmp_path / "bom_graph.tsv", tmp_path / "bom_tree.tsv"
+    bom_g.write_bytes(b"\xef\xbb\xbf" + FOUR_GRAPH.encode())
+    bom_h.write_bytes(b"\xef\xbb\xbf" + FOUR_TREE.encode())
+    manifests = []
+    for name, gp, hp in (("plain", plain_g, plain_h), ("bom", str(bom_g), str(bom_h))):
+        out = tmp_path / name
+        assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "inherit", "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert (tmp_path / "bom" / "network.tsv").read_bytes() == (tmp_path / "plain" / "network.tsv").read_bytes()
+    for key in ("graph", "hierarchy"):
+        assert manifests[0]["inputs"][key]["sha256"] == manifests[1]["inputs"][key]["sha256"]
+    assert manifests[0]["inputs"]["graph"]["sha256"] == hashlib.sha256(FOUR_GRAPH.encode()).hexdigest()
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["unires", "unires.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    done = _python("-m", module, "--version")
+    assert done.returncode == 0
+    assert done.stdout.strip() == "unires 0.1.0"
+    done = _python("-m", module, "convert")
+    assert done.returncode == 2
+    assert "required" in done.stderr
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    done = _python("-c", "import sys, unires.cli; print('scipy.linalg' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_metrics_command(tmp_path):
     gp = tmp_path / "g.tsv"
     gp.write_text("a\tb\nb\tc\nc\ta\n")
@@ -155,6 +199,16 @@ def test_centrality_command(tmp_path):
     full = (out / "centrality.csv").read_text().splitlines()
     assert full[0].startswith("vertex,in_degree,out_degree")
     assert len(full) == 5
+
+
+def test_centrality_path_count_overflow_exits_3(tmp_path, capsys):
+    # 54 diamonds in series: 2**54 shortest paths from the first junction to the last.
+    lines = [f"j{i}\t{s}{i}\n{s}{i}\tj{i + 1}\n" for i in range(54) for s in "ab"]
+    gp = tmp_path / "g.tsv"
+    gp.write_text("".join(lines))
+    assert main(["centrality", "--graph", str(gp), "--out", str(tmp_path / "c")]) == 3
+    assert "2**53" in capsys.readouterr().err
+    assert main(["metrics", "--graph", str(gp), "--out", str(tmp_path / "m")]) == 0
 
 
 def test_centrality_rejects_k_zero(tmp_path):

@@ -7,14 +7,16 @@ import pytest
 from unires.graph import DomainError, Graph, load_graph
 from unires.metrics import (
     DegenerateFitError,
+    NumericalError,
     centrality_suite,
     degree_fit,
     metrics_report,
     top_k,
 )
+from unires.resolution import inherit
 
-from oracles import betweenness_paths, floyd_warshall
-from conftest import names, random_digraph
+from oracles import betweenness_paths, brandes_betweenness, floyd_warshall, path_sums
+from conftest import branching_hierarchy, names, random_digraph, random_graph_on
 
 CYCLE3 = "a\tb\nb\tc\nc\ta\n"
 COMPLETE3 = "a\tb\nb\ta\nb\tc\nc\tb\na\tc\nc\ta\n"
@@ -114,6 +116,99 @@ def test_betweenness_matches_path_enumeration():
         expected = betweenness_paths(g)
         for v in g.vertices:
             assert table.scores["betweenness"][v] == pytest.approx(float(expected[v]), abs=1e-12)
+
+
+def _dag(rng, n, p):
+    labels = names(n)
+    return Graph.from_edges(
+        {(u, v): 1.0 for i, u in enumerate(labels) for v in labels[i + 1:] if rng.random() < p},
+        vertices=labels,
+    )
+
+
+def _disconnected(rng):
+    left = random_digraph(rng, rng.randrange(3, 15), 0.4)
+    right = random_digraph(rng, rng.randrange(3, 15), 0.3)
+    renamed = {(f"r{u}", f"r{v}"): w for (u, v), w in right.weights.items()}
+    return Graph.from_edges({**left.weights, **renamed}, vertices=left.vertices)
+
+
+def _inherit_output(rng):
+    t = branching_hierarchy(rng, names(60))
+    return inherit(random_graph_on(rng, t, edge_budget=120), t).network
+
+
+PATH_CASES = {
+    "dense": lambda rng: random_digraph(rng, rng.randrange(10, 30), 0.8),
+    "sparse": lambda rng: random_digraph(rng, rng.randrange(10, 50), 0.07),
+    "dag": lambda rng: _dag(rng, rng.randrange(5, 30), 0.3),
+    "disconnected": _disconnected,
+    "isolated": lambda rng: random_digraph(rng, 12, 0.3).with_vertices(names(8, "iso")),
+    "inherit-output": _inherit_output,
+}
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(PATH_CASES)))
+def test_path_metrics_equal_queue_reference_exactly(seed, case):
+    rng = random.Random(300 + seed)
+    for _ in range(6):
+        g = PATH_CASES[case](rng)
+        if g.edge_count == 0:
+            continue
+        ref = path_sums(g)
+        n_active = len(g.active_vertices())
+        table = centrality_suite(g)
+        assert table.scores["betweenness"] == brandes_betweenness(g)
+        for side in ("in", "out"):
+            reach, sums = ref[f"reach_{side}"], ref[f"sum_{side}"]
+            expected = [r * r / ((n_active - 1) * s) if s else 0.0 for r, s in zip(reach, sums)]
+            assert table.scores[f"{side}_closeness"] == dict(zip(g.vertices, expected))
+        report = metrics_report(g)
+        assert report.diameter == ref["diameter"]
+        assert report.characteristic_path_length == ref["characteristic_path_length"]
+
+
+def test_betweenness_and_closeness_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(263)
+    for _ in range(12):
+        g = random_digraph(rng, rng.randrange(5, 40), rng.uniform(0.05, 0.6))
+        if g.edge_count == 0:
+            continue
+        theirs = nx.DiGraph(list(g.weights))  # active vertices only, as closeness counts them
+        table = centrality_suite(g).scores
+        expected = {
+            "betweenness": nx.betweenness_centrality(theirs, normalized=False),
+            "in_closeness": nx.closeness_centrality(theirs),
+            "out_closeness": nx.closeness_centrality(theirs.reverse()),
+        }
+        for metric, values in expected.items():
+            for v in g.vertices:
+                assert math.isclose(table[metric][v], values.get(v, 0.0), rel_tol=1e-12), (metric, v)
+
+
+def diamond_chain(k):
+    """``k`` diamonds in series: 3k + 1 vertices, 2**k shortest paths end to end."""
+    weights = {}
+    for i in range(k):
+        for side in "ab":
+            weights[(f"j{i:02d}", f"{side}{i:02d}")] = 1.0
+            weights[(f"{side}{i:02d}", f"j{i + 1:02d}")] = 1.0
+    return Graph.from_edges(weights)
+
+
+def test_path_counts_just_below_limit_stay_exact():
+    g = diamond_chain(52)
+    assert centrality_suite(g).scores["betweenness"] == brandes_betweenness(g)
+
+
+@pytest.mark.parametrize("k", [53, 54])
+def test_path_count_limit_raises(k):
+    g = diamond_chain(k)
+    assert len(g.vertices) == 3 * k + 1
+    with pytest.raises(NumericalError, match=r"2\*\*53"):
+        centrality_suite(g)
+    assert metrics_report(g).diameter == 2 * k  # path lengths need no path counts
 
 
 def test_closeness_matches_distance_oracle():
