@@ -34,14 +34,7 @@ from .resolution import (
     kron_sampling,
     probability_weights,
 )
-from .spectral import (
-    LaplacianView,
-    NumericalError,
-    effective_resistance,
-    grounded_solve,
-    kron_reduce,
-    laplacian,
-)
+from .spectral import NumericalError, effective_resistance, kron_reduce
 
 __version__ = "0.1.0"
 
@@ -53,7 +46,6 @@ __all__ = [
     "Edge",
     "Graph",
     "Hierarchy",
-    "LaplacianView",
     "MetricsReport",
     "NumericalError",
     "ParseError",
@@ -68,11 +60,9 @@ __all__ = [
     "disinherit",
     "edge_order",
     "effective_resistance",
-    "grounded_solve",
     "inherit",
     "kron_reduce",
     "kron_sampling",
-    "laplacian",
     "load_graph",
     "load_hierarchy",
     "metrics_report",

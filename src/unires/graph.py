@@ -129,8 +129,17 @@ class Graph:
         return tuple(v for v in self.vertices if self.connectivity(v))
 
     def with_vertices(self, extra: Iterable[str]) -> "Graph":
-        """Same edges over a universe extended by ``extra`` names."""
-        return Graph.from_edges(self.weights, vertices=(*self.vertices, *extra))
+        """Same edges over a universe extended by ``extra`` names.
+
+        Only the added names are validated: the edges were checked when
+        this graph was built.
+        """
+        added = sorted(set(extra).difference(self.vertices))
+        _check_names(added)
+        graph = object.__new__(Graph)
+        object.__setattr__(graph, "vertices", tuple(sorted((*self.vertices, *added))))
+        object.__setattr__(graph, "weights", dict(self.weights))
+        return graph
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import DomainError, Edge, Graph, Hierarchy, anchor, check_pair, classify
-from .spectral import effective_resistance, kron_reduce
+from .graph import DomainError, Edge, Graph, Hierarchy, check_pair, classify
+from .spectral import _kron_resistance
 
 GUARD_MODES = ("any", "directed")
 
@@ -92,6 +92,19 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     return ResolutionResult(network, t, _freeze(prov), dropped)
 
 
+def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
+    """:func:`~unires.graph.anchor` of every connectivity-bearing vertex, in
+    one top-down pass; silent vertices below an anchor map to it too."""
+    anchors: dict[str, str] = {}
+    for v in t.dfs_preorder():
+        above = anchors.get(t.parent.get(v))
+        if above is not None:
+            anchors[v] = above
+        elif g.has_vertex(v) and g.connectivity(v):
+            anchors[v] = v
+    return anchors
+
+
 def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     """Pull every edge up to the topmost connectivity-bearing ancestors.
 
@@ -102,10 +115,7 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     become leaves; untouched silent vertices keep the tree connected.
     """
     check_pair(g, t)
-    anchors: dict[str, str] = {}
-    for v in t.vertices:
-        if g.has_vertex(v) and g.connectivity(v):
-            anchors[v] = anchor(g, t, v)
+    anchors = _anchors(g, t)
     out: dict[Edge, float] = {}
     prov: dict[Edge, set[Edge]] = {}
     dropped: dict[Edge, float] = {}
@@ -194,14 +204,12 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
     check_pair(g, t)
-    leaves_conn = sorted(classify(g, t).leaves_with_connectivity)
-    reduced = kron_reduce(g, leaves_conn)
-    in_reduced = set(leaves_conn)
+    leaves_conn = classify(g, t).leaves_with_connectivity
     counts = inherit(g, t).network
     wanted = sorted({(s, d) if s < d else (d, s)
                      for s, d in counts.weights
-                     if s in in_reduced and d in in_reduced})
-    resist = effective_resistance(reduced, wanted)
+                     if s in leaves_conn and d in leaves_conn})
+    resist = _kron_resistance(g, leaves_conn, wanted)
     full_resist: dict[Edge, float] = {}
     for s, d in counts.weights:
         key = (s, d) if s < d else (d, s)

@@ -5,14 +5,16 @@ any spectral work, so the total reported connection strength is preserved.
 All solves are per connected component with one vertex grounded (the
 lexicographically smallest, i.e. the lowest dense id), which replaces the
 Moore-Penrose pseudoinverse at lower cost.
+
+Internally a network is a tuple of vertex names plus its undirected edges
+as index arrays ``i < j`` and weights ``w``, each pair once.  Every
+Laplacian is built from those arrays by :func:`_laplacian`, which sums each
+diagonal entry in edge order, so a given edge order fixes every bit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,18 +32,6 @@ class NumericalError(RuntimeError):
     """Linear algebra failed where the inputs should have made it impossible."""
 
 
-@dataclass(frozen=True, eq=False)
-class LaplacianView:
-    """Symmetric Laplacian matrix indexed by an explicit vertex ordering."""
-
-    ordering: tuple[str, ...]
-    matrix: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.ordering)}
-
-
 def symmetrized_weights(g: Graph) -> dict[Edge, float]:
     """Undirected weight map keyed by (min, max) name pairs."""
     sym: dict[Edge, float] = {}
@@ -51,56 +41,103 @@ def symmetrized_weights(g: Graph) -> dict[Edge, float]:
     return sym
 
 
-def _components(g: Graph) -> list[tuple[str, ...]]:
-    """Connected components of the symmetrized graph, each sorted, the list
-    ordered by first member.  Isolated vertices form singleton components."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for u, v in g.weights:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[str] = set()
-    comps: list[tuple[str, ...]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def laplacian(g: Graph) -> LaplacianView:
-    """Laplacian ``D - W`` of the symmetrized graph, ordered by dense id."""
-    n = len(g.vertices)
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``symmetrized_weights(g)`` as dense-id and weight arrays, in its order."""
+    sym = symmetrized_weights(g)
     idx = g.index
-    w = np.zeros((n, n))
-    for (u, v), weight in g.weights.items():
-        i, j = idx[u], idx[v]
-        w[i, j] += weight
-        w[j, i] += weight
-    lap = np.diag(w.sum(axis=1)) - w
-    return LaplacianView(g.vertices, lap)
+    i = np.fromiter((idx[u] for u, _ in sym), dtype=np.intp, count=len(sym))
+    j = np.fromiter((idx[v] for _, v in sym), dtype=np.intp, count=len(sym))
+    return i, j, np.fromiter(sym.values(), dtype=float, count=len(sym))
 
 
-def _local_laplacian(sym: dict[Edge, float], comp: Sequence[str]) -> np.ndarray:
-    idx = {v: i for i, v in enumerate(comp)}
-    lap = np.zeros((len(comp), len(comp)))
-    for (u, v), w in sym.items():
-        if u in idx and v in idx:
-            i, j = idx[u], idx[v]
-            lap[i, j] -= w
-            lap[j, i] -= w
-            lap[i, i] += w
-            lap[j, j] += w
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label of each of ``n`` vertices: the lowest index in its component.
+
+    Minimum-label propagation over the edges, with pointer jumping after
+    each round so that long paths settle in logarithmically many rounds.
+    """
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        hooked = labels.copy()
+        np.minimum.at(hooked, i, low)
+        np.minimum.at(hooked, j, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
+def _group(keys: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
+    """Positions in ``keys`` split by value, one array per entry of the
+    ascending ``roots`` (which include every key), each in input order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.searchsorted(keys[order], roots[1:]))
+
+
+def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplacian of undirected edges given once each; every diagonal entry
+    is summed sequentially in edge order."""
+    lap = np.zeros((n, n))
+    lap[i, j] = -w
+    lap[j, i] = -w
+    ends = np.column_stack((i, j)).ravel()
+    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
     return lap
+
+
+def _kron_edges(g: Graph, retain: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The Kron-reduced network: retained names in order, and its edges as
+    index arrays into them, component by component.
+
+    A component whose vertices are all retained keeps its symmetrized edges
+    in :func:`symmetrized_weights` order; any other component with a
+    retained vertex contributes the thresholded Schur complement's upper
+    triangle in row-major order.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    retain_set = set(retain)
+    for v in retain_set:
+        if not g.has_vertex(v):
+            raise DomainError(f"unknown vertex {v!r}")
+    n = len(g.vertices)
+    i, j, w = _edge_arrays(g)
+    keep = np.zeros(n, dtype=bool)
+    keep[[g.index[v] for v in retain_set]] = True
+    position = np.cumsum(keep) - 1  # index among the retained names
+    labels = _components(n, i, j)
+    roots = np.flatnonzero(labels == np.arange(n))
+    parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for members, edges in zip(_group(labels, roots), _group(labels[i], roots)):
+        kept = keep[members]
+        if not kept.any():
+            continue
+        if kept.all():
+            parts.append((position[i[edges]], position[j[edges]], w[edges]))
+            continue
+        local_i, local_j = np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges])
+        lap = _laplacian(len(members), local_i, local_j, w[edges])
+        keep_idx, elim_idx = np.flatnonzero(kept), np.flatnonzero(~kept)
+        l_rr = lap[np.ix_(keep_idx, keep_idx)]
+        l_re = lap[np.ix_(keep_idx, elim_idx)]
+        l_ee = lap[np.ix_(elim_idx, elim_idx)]
+        try:
+            factor = cho_factor(l_ee)
+        except LinAlgError as exc:  # pragma: no cover - impossible for connected components
+            first = [g.vertices[x] for x in members[:3]]
+            raise NumericalError(f"singular elimination block in component {first}") from exc
+        reduced = l_rr - l_re @ cho_solve(factor, l_re.T)
+        threshold = FILL_EPS * float(np.abs(reduced).max())
+        positive = np.triu(reduced > threshold, 1)
+        if positive.any():  # pragma: no cover - Kron reduction keeps off-diagonals <= 0
+            raise NumericalError(f"positive off-diagonal {reduced[positive][0]!r} in reduced Laplacian")
+        a, b = np.nonzero(np.triu(reduced < -threshold, 1))
+        ids = position[members[keep_idx]]
+        parts.append((ids[a], ids[b], -reduced[a, b]))
+    ri, rj, rw = (np.concatenate(column) for column in zip(*parts))
+    return tuple(sorted(retain_set)), ri, rj, rw
 
 
 def kron_reduce(g: Graph, retain: Iterable[str]) -> Graph:
@@ -113,45 +150,9 @@ def kron_reduce(g: Graph, retain: Iterable[str]) -> Graph:
     neighbours persist edgeless.  Pairwise effective resistance among
     retained vertices is preserved.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-    retain_set = set(retain)
-    for v in retain_set:
-        if not g.has_vertex(v):
-            raise DomainError(f"unknown vertex {v!r}")
-    sym = symmetrized_weights(g)
-    out: dict[Edge, float] = {}
-    for comp in _components(g):
-        comp_set = set(comp)
-        keep = [v for v in comp if v in retain_set]
-        if not keep:
-            continue
-        if len(keep) == len(comp):
-            for (u, v), w in sym.items():
-                if u in comp_set:
-                    out[(u, v)] = w
-            continue
-        lap = _local_laplacian(sym, comp)
-        keep_idx = [i for i, v in enumerate(comp) if v in retain_set]
-        elim_idx = [i for i, v in enumerate(comp) if v not in retain_set]
-        l_rr = lap[np.ix_(keep_idx, keep_idx)]
-        l_re = lap[np.ix_(keep_idx, elim_idx)]
-        l_ee = lap[np.ix_(elim_idx, elim_idx)]
-        try:
-            factor = cho_factor(l_ee)
-        except LinAlgError as exc:  # pragma: no cover - impossible for connected components
-            raise NumericalError(f"singular elimination block in component {comp[:3]}") from exc
-        reduced = l_rr - l_re @ cho_solve(factor, l_re.T)
-        scale = float(np.abs(reduced).max()) if reduced.size else 0.0
-        threshold = FILL_EPS * scale
-        for a in range(len(keep)):
-            for b in range(a + 1, len(keep)):
-                entry = reduced[a, b]
-                if entry < -threshold:
-                    out[(keep[a], keep[b])] = -entry
-                elif entry > threshold:  # pragma: no cover - Kron reduction keeps off-diagonals <= 0
-                    raise NumericalError(f"positive off-diagonal {entry!r} in reduced Laplacian")
-    return Graph.from_edges(out, vertices=retain_set)
+    names, i, j, w = _kron_edges(g, retain)
+    keys = zip([names[x] for x in i.tolist()], [names[x] for x in j.tolist()])
+    return Graph.from_edges(dict(zip(keys, w.tolist())), vertices=names)
 
 
 def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
@@ -173,75 +174,49 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     return full
 
 
+def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Effective resistance between vertices ``a[p]`` and ``b[p]`` of the
+    network on ``n`` vertices with edges ``(i, j, w)``: 0 for equal
+    endpoints, ``inf`` across components.  Each component is grounded at
+    its lowest index."""
+    labels = _components(n, i, j)
+    out = np.where(a == b, 0.0, np.inf)
+    solve = np.flatnonzero((a != b) & (labels[a] == labels[b]))
+    roots = np.flatnonzero(labels == np.arange(n))
+    groups = zip(_group(labels, roots), _group(labels[i], roots), _group(labels[a[solve]], roots))
+    for members, edges, asked in groups:
+        if not asked.size:
+            continue
+        lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
+        inv = _grounded_inverse(lap)
+        asked = solve[asked]
+        x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
+        out[asked] = inv[x, x] + inv[y, y] - 2.0 * inv[x, y]
+    return out
+
+
+def _resistance_map(names: tuple[str, ...], i, j, w, pairs: Iterable[Edge]) -> dict[Edge, float]:
+    wanted = list(pairs)
+    index = {v: x for x, v in enumerate(names)}
+    for u, v in wanted:
+        for x in (u, v):
+            if x not in index:
+                raise DomainError(f"unknown vertex {x!r}")
+    a = np.fromiter((index[u] for u, _ in wanted), dtype=np.intp, count=len(wanted))
+    b = np.fromiter((index[v] for _, v in wanted), dtype=np.intp, count=len(wanted))
+    return dict(zip(wanted, _resistances(len(names), i, j, w, a, b).tolist()))
+
+
 def effective_resistance(g: Graph, pairs: Iterable[Edge]) -> dict[Edge, float]:
     """Effective resistance of the symmetrized graph for each requested pair.
 
     Identical endpoints give 0; endpoints in different components give
     ``math.inf``.  Unknown vertices raise :class:`~unires.graph.DomainError`.
     """
-    wanted = list(pairs)
-    for u, v in wanted:
-        for x in (u, v):
-            if not g.has_vertex(x):
-                raise DomainError(f"unknown vertex {x!r}")
-    comps = _components(g)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    by_comp: dict[int, set[Edge]] = {}
-    for u, v in wanted:
-        if u != v and comp_of[u] == comp_of[v]:
-            by_comp.setdefault(comp_of[u], set()).add((u, v) if u < v else (v, u))
-    sym = symmetrized_weights(g)
-    values: dict[Edge, float] = {}
-    for k, need in sorted(by_comp.items()):
-        comp = comps[k]
-        idx = {v: i for i, v in enumerate(comp)}
-        inv = _grounded_inverse(_local_laplacian(sym, comp))
-        for a, b in need:
-            i, j = idx[a], idx[b]
-            values[(a, b)] = inv[i, i] + inv[j, j] - 2.0 * inv[i, j]
-    out: dict[Edge, float] = {}
-    for u, v in wanted:
-        if u == v:
-            out[(u, v)] = 0.0
-        elif comp_of[u] != comp_of[v]:
-            out[(u, v)] = math.inf
-        else:
-            out[(u, v)] = values[(u, v) if u < v else (v, u)]
-    return out
+    return _resistance_map(g.vertices, *_edge_arrays(g), pairs)
 
 
-def grounded_solve(lap: LaplacianView, component: Iterable[str], rhs: np.ndarray) -> np.ndarray:
-    """Solve ``lap @ x = rhs`` on one component with the ground pinned to 0.
-
-    The ground is the component member with the lowest dense id.  ``rhs``
-    is a full-length vector whose entries must sum to 0 over the component
-    (balanced current injection); :class:`~unires.graph.DomainError`
-    otherwise.  The returned vector is 0 outside the component.
-    """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-    members = set(component)
-    for v in members:
-        if v not in lap.index:
-            raise DomainError(f"unknown vertex {v!r}")
-    order = [v for v in lap.ordering if v in members]
-    if not order:
-        raise DomainError("empty component")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (len(lap.ordering),):
-        raise DomainError(f"rhs must have length {len(lap.ordering)}")
-    idxs = [lap.index[v] for v in order]
-    sub_rhs = rhs[idxs]
-    scale = max(1.0, float(np.abs(sub_rhs).max()) if sub_rhs.size else 0.0)
-    if abs(float(sub_rhs.sum())) > 1e-9 * scale:
-        raise DomainError("unbalanced rhs: entries must sum to 0 over the component")
-    x = np.zeros(len(lap.ordering))
-    if len(idxs) > 1:
-        rest = idxs[1:]
-        block = lap.matrix[np.ix_(rest, rest)]
-        try:
-            factor = cho_factor(block)
-        except LinAlgError as exc:
-            raise NumericalError("singular grounded system; is the set a connected component?") from exc
-        x[rest] = cho_solve(factor, rhs[rest])
-    return x
+def _kron_resistance(g: Graph, retain: Iterable[str], pairs: Iterable[Edge]) -> dict[Edge, float]:
+    """``effective_resistance(kron_reduce(g, retain), pairs)``, bit for bit,
+    without building the reduced :class:`~unires.graph.Graph`."""
+    return _resistance_map(*_kron_edges(g, retain), pairs)

@@ -84,6 +84,101 @@ def components_bfs(g: Graph) -> dict[str, int]:
     return comp
 
 
+def symmetrized(g: Graph) -> dict[tuple[str, str], float]:
+    sym: dict[tuple[str, str], float] = {}
+    for (a, b), weight in g.weights.items():
+        key = (a, b) if a < b else (b, a)
+        sym[key] = sym.get(key, 0.0) + weight
+    return sym
+
+
+def laplacian_loop(g: Graph, members=None) -> np.ndarray:
+    """Laplacian of the symmetrized graph on ``members`` (default: all
+    vertices, in name order), built one edge at a time, so each diagonal
+    entry is summed in the order of the symmetrized edges."""
+    idx = {name: i for i, name in enumerate(g.vertices if members is None else members)}
+    lap = np.zeros((len(idx), len(idx)))
+    for (a, b), weight in symmetrized(g).items():
+        if a in idx and b in idx:
+            i, j = idx[a], idx[b]
+            lap[i, j] -= weight
+            lap[j, i] -= weight
+            lap[i, i] += weight
+            lap[j, j] += weight
+    return lap
+
+
+def components_sorted(g: Graph) -> list[tuple[str, ...]]:
+    """Components, each in name order, listed by their first member."""
+    comp = components_bfs(g)
+    groups: dict[int, list[str]] = {}
+    for v in g.vertices:
+        groups.setdefault(comp[v], []).append(v)
+    return [tuple(members) for _, members in sorted(groups.items())]
+
+
+def kron_reduce_loop(g: Graph, retain) -> Graph:
+    """Kron reduction one component at a time, with the Schur complement's
+    upper triangle read entry by entry; components whose vertices are all
+    retained keep their symmetrized edges."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    retain = set(retain)
+    sym = symmetrized(g)
+    out: dict[tuple[str, str], float] = {}
+    for comp in components_sorted(g):
+        keep = [v for v in comp if v in retain]
+        if not keep:
+            continue
+        if len(keep) == len(comp):
+            out.update((e, w) for e, w in sym.items() if e[0] in comp)
+            continue
+        lap = laplacian_loop(g, comp)
+        k = [i for i, v in enumerate(comp) if v in retain]
+        e = [i for i, v in enumerate(comp) if v not in retain]
+        l_re = lap[np.ix_(k, e)]
+        reduced = lap[np.ix_(k, k)] - l_re @ cho_solve(cho_factor(lap[np.ix_(e, e)]), l_re.T)
+        threshold = 1e-12 * float(np.abs(reduced).max())
+        for a in range(len(keep)):
+            for b in range(a + 1, len(keep)):
+                if reduced[a, b] < -threshold:
+                    out[(keep[a], keep[b])] = -reduced[a, b]
+    return Graph.from_edges(out, vertices=retain)
+
+
+def resistance_grounded(g: Graph, pairs) -> dict[tuple[str, str], float]:
+    """Effective resistance from the inverse of each component's Laplacian
+    grounded at its first member, symmetrized as ``(inv + inv.T) / 2``."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    comp_of = {v: comp for comp in components_sorted(g) for v in comp}
+    inverses: dict[tuple[str, ...], np.ndarray] = {}
+    out: dict[tuple[str, str], float] = {}
+    for u, v in pairs:
+        if u == v:
+            out[(u, v)] = 0.0
+            continue
+        comp = comp_of[u]
+        if v not in comp:
+            out[(u, v)] = float("inf")
+            continue
+        if comp not in inverses:
+            inv = cho_solve(cho_factor(laplacian_loop(g, comp)[1:, 1:]), np.eye(len(comp) - 1))
+            inverses[comp] = np.zeros((len(comp), len(comp)))
+            inverses[comp][1:, 1:] = (inv + inv.T) / 2.0
+        full = inverses[comp]
+        i, j = sorted((comp.index(u), comp.index(v)))
+        out[(u, v)] = float(full[i, i] + full[j, j] - 2.0 * full[i, j])
+    return out
+
+
+def kron_resistance_reference(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
+    """The resistances Kron placement must reproduce bit for bit: the route
+    ``effective_resistance(kron_reduce(g, retain), pairs)`` through a
+    reduced ``Graph``, written the slow way."""
+    return resistance_grounded(kron_reduce_loop(g, retain), pairs)
+
+
 def resistance_pinv(g: Graph, u: str, v: str) -> float:
     """Effective resistance through the Moore-Penrose pseudoinverse."""
     if u == v:

@@ -209,3 +209,23 @@ def test_graph_rejects_bad_construction():
         Graph.from_edges({("a", "b"): 0.0})
     with pytest.raises(ValidationError):
         Graph(("a",), {("a", "b"): 1.0})
+
+
+def test_with_vertices_equals_a_full_rebuild():
+    rng = random.Random(53)
+    for _ in range(25):
+        g, t = random_pair(rng, rng.randrange(3, 30))
+        edges_only = Graph.from_edges(g.weights)
+        extended = edges_only.with_vertices(t.vertices)
+        assert extended == Graph.from_edges(g.weights, vertices=t.vertices)
+        assert extended.vertices == g.vertices
+        assert extended.index == g.index and extended.out_map == g.out_map
+        assert extended.weights is not edges_only.weights
+
+
+def test_with_vertices_rejects_a_bad_extra_name():
+    g = load_graph("a\tb\n")
+    for bad in ("", " c", "c\td", "c\n"):
+        with pytest.raises(ValidationError):
+            g.with_vertices(["z", bad])
+    assert g.with_vertices(["a", "b"]) == g

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from unires.graph import DomainError, Graph, load_graph, load_hierarchy, serialize_graph
+import unires.resolution
+from unires.cli import main
+from unires.graph import DomainError, Graph, anchor, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
 from unires.resolution import (
+    _anchors,
     disinherit,
     edge_order,
     inherit,
@@ -12,8 +15,8 @@ from unires.resolution import (
     probability_weights,
 )
 
-from oracles import disinherit_collapse, inherit_closure, leafset_recursive
-from conftest import random_pair
+from oracles import disinherit_collapse, inherit_closure, kron_resistance_reference, leafset_recursive
+from conftest import branching_hierarchy, names, random_graph_on, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -149,6 +152,16 @@ def test_disinherit_matches_collapse_oracle():
         assert result.network.weights == weights
         assert set(result.hierarchy.vertices) == kept
         assert_uniresolution(result)
+
+
+@pytest.mark.parametrize("branching", [False, True])
+def test_anchor_pass_matches_anchor(branching):
+    for seed in range(100):
+        rng = random.Random(seed)
+        g, t = random_pair(rng, rng.randrange(3, 40), branching=branching)
+        anchors = _anchors(g, t)
+        for v in g.active_vertices():
+            assert anchors[v] == anchor(g, t, v)
 
 
 def test_disinherit_conserves_weight():
@@ -298,6 +311,23 @@ def test_kron_sampling_invariants_random():
             for u, v in sources:
                 lu, lv = t.leafset(u), t.leafset(v)
                 assert (s in lu and d in lv) or (s in lv and d in lu)
+
+
+def test_kron_convert_matches_reference_pipeline(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    t = branching_hierarchy(rng, names(200))
+    g = random_graph_on(rng, t, edge_budget=15 * 200)
+    gp, hp = tmp_path / "graph.tsv", tmp_path / "tree.tsv"
+    gp.write_text(serialize_graph(g))
+    hp.write_text(serialize_hierarchy(t))
+    argv = ["convert", "--graph", str(gp), "--hierarchy", str(hp), "--method", "kron", "--out"]
+    assert main([*argv, str(tmp_path / "direct")]) == 0
+    monkeypatch.setattr(unires.resolution, "_kron_resistance", kron_resistance_reference)
+    assert main([*argv, str(tmp_path / "reference")]) == 0
+    files = sorted(p.name for p in (tmp_path / "direct").iterdir())
+    assert files == ["hierarchy.tsv", "manifest.json", "network.tsv", "provenance.tsv"]
+    for name in files:
+        assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
 def test_kron_sampling_deterministic():

@@ -4,41 +4,54 @@ import random
 import numpy as np
 import pytest
 
-from unires.graph import DomainError, Graph, load_graph
+from unires.graph import DomainError, Graph, classify, load_graph
+from unires.resolution import inherit
 from unires.spectral import (
+    _edge_arrays,
+    _kron_resistance,
+    _laplacian,
     effective_resistance,
-    grounded_solve,
     kron_reduce,
-    laplacian,
 )
 
-from oracles import resistance_pinv
-from conftest import names, random_connected_weighted
+from oracles import kron_reduce_loop, kron_resistance_reference, laplacian_loop, resistance_pinv
+from conftest import names, random_connected_weighted, random_pair
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """The package's Laplacian builder applied to a whole graph."""
+    return _laplacian(len(g.vertices), *_edge_arrays(g))
 
 
 def test_laplacian_single_edge():
-    lap = laplacian(load_graph("a\tb\n"))
-    assert lap.ordering == ("a", "b")
-    assert np.array_equal(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.array_equal(laplacian(load_graph("a\tb\n")), [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_laplacian_symmetrization_sums_both_directions():
-    lap = laplacian(load_graph("a\tb\nb\ta\n"))
-    assert np.array_equal(lap.matrix, [[2.0, -2.0], [-2.0, 2.0]])
+    assert np.array_equal(laplacian(load_graph("a\tb\nb\ta\n")), [[2.0, -2.0], [-2.0, 2.0]])
 
 
 def test_laplacian_triangle():
     lap = laplacian(load_graph("a\tb\nb\tc\nc\ta\n"))
-    assert np.array_equal(np.diag(lap.matrix), [2.0, 2.0, 2.0])
-    off = lap.matrix[~np.eye(3, dtype=bool)]
+    assert np.array_equal(np.diag(lap), [2.0, 2.0, 2.0])
+    off = lap[~np.eye(3, dtype=bool)]
     assert np.array_equal(off, [-1.0] * 6)
+
+
+def test_laplacian_matches_edge_by_edge_reference_exactly():
+    rng = random.Random(3)
+    for _ in range(40):
+        g = random_connected_weighted(rng, rng.randrange(2, 40))
+        reversed_too = {(v, u): w * 0.7 for (u, v), w in list(g.weights.items())[::3]}
+        g = Graph.from_edges({**g.weights, **reversed_too}, vertices=g.vertices)
+        assert np.array_equal(laplacian(g), laplacian_loop(g))
 
 
 def test_laplacian_structural_invariants():
     rng = random.Random(5)
     for _ in range(25):
         g = random_connected_weighted(rng, rng.randrange(2, 30))
-        m = laplacian(g).matrix
+        m = laplacian(g)
         assert np.allclose(m, m.T)
         row_scale = np.abs(m).max(axis=1)
         assert (np.abs(m.sum(axis=1)) <= 1e-12 * np.maximum(row_scale, 1.0)).all()
@@ -84,7 +97,7 @@ def test_kron_output_is_valid_laplacian():
     for _ in range(20):
         g = random_connected_weighted(rng, rng.randrange(4, 25))
         retain = rng.sample(list(g.vertices), rng.randrange(2, len(g.vertices)))
-        m = laplacian(kron_reduce(g, retain)).matrix
+        m = laplacian_loop(kron_reduce(g, retain))
         scale = max(1.0, np.abs(m).max())
         assert np.abs(m.sum(axis=1)).max() <= 1e-9 * scale
         assert (m[~np.eye(len(m), dtype=bool)] <= 0).all()
@@ -168,50 +181,81 @@ def test_kron_preserves_resistance_small():
             assert after[pair] == pytest.approx(before[pair], rel=1e-8)
 
 
-def test_grounded_solve_zero_rhs():
-    g = load_graph("a\tb\nb\tc\n")
-    lap = laplacian(g)
-    x = grounded_solve(lap, g.vertices, np.zeros(3))
-    assert np.array_equal(x, np.zeros(3))
+# --- Kron placement's resistances, without the reduced Graph ----------------
 
 
-def test_grounded_solve_ohms_law_and_series():
-    g = load_graph("a\tb\n")
-    lap = laplacian(g)
-    x = grounded_solve(lap, g.vertices, np.array([1.0, -1.0]))
-    assert x[0] - x[1] == pytest.approx(1.0, rel=1e-12)
-    g = load_graph("a\tb\nb\tc\n")
-    lap = laplacian(g)
-    x = grounded_solve(lap, g.vertices, np.array([1.0, 0.0, -1.0]))
-    assert x[0] - x[2] == pytest.approx(2.0, rel=1e-12)
+def kron_inputs(g, t):
+    """The retained leaves and the pairs that kron_sampling asks about."""
+    leaves = sorted(classify(g, t).leaves_with_connectivity)
+    counts = inherit(g, t).network
+    wanted = sorted({(s, d) if s < d else (d, s) for s, d in counts.weights if s in leaves and d in leaves})
+    return leaves, wanted
 
 
-def test_grounded_solve_grounds_lowest_id_and_residual():
-    rng = random.Random(37)
-    for _ in range(15):
-        g = random_connected_weighted(rng, rng.randrange(2, 20))
-        lap = laplacian(g)
-        n = len(g.vertices)
-        rhs = np.zeros(n)
-        if n >= 2:
-            i, j = rng.sample(range(n), 2)
-            rhs[i], rhs[j] = 1.0, -1.0
-        x = grounded_solve(lap, g.vertices, rhs)
-        assert x[0] == 0.0  # ground is the lowest dense id
-        scale = max(1.0, np.abs(rhs).max())
-        assert np.abs(lap.matrix @ x - rhs).max() <= 1e-9 * scale
+@pytest.mark.parametrize("branching", [False, True])
+def test_kron_resistance_equals_reference_random(branching):
+    for seed in range(150):
+        rng = random.Random(seed)
+        g, t = random_pair(rng, rng.randrange(4, 40), branching=branching)
+        leaves, wanted = kron_inputs(g, t)
+        assert _kron_resistance(g, leaves, wanted) == kron_resistance_reference(g, leaves, wanted)
 
 
-def test_grounded_solve_matches_resistance():
-    g = load_graph("a\tb\t2\nb\tc\t3\nc\ta\t1\n")
-    lap = laplacian(g)
-    rhs = np.array([1.0, 0.0, -1.0])
-    x = grounded_solve(lap, g.vertices, rhs)
-    r = effective_resistance(g, [("a", "c")])
-    assert x[0] - x[2] == pytest.approx(r[("a", "c")], rel=1e-12)
+def test_kron_resistance_equals_reference_weighted():
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_connected_weighted(rng, rng.randrange(3, 30))
+        retain = rng.sample(list(g.vertices), rng.randrange(1, len(g.vertices)))
+        pairs = [(u, v) for u in retain for v in retain]
+        assert list(kron_reduce(g, retain).weights.items()) == list(kron_reduce_loop(g, retain).weights.items())
+        assert _kron_resistance(g, retain, pairs) == kron_resistance_reference(g, retain, pairs)
 
 
-def test_grounded_solve_unbalanced_rhs_rejected():
-    g = load_graph("a\tb\n")
-    with pytest.raises(DomainError, match="unbalanced"):
-        grounded_solve(laplacian(g), g.vertices, np.array([1.0, 0.0]))
+def check_against_reference(g, retain, expected):
+    got = _kron_resistance(g, retain, list(expected))
+    assert got == kron_resistance_reference(g, retain, list(expected))
+    for pair, value in expected.items():
+        assert got[pair] == pytest.approx(value, rel=1e-12)
+
+
+def test_kron_resistance_fully_retained_component():
+    # The star is copied as it is; its centre's diagonal sums 0.3 + 0.2 + 0.1
+    # in line order, which rounds differently from name order.  The path
+    # x-e-y is reduced.
+    g = load_graph("h\tc\t0.3\nh\tb\t0.2\nh\ta\t0.1\nx\te\ny\te\n")
+    check_against_reference(g, ["a", "b", "c", "h", "x", "y"], {
+        ("a", "b"): 15.0,
+        ("c", "a"): 10.0 + 1.0 / 0.3,
+        ("x", "y"): 2.0,
+        ("a", "x"): math.inf,
+        ("c", "c"): 0.0,
+    })
+
+
+def test_kron_resistance_retained_vertex_left_without_edges():
+    g = load_graph("a\tb\nc\td\n")
+    check_against_reference(g, ["a", "b", "c"], {("a", "b"): 1.0, ("a", "c"): math.inf, ("c", "c"): 0.0})
+
+
+def test_kron_resistance_two_components_with_eliminated_vertices():
+    g = load_graph("a\tx\nx\tb\nc\ty\ny\td\t3\n")
+    check_against_reference(g, ["a", "b", "c", "d"], {
+        ("a", "b"): 2.0,
+        ("c", "d"): 1.0 + 1.0 / 3.0,
+        ("b", "c"): math.inf,
+    })
+
+
+def test_kron_resistance_threshold_splits_a_component():
+    # Eliminating x leaves a-b at about 1e-14, below FILL_EPS times the
+    # largest reduced entry, so a ends up alone in the reduced graph.
+    g = load_graph("a\tx\t1e-14\nx\tb\nb\tc\n")
+    assert set(kron_reduce(g, ["a", "b", "c"]).weights) == {("b", "c")}
+    check_against_reference(g, ["a", "b", "c"], {("a", "b"): math.inf, ("b", "c"): 1.0})
+
+
+def test_kron_resistance_unknown_retained_vertex():
+    with pytest.raises(DomainError):
+        _kron_resistance(load_graph("a\tb\n"), ["a", "zz"], [("a", "zz")])
+    with pytest.raises(DomainError):
+        _kron_resistance(load_graph("a\tb\nb\tc\n"), ["a", "c"], [("a", "b")])
