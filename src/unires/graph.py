@@ -196,16 +196,21 @@ class Hierarchy:
         return depths
 
     @cached_property
-    def _leafsets(self) -> dict[str, frozenset[str]]:
-        # Children before parents: sort by depth, deepest first.
-        sets: dict[str, frozenset[str]] = {}
-        for v in sorted(self.vertices, key=lambda u: self._depths[u], reverse=True):
+    def leaf_ranges(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
+        """The leaves in :meth:`dfs_preorder` order, and each vertex's
+        descendant leaves as one range ``[lo, hi)`` of that sequence.
+
+        Children are visited in name order, so every subtree's leaves are
+        contiguous; a leaf's range holds only itself.
+        """
+        order = self.dfs_preorder()
+        leaves = tuple(v for v in order if not self.children[v])
+        ranges = {v: (i, i + 1) for i, v in enumerate(leaves)}
+        for v in reversed(order):  # children before their parent
             kids = self.children[v]
-            if not kids:
-                sets[v] = frozenset((v,))
-            else:
-                sets[v] = frozenset().union(*(sets[c] for c in kids))
-        return sets
+            if kids:
+                ranges[v] = (ranges[kids[0]][0], ranges[kids[-1]][1])
+        return leaves, ranges
 
     def _require(self, v: str) -> None:
         if v not in self._depths:
@@ -223,7 +228,9 @@ class Hierarchy:
     def leafset(self, v: str) -> frozenset[str]:
         """All descendant leaves of ``v``; a leaf's leafset is itself."""
         self._require(v)
-        return self._leafsets[v]
+        leaves, ranges = self.leaf_ranges
+        lo, hi = ranges[v]
+        return frozenset(leaves[lo:hi])
 
     def descendants(self, v: str) -> set[str]:
         """``v`` plus everything below it."""
@@ -289,8 +296,9 @@ def load_graph(text: str) -> Graph:
     """Parse an edge-list document.
 
     Raises :class:`ParseError` (with the line number) on a wrong field
-    count, an invalid vertex name, a non-positive or unparsable weight, or
-    a self-loop.  Weights of duplicate edges are summed.
+    count, an invalid vertex name, a non-positive or unparsable weight, a
+    self-loop, or duplicate edges whose summed weight overflows float64.
+    Weights of duplicate edges are summed.
     """
     weights: dict[Edge, float] = {}
     for lineno, raw in _iter_lines(text):
@@ -311,7 +319,10 @@ def load_graph(text: str) -> Graph:
                 raise ParseError(f"unparsable weight {fields[2]!r}", lineno) from None
             if not (math.isfinite(weight) and weight > 0):
                 raise ParseError(f"weight must be positive and finite, got {fields[2]!r}", lineno)
-        weights[(src, dst)] = weights.get((src, dst), 0.0) + weight
+        total = weights.get((src, dst), 0.0) + weight
+        if math.isinf(total):
+            raise ParseError(f"summed weight of duplicate edge ({src!r}, {dst!r}) overflows float64", lineno)
+        weights[(src, dst)] = total
     return Graph.from_edges(weights)
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import DomainError, Edge, Graph, Hierarchy, check_pair, classify
 from .spectral import _kron_resistance
 
@@ -52,6 +54,8 @@ class ProbabilityNet:
     weights: dict[Edge, float]
 
     def __post_init__(self):
+        if not all(math.isfinite(w) for w in self.weights.values()):
+            raise DomainError("non-finite probability mass")
         total = sum(self.weights[e] for e in sorted(self.weights))
         if any(w < 0 for w in self.weights.values()):
             raise DomainError("negative probability mass")
@@ -63,6 +67,50 @@ def _freeze(prov: dict[Edge, set[Edge]]) -> dict[Edge, frozenset[Edge]]:
     return {e: frozenset(srcs) for e, srcs in prov.items()}
 
 
+def _pairs(names: tuple[str, ...], keys: np.ndarray) -> list[Edge]:
+    """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``."""
+    s, d = np.divmod(keys, len(names))
+    return list(zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist())))
+
+
+def _leaf_pairs(g: Graph, t: Hierarchy):
+    """Every input edge, in sorted order, expanded by index arithmetic on
+    :attr:`Hierarchy.leaf_ranges` to the leaf pairs ``(s, d)`` under it.
+
+    A pair is keyed ``id(s) * n + id(d)``, ids indexing the name-ordered
+    ``t.vertices``, so keys sort like name pairs.  Returns the edges, their
+    weights; per listed off-diagonal pair its edge index, key and index into
+    the distinct ascending keys ``pairs``; per distinct pair its weight
+    summed in sorted-edge order, as a loop over the edges would; and per
+    edge its number of diagonal pairs (``s == d``).
+    """
+    check_pair(g, t)
+    names = t.vertices
+    n = len(names)
+    edges = sorted(g.weights)
+    weights = np.fromiter((g.weights[e] for e in edges), dtype=float, count=len(edges))
+    leaves, ranges = t.leaf_ranges
+    index = {v: i for i, v in enumerate(names)}
+    ids = np.fromiter((index[v] for v in leaves), dtype=np.int64, count=len(leaves))
+    bounds = np.array([ranges[u] + ranges[v] for u, v in edges], dtype=np.int64).reshape(-1, 4)
+    lo_u, hi_u, lo_v, hi_v = bounds.T
+    cols = hi_v - lo_v
+    sizes = (hi_u - lo_u) * cols
+    edge = np.repeat(np.arange(len(edges)), sizes)
+    offset = np.arange(len(edge)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    s = lo_u[edge] + offset // cols[edge]
+    d = lo_v[edge] + offset % cols[edge]
+    off = s != d
+    diagonal = np.bincount(edge[~off], minlength=len(edges))
+    edge, key = edge[off], ids[s[off]] * n + ids[d[off]]
+    pairs, inverse = np.unique(key, return_inverse=True)
+    sums = np.bincount(inverse, weights=weights[edge], minlength=len(pairs))
+    if not np.isfinite(sums).all():
+        s, d = _pairs(names, pairs[~np.isfinite(sums)])[0]
+        raise DomainError(f"summed weight of leaf pair ({s!r}, {d!r}) overflows float64")
+    return edges, weights, edge, key, pairs, inverse, sums, diagonal
+
+
 def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     """Copy every edge down to all leaf pairs under its endpoints.
 
@@ -70,26 +118,22 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     all input edges (u, v) with s under u and t under v; for unweighted
     input that is the number of reports covering the pair.  Diagonal pairs
     (s == t, possible only for ancestor-descendant inputs) are dropped and
-    logged.  The hierarchy is unchanged.
+    logged.  The hierarchy is unchanged.  A sum that overflows float64
+    raises :class:`~unires.graph.DomainError`.
     """
-    check_pair(g, t)
-    out: dict[Edge, float] = {}
-    prov: dict[Edge, set[Edge]] = {}
-    dropped: dict[Edge, float] = {}
-    for (u, v), w in sorted(g.weights.items()):
-        leaves_u = t.leafset(u)
-        leaves_v = t.leafset(v)
-        for s in leaves_u:
-            for d in leaves_v:
-                if s == d:
-                    continue
-                out[(s, d)] = out.get((s, d), 0.0) + w
-                prov.setdefault((s, d), set()).add((u, v))
-        diagonal = len(leaves_u & leaves_v)
-        if diagonal:
-            dropped[(u, v)] = w * diagonal
-    network = Graph.from_edges(out, vertices=t.vertices)
-    return ResolutionResult(network, t, _freeze(prov), dropped)
+    edges, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(g, t)
+    out_edges = _pairs(t.vertices, pairs)
+    sources = [edges[i] for i in edge[np.argsort(inverse, kind="stable")].tolist()]
+    ends = np.cumsum(np.bincount(inverse, minlength=len(pairs))).tolist()
+    prov = {pair: frozenset(sources[a:b]) for pair, a, b in zip(out_edges, [0, *ends], ends)}
+    with np.errstate(over="ignore"):
+        lost = weights * diagonal
+    if not np.isfinite(lost).all():
+        u, v = edges[int(np.flatnonzero(~np.isfinite(lost))[0])]
+        raise DomainError(f"dropped diagonal weight of edge ({u!r}, {v!r}) overflows float64")
+    dropped = {edges[i]: float(lost[i]) for i in np.flatnonzero(diagonal).tolist()}
+    network = Graph.from_edges(dict(zip(out_edges, sums.tolist())), vertices=t.vertices)
+    return ResolutionResult(network, t, prov, dropped)
 
 
 def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
@@ -124,7 +168,10 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
         if a == b:
             dropped[(u, v)] = w
             continue
-        out[(a, b)] = out.get((a, b), 0.0) + w
+        total = out.get((a, b), 0.0) + w
+        if math.isinf(total):
+            raise DomainError(f"summed weight of edge ({a!r}, {b!r}) overflows float64")
+        out[(a, b)] = total
         prov.setdefault((a, b), set()).add((u, v))
     removed: set[str] = set()
     for a in set(anchors.values()):
@@ -149,6 +196,17 @@ def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
     return edges
 
 
+def _masses(resistance: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Resistance × count per pair, 0 where the resistance is infinite,
+    divided by the total (summed in pair order) when that is positive."""
+    with np.errstate(over="ignore"):
+        masses = np.where(np.isinf(resistance), 0.0, resistance * counts)
+    total = sum(masses.tolist())
+    if math.isinf(total):
+        raise DomainError("probability mass (resistance × count) overflows float64")
+    return masses / total if total > 0 else masses
+
+
 def probability_weights(resistances: dict[Edge, float], inherit_counts: Graph) -> ProbabilityNet:
     """Normalized product of effective resistance and inherited count.
 
@@ -157,30 +215,25 @@ def probability_weights(resistances: dict[Edge, float], inherit_counts: Graph) -
     candidate lands on 0 the masses are left unnormalized at 0 and
     consumers fall back to counts.
     """
-    masses: dict[Edge, float] = {}
-    for (s, d), count in sorted(inherit_counts.weights.items()):
+    pairs = sorted(inherit_counts.weights)
+    found = []
+    for s, d in pairs:
         r = resistances.get((s, d))
         if r is None:
             r = resistances.get((d, s))
         if r is None:
             raise DomainError(f"no resistance supplied for pair ({s!r}, {d!r})")
-        masses[(s, d)] = 0.0 if math.isinf(r) else r * count
-    total = sum(masses[e] for e in sorted(masses))
-    if total > 0:
-        masses = {e: m / total for e, m in masses.items()}
-    return ProbabilityNet(masses)
+        found.append(r)
+    counts = np.fromiter((inherit_counts.weights[e] for e in pairs), dtype=float, count=len(pairs))
+    return ProbabilityNet(dict(zip(pairs, _masses(np.array(found, dtype=float), counts).tolist())))
 
 
-def _argmax(candidates: list[Edge], score: dict[Edge, float]) -> tuple[Edge, float]:
-    # Candidates arrive in lexicographic order, so strict improvement keeps
-    # the lexicographically smallest of tied maxima.
-    best = candidates[0]
-    best_score = score.get(best, 0.0)
-    for cand in candidates[1:]:
-        s = score.get(cand, 0.0)
-        if s > best_score:
-            best, best_score = cand, s
-    return best, best_score
+def _argmax_keys(score: np.ndarray, key: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of ``score`` (segments start at ``heads``): the maximum
+    score, and the smallest key among the entries that reach it."""
+    best = np.maximum.reduceat(score, heads)
+    tied = score == np.repeat(best, np.diff(heads, append=len(score)))
+    return best, np.minimum.reduceat(np.where(tied, key, np.iinfo(np.int64).max), heads)
 
 
 def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = "any") -> ResolutionResult:
@@ -203,41 +256,49 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     """
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
-    check_pair(g, t)
+    edges, _, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
+    names, n = t.vertices, len(t.vertices)
     leaves_conn = classify(g, t).leaves_with_connectivity
-    counts = inherit(g, t).network
-    wanted = sorted({(s, d) if s < d else (d, s)
-                     for s, d in counts.weights
-                     if s in leaves_conn and d in leaves_conn})
-    resist = _kron_resistance(g, leaves_conn, wanted)
-    full_resist: dict[Edge, float] = {}
-    for s, d in counts.weights:
-        key = (s, d) if s < d else (d, s)
-        full_resist[(s, d)] = resist.get(key, math.inf)
-    prob = probability_weights(full_resist, counts)
+    src, dst = np.divmod(pairs, n)
+    conn = np.fromiter((v in leaves_conn for v in names), dtype=bool, count=n)
+    both = conn[src] & conn[dst]
+    undirected = np.minimum(src, dst)[both] * n + np.maximum(src, dst)[both]
+    wanted = np.unique(undirected)
+    wanted_names = _pairs(names, wanted)
+    resist = _kron_resistance(g, leaves_conn, wanted_names)
+    resistance = np.full(len(pairs), np.inf)
+    resistance[both] = np.array([resist[p] for p in wanted_names])[np.searchsorted(wanted, undirected)]
+    mass = _masses(resistance, counts)
 
-    out: dict[Edge, float] = {}
-    prov: dict[Edge, set[Edge]] = {}
+    # Each edge's choice does not depend on what is placed before it, only
+    # whether it is placed does: pick every winner up front.
+    bounds = np.searchsorted(edge, np.arange(len(edges) + 1))
+    heads = bounds[:-1][bounds[1:] > bounds[:-1]]
+    best, by_mass = _argmax_keys(mass[inverse], key, heads)
+    _, by_count = _argmax_keys(counts[inverse], key, heads)
+    winner = np.zeros(len(edges), dtype=np.int64)
+    winner[edge[heads]] = np.where(best > 0.0, by_mass, by_count)
+
+    position = {e: i for i, e in enumerate(edges)}
+    keys, winners, bounds = key.tolist(), winner.tolist(), bounds.tolist()
+    reverse = (key % n * n + key // n).tolist() if guard == "any" else None
+    placed: dict[int, list[Edge]] = {}  # output pair key -> input edges, in placement order
     dropped: dict[Edge, float] = {}
     for u, v in edge_order(g, t, descending=descending):
-        leaves_u = sorted(t.leafset(u))
-        leaves_v = sorted(t.leafset(v))
-        candidates = [(s, d) for s in leaves_u for d in leaves_v if s != d]
-        if not candidates:
+        i = position[(u, v)]
+        a, b = bounds[i], bounds[i + 1]
+        if a == b:
             # Both endpoints sit above the same single leaf; nothing off the
             # diagonal can represent this edge.
             dropped[(u, v)] = g.weights[(u, v)]
             continue
-        blockers = [c for c in candidates if c in out]
-        if guard == "any":
-            blockers += [(d, s) for s, d in candidates if (d, s) in out]
+        blockers = placed.keys() & keys[a:b]
+        if reverse is not None:
+            blockers |= placed.keys() & reverse[a:b]
         if blockers:
-            prov[min(blockers)].add((u, v))
-            continue
-        chosen, mass = _argmax(candidates, prob.weights)
-        if mass <= 0.0:
-            chosen, _ = _argmax(candidates, counts.weights)
-        out[chosen] = 1.0
-        prov.setdefault(chosen, set()).add((u, v))
-    network = Graph.from_edges(out, vertices=t.vertices)
-    return ResolutionResult(network, t, _freeze(prov), dropped)
+            placed[min(blockers)].append((u, v))
+        else:
+            placed[winners[i]] = [(u, v)]
+    chosen = _pairs(names, np.array(list(placed), dtype=np.int64))
+    network = Graph.from_edges(dict.fromkeys(chosen, 1.0), vertices=t.vertices)
+    return ResolutionResult(network, t, dict(zip(chosen, map(frozenset, placed.values()))), dropped)

@@ -65,8 +65,10 @@ def random_graph_on(
     t: Hierarchy,
     edge_budget: int,
     leaf_only: bool = False,
+    weights_from: tuple[float, ...] = (1.0, 1.0, 2.0, 3.0),
 ) -> Graph:
-    """Random directed graph over the tree universe with small integer weights."""
+    """Random directed graph over the tree universe, each drawn edge adding
+    a weight chosen from ``weights_from`` (small integers by default)."""
     pool = list(t.leaves()) if leaf_only else list(t.vertices)
     weights: dict[tuple[str, str], float] = {}
     for _ in range(edge_budget):
@@ -74,14 +76,19 @@ def random_graph_on(
         v = rng.choice(pool)
         if u == v:
             continue
-        weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice((1.0, 1.0, 2.0, 3.0))
+        weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice(weights_from)
     return Graph.from_edges(weights, vertices=t.vertices)
 
 
-def random_pair(rng: random.Random, n: int, branching: bool = False) -> tuple[Graph, Hierarchy]:
+def random_pair(
+    rng: random.Random,
+    n: int,
+    branching: bool = False,
+    weights_from: tuple[float, ...] = (1.0, 1.0, 2.0, 3.0),
+) -> tuple[Graph, Hierarchy]:
     labels = names(n)
     t = branching_hierarchy(rng, labels) if branching else random_hierarchy(rng, labels)
-    g = random_graph_on(rng, t, edge_budget=rng.randrange(1, max(2, 2 * n)))
+    g = random_graph_on(rng, t, edge_budget=rng.randrange(1, max(2, 2 * n)), weights_from=weights_from)
     return g, t
 
 

@@ -7,6 +7,7 @@ shares no code with the package internals.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -33,6 +34,92 @@ def inherit_closure(g: Graph, t: Hierarchy) -> dict[tuple[str, str], float]:
                 if s != d:
                     out[(s, d)] = out.get((s, d), 0.0) + w
     return out
+
+
+def inherit_loop(g: Graph, t: Hierarchy):
+    """Returns (weights, provenance, dropped) of inherit, one leaf pair at a
+    time: each pair's weight is summed over the input edges in sorted order,
+    and an edge's diagonal pairs are dropped as ``w * count``."""
+    out: dict[tuple[str, str], float] = {}
+    prov: dict[tuple[str, str], set] = {}
+    dropped: dict[tuple[str, str], float] = {}
+    for (u, v), w in sorted(g.weights.items()):
+        leaves_u = leafset_recursive(t, u)
+        leaves_v = leafset_recursive(t, v)
+        for s in leaves_u:
+            for d in leaves_v:
+                if s == d:
+                    continue
+                out[(s, d)] = out.get((s, d), 0.0) + w
+                prov.setdefault((s, d), set()).add((u, v))
+        diagonal = len(leaves_u & leaves_v)
+        if diagonal:
+            dropped[(u, v)] = w * diagonal
+    return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped
+
+
+def _argmax_scan(candidates, score):
+    """First candidate, in the given order, that reaches the maximum score."""
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if score[cand] > score[best]:
+            best = cand
+    return best
+
+
+def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: str = "any"):
+    """Returns (weights, provenance, dropped) of Kron placement, walking
+    every candidate of every input edge.
+
+    Counts come from :func:`inherit_loop` and resistances from
+    :func:`kron_resistance_reference`; masses are ``r * count`` (0 for
+    infinite ``r``) divided by their total summed in pair order.  Edges are
+    taken by depth product (root at depth 1), ties in name order.  An edge
+    whose candidates meet an output edge (either direction under ``"any"``)
+    joins the smallest such edge; otherwise the first candidate in name
+    order with the largest mass is placed, or with the largest count when
+    that mass is not positive.
+    """
+
+    def depth(v: str) -> int:
+        return 1 if v == t.root else 1 + depth(t.parent[v])
+
+    counts, _, _ = inherit_loop(g, t)
+    active = {v for v in t.vertices if not t.children[v] and v in g.vertices
+              and any(v in e for e in g.weights)}
+    wanted = sorted({(min(s, d), max(s, d)) for s, d in counts if s in active and d in active})
+    resist = kron_resistance_reference(g, active, wanted)
+    masses = {}
+    for (s, d), count in sorted(counts.items()):
+        r = resist.get((min(s, d), max(s, d)), math.inf)
+        masses[(s, d)] = 0.0 if math.isinf(r) else r * count
+    total = sum(masses[e] for e in sorted(masses))
+    if total > 0:
+        masses = {e: m / total for e, m in masses.items()}
+
+    order = sorted(g.weights)
+    order.sort(key=lambda e: depth(e[0]) * depth(e[1]), reverse=descending)
+    out: dict[tuple[str, str], float] = {}
+    prov: dict[tuple[str, str], set] = {}
+    dropped: dict[tuple[str, str], float] = {}
+    for u, v in order:
+        candidates = [(s, d) for s in sorted(leafset_recursive(t, u))
+                      for d in sorted(leafset_recursive(t, v)) if s != d]
+        if not candidates:
+            dropped[(u, v)] = g.weights[(u, v)]
+            continue
+        blockers = [c for c in candidates if c in out]
+        if guard == "any":
+            blockers += [(d, s) for s, d in candidates if (d, s) in out]
+        if blockers:
+            prov[min(blockers)].add((u, v))
+            continue
+        chosen = _argmax_scan(candidates, masses)
+        if masses[chosen] <= 0.0:
+            chosen = _argmax_scan(candidates, counts)
+        out[chosen] = 1.0
+        prov[chosen] = {(u, v)}
+    return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped
 
 
 def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:

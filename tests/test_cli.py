@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from unires.cli import main
+from unires.graph import Graph, serialize_graph, serialize_hierarchy
+
+from conftest import branching_hierarchy, names
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -78,6 +82,62 @@ def test_convert_parse_error_carries_line(tmp_path, capsys):
     hp.write_text("r\ta\nr\tb\nr\tc\n")
     assert main(["convert", "--graph", str(gp), "--hierarchy", str(hp), "--method", "inherit", "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+# Either input edge alone is finite; the leaf pair (a1, B) they share, and
+# the anchor pair (A, B) of disinherit, sum to more than float64 holds.
+OVERFLOW_GRAPH = "A\tB\t1e308\na1\tB\t1e308\n"
+OVERFLOW_TREE = "R\tA\nR\tB\nA\ta1\nA\ta2\n"
+
+
+@pytest.mark.parametrize("method", ["inherit", "disinherit", "kron"])
+def test_convert_weight_overflow_exits_2(tmp_path, capsys, method):
+    gp, hp = write_pair(tmp_path, OVERFLOW_GRAPH, OVERFLOW_TREE)
+    out = tmp_path / "o"
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 2
+    assert "overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convert_duplicate_line_overflow_exits_2(tmp_path, capsys):
+    gp, hp = write_pair(tmp_path, "A\tB\t1e308\na1\ta2\nA\tB\t1e308\n", OVERFLOW_TREE)
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "inherit", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "overflows float64" in err
+
+
+# sha256 of the output files for a seeded n=200 instance with non-integer
+# weights.  Both conversions add plain Python floats, with no BLAS, so the
+# bytes are the same on every platform.
+GOLDEN = {
+    "inherit": {
+        "network.tsv": "ca028757fa622131a800f2deaf7c8c8070abeaf07db6a9c59b2a976a13dc697f",
+        "hierarchy.tsv": "163d2b298f3ac3cd85a7f0050fe85190d58876985c63f5118d2e1f7f3fd669ce",
+        "provenance.tsv": "85ae67e2454f62ff119e95fa89141eb12b6a4f2abfaab381f3026df9f22315c4",
+    },
+    "disinherit": {
+        "network.tsv": "288b021b0b4431392bd664a24e1114f06bff7c4ecba2187b83bd0a5c92609a5d",
+        "hierarchy.tsv": "d743b33d85926a3def4b310bab4bf0d248ad33462c50b569891dfaa346f12b2f",
+        "provenance.tsv": "c6e8edcce7b19a789a2eb417db8fd14e229d0fa79fb3d20de1a6dcd8b68fa7cc",
+    },
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_convert_output_bytes_are_pinned(tmp_path, method):
+    rng = random.Random(4242)
+    t = branching_hierarchy(rng, names(200))
+    pool = [v for v in t.vertices if v != t.root]  # a root edge leaves disinherit nothing to write
+    weights = {}
+    for _ in range(3000):
+        u, v = rng.sample(pool, 2)
+        weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice((0.1, 0.2, 0.3, 0.7))
+    gp, hp = write_pair(tmp_path, serialize_graph(Graph.from_edges(weights, vertices=t.vertices)),
+                        serialize_hierarchy(t))
+    out = tmp_path / method
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+    for name, digest in GOLDEN[method].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_convert_refuses_to_overwrite_inputs(tmp_path):

@@ -15,7 +15,8 @@ from unires.graph import (
     serialize_hierarchy,
 )
 
-from conftest import names, random_graph_on, random_hierarchy, random_pair
+from oracles import leafset_recursive
+from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -36,6 +37,12 @@ def test_load_graph_default_weight():
 def test_load_graph_duplicate_lines_sum():
     g = load_graph("a\tb\t2.0\na\tb\t3.0\n")
     assert g.weights == {("a", "b"): 5.0}
+
+
+def test_load_graph_duplicate_sum_overflow_carries_line():
+    with pytest.raises(ParseError, match="overflows float64") as err:
+        load_graph("a\tb\t1e308\nb\ta\t1e308\na\tb\t1e308\n")
+    assert err.value.line == 3
 
 
 def test_load_graph_self_loop_rejected():
@@ -172,6 +179,15 @@ def test_anchor_idempotent():
         for v in g.active_vertices():
             a = anchor(g, t, v)
             assert anchor(g, t, a) == a
+
+
+@pytest.mark.parametrize("shape", [random_hierarchy, branching_hierarchy])
+def test_leafset_matches_recursive_oracle(shape):
+    rng = random.Random(37)
+    for _ in range(60):
+        t = shape(rng, names(rng.randrange(3, 60)))
+        for v in t.vertices:
+            assert t.leafset(v) == leafset_recursive(t, v)
 
 
 def test_leafset_members_are_leaves_and_laminar():

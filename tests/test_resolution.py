@@ -7,6 +7,8 @@ import unires.resolution
 from unires.cli import main
 from unires.graph import DomainError, Graph, anchor, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
 from unires.resolution import (
+    GUARD_MODES,
+    ProbabilityNet,
     _anchors,
     disinherit,
     edge_order,
@@ -15,7 +17,14 @@ from unires.resolution import (
     probability_weights,
 )
 
-from oracles import disinherit_collapse, inherit_closure, kron_resistance_reference, leafset_recursive
+from oracles import (
+    disinherit_collapse,
+    inherit_closure,
+    inherit_loop,
+    kron_resistance_reference,
+    kron_sampling_loop,
+    leafset_recursive,
+)
 from conftest import branching_hierarchy, names, random_graph_on, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
@@ -26,6 +35,19 @@ def four_pair():
     g = load_graph(FOUR_GRAPH)
     t = load_hierarchy(FOUR_TREE, g)
     return g.with_vertices(t.vertices), t
+
+
+# Non-integer weights: any summation order other than the loop's shows.
+FRACTIONS = (0.1, 0.2, 0.3, 0.7)
+
+
+def oracle_pair(seed):
+    rng = random.Random(seed)
+    return random_pair(rng, rng.randrange(4, 40), branching=seed % 2 == 0, weights_from=FRACTIONS)
+
+
+def audit(result):
+    return result.network.weights, result.provenance, result.dropped
 
 
 def assert_uniresolution(result):
@@ -85,6 +107,21 @@ def test_inherit_matches_closure_oracle():
     for _ in range(60):
         g, t = random_pair(rng, rng.randrange(3, 40))
         assert inherit(g, t).network.weights == inherit_closure(g, t)
+
+
+def test_inherit_matches_loop_oracle():
+    for seed in range(300):
+        g, t = oracle_pair(seed)
+        assert audit(inherit(g, t)) == inherit_loop(g, t), seed
+
+
+def test_inherit_dropped_diagonal_overflow_rejected():
+    # A->R covers both leaves of A on the diagonal: 2 * 1e308 overflows,
+    # while every off-diagonal pair stays at 1e308.
+    g = load_graph("A\tR\t1e308\n")
+    t = load_hierarchy("R\tA\nR\tB\nA\ta1\nA\ta2\n", g)
+    with pytest.raises(DomainError, match="overflows float64"):
+        inherit(g.with_vertices(t.vertices), t)
 
 
 def test_inherit_weight_identity_without_ancestor_edges():
@@ -231,6 +268,21 @@ def test_probability_reverse_orientation_lookup():
     assert p.weights == {("y", "x"): 1.0}
 
 
+def test_probability_rejects_non_finite_mass():
+    counts = Graph.from_edges({("x", "y"): 1.0, ("y", "z"): 1.0})
+    with pytest.raises(DomainError, match="non-finite"):
+        probability_weights({("x", "y"): math.nan, ("y", "z"): 1.0}, counts)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            ProbabilityNet({("x", "y"): bad})
+
+
+def test_probability_mass_overflow_rejected():
+    counts = Graph.from_edges({("x", "y"): 10.0})
+    with pytest.raises(DomainError, match="overflows float64"):
+        probability_weights({("x", "y"): 1e308}, counts)
+
+
 def test_probability_missing_pair_rejected():
     counts = Graph.from_edges({("x", "y"): 1.0})
     with pytest.raises(DomainError):
@@ -311,6 +363,45 @@ def test_kron_sampling_invariants_random():
             for u, v in sources:
                 lu, lv = t.leafset(u), t.leafset(v)
                 assert (s in lu and d in lv) or (s in lv and d in lu)
+
+
+@pytest.mark.parametrize("guard", GUARD_MODES)
+@pytest.mark.parametrize("descending", [True, False])
+def test_kron_sampling_matches_loop_oracle(descending, guard):
+    for seed in range(300):
+        g, t = oracle_pair(seed)
+        assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard), seed
+
+
+TARGETED = {
+    # No edges at all.
+    "edgeless": ("", "R\tA\nR\tB\nA\ta1\nA\ta2\n"),
+    # Every pair of every edge lies on the diagonal: A and R sit above a1 only.
+    "diagonal": ("A\ta1\t0.3\nR\tA\t0.7\n", "R\tA\nA\ta1\n"),
+    # An edge on the root covers every leaf.
+    "root": ("R\ta1\t0.1\nB\tR\t0.2\na2\tB\t0.7\n", "R\tA\nR\tB\nA\ta1\nA\ta2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TARGETED))
+def test_targeted_cases_match_loop_oracles(case):
+    graph_text, tree_text = TARGETED[case]
+    g = load_graph(graph_text)
+    t = load_hierarchy(tree_text, g)
+    g = g.with_vertices(t.vertices)
+    assert audit(inherit(g, t)) == inherit_loop(g, t)
+    for descending in (True, False):
+        for guard in GUARD_MODES:
+            assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard)
+    if case == "edgeless":
+        assert audit(inherit(g, t)) == ({}, {}, {})
+    if case == "diagonal":
+        assert audit(inherit(g, t)) == ({}, {}, {("A", "a1"): 0.3, ("R", "A"): 0.7})
+        assert audit(kron_sampling(g, t)) == ({}, {}, {("A", "a1"): 0.3, ("R", "A"): 0.7})
+    if case == "root":
+        weights, _, dropped = audit(inherit(g, t))
+        assert weights == {("a2", "a1"): 0.1, ("B", "a1"): 0.2 + 0.1, ("B", "a2"): 0.2, ("a2", "B"): 0.7}
+        assert dropped == {("R", "a1"): 0.1, ("B", "R"): 0.2}
 
 
 def test_kron_convert_matches_reference_pipeline(tmp_path, monkeypatch):
