@@ -26,13 +26,11 @@ from .metrics import (
     top_k,
 )
 from .resolution import (
-    ProbabilityNet,
     ResolutionResult,
     disinherit,
     edge_order,
     inherit,
     kron_sampling,
-    probability_weights,
 )
 from .spectral import NumericalError, effective_resistance, kron_reduce
 
@@ -49,7 +47,6 @@ __all__ = [
     "MetricsReport",
     "NumericalError",
     "ParseError",
-    "ProbabilityNet",
     "ResolutionResult",
     "ValidationError",
     "VertexClassification",
@@ -66,7 +63,6 @@ __all__ = [
     "load_graph",
     "load_hierarchy",
     "metrics_report",
-    "probability_weights",
     "serialize_graph",
     "serialize_hierarchy",
     "top_k",

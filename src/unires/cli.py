@@ -10,6 +10,7 @@ runs with identical inputs and flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import math
@@ -37,17 +38,25 @@ from .metrics import (
     top_k,
 )
 from .resolution import ResolutionResult, disinherit, inherit, kron_sampling
-from .spectral import effective_resistance, symmetrized_weights
+from .spectral import effective_resistance
 
 METHODS = ("inherit", "disinherit", "kron")
 
 
 def _read(path: str) -> str:
-    """The text of ``path``, without a leading byte-order mark."""
+    """The UTF-8 text of ``path`` without a leading byte-order mark, with
+    CRLF and CR line ends read as LF, as text mode reads them."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = len(data) - len(body) + exc.start
+        raise ValidationError(f"cannot read {path}: not UTF-8 at byte {offset} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
@@ -63,7 +72,10 @@ def _sha256(text: str) -> str:
 
 def _prepare_outdir(out: str, inputs: list[str], filenames: list[str]) -> Path:
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
     input_paths = {Path(p).resolve() for p in inputs}
     for name in filenames:
         if (outdir / name).resolve() in input_paths:
@@ -72,8 +84,11 @@ def _prepare_outdir(out: str, inputs: list[str], filenames: list[str]) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -215,7 +230,7 @@ def cmd_degree_fit(args: argparse.Namespace) -> int:
 
 def cmd_resistance(args: argparse.Namespace) -> int:
     graph = load_graph(_read(args.graph))
-    pairs = sorted(symmetrized_weights(graph))
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in graph.weights})
     values = effective_resistance(graph, pairs)
     for u, v in pairs:
         r = values[(u, v)]

@@ -18,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 Edge = tuple[str, str]
 
@@ -94,18 +97,18 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def out_map(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.weights:
-            adj[u].append(v)
-        return {v: tuple(sorted(ts)) for v, ts in adj.items()}
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge as ``(src, dst, w)``: dense ids and weights, in
+        ``weights`` insertion order.  Treat the arrays as read-only."""
+        idx, m = self.index, len(self.weights)
+        src = np.fromiter((idx[u] for u, _ in self.weights), dtype=np.int64, count=m)
+        dst = np.fromiter((idx[v] for _, v in self.weights), dtype=np.int64, count=m)
+        return src, dst, np.fromiter(self.weights.values(), dtype=float, count=m)
 
     @cached_property
-    def in_map(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.weights:
-            adj[v].append(u)
-        return {v: tuple(sorted(ss)) for v, ss in adj.items()}
+    def _degrees(self) -> list[int]:
+        src, dst, _ = self.arrays
+        return np.bincount(np.concatenate((src, dst)), minlength=len(self.vertices)).tolist()
 
     @property
     def edge_count(self) -> int:
@@ -114,19 +117,16 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self.index
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.weights
-
     def connectivity(self, v: str) -> bool:
         """True when ``v`` touches at least one edge, in either direction."""
-        return bool(self.out_map[v]) or bool(self.in_map[v])
+        return self.degree(v) > 0
 
     def degree(self, v: str) -> int:
         """Total number of edges touching ``v`` (in plus out)."""
-        return len(self.out_map[v]) + len(self.in_map[v])
+        return self._degrees[self.index[v]]
 
     def active_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.connectivity(v))
+        return tuple(compress(self.vertices, self._degrees))
 
     def with_vertices(self, extra: Iterable[str]) -> "Graph":
         """Same edges over a universe extended by ``extra`` names.
@@ -163,18 +163,11 @@ class Hierarchy:
         for child, par in self.parent.items():
             if par not in universe:
                 raise ValidationError(f"parent {par!r} of {child!r} not among the vertices")
-        # Reachability from the root doubles as the acyclicity check.
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                if c in seen:
-                    raise ValidationError(f"cycle through vertex {c!r}")
-                seen.add(c)
-                stack.append(c)
-        if seen != universe:
-            stranded = sorted(universe - seen)
+        # With one parent per vertex and none for the root, no cycle is
+        # reachable from the root: the preorder misses exactly the cycles.
+        order = self.dfs_preorder()
+        if len(order) != len(ordered):
+            stranded = sorted(universe.difference(order))
             raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.root!r}")
 
     @cached_property
@@ -185,15 +178,26 @@ class Hierarchy:
         return {v: tuple(sorted(cs)) for v, cs in kids.items()}
 
     @cached_property
-    def _depths(self) -> dict[str, int]:
-        depths = {self.root: 1}
-        stack = [self.root]
+    def _preorder(self) -> tuple[tuple[str, ...], dict[str, int], list[int], list[int]]:
+        """One depth-first pass from the root, children in name order: the
+        preorder, each reached vertex's position in it, and per position
+        the depth (the root's is 1) and the end of the subtree, so that
+        ``order[p:end[p]]`` is the subtree at position ``p``."""
+        order: list[str] = []
+        depth: list[int] = []
+        stack = [(self.root, 1)]
         while stack:
-            v = stack.pop()
-            for c in self.children[v]:
-                depths[c] = depths[v] + 1
-                stack.append(c)
-        return depths
+            v, d = stack.pop()
+            order.append(v)
+            depth.append(d)
+            stack.extend((c, d + 1) for c in reversed(self.children[v]))
+        position = {v: p for p, v in enumerate(order)}
+        end = list(range(1, len(order) + 1))
+        for p in reversed(range(len(order))):  # children before their parent
+            kids = self.children[order[p]]
+            if kids:
+                end[p] = end[position[kids[-1]]]
+        return tuple(order), position, depth, end
 
     @cached_property
     def leaf_ranges(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
@@ -203,18 +207,18 @@ class Hierarchy:
         Children are visited in name order, so every subtree's leaves are
         contiguous; a leaf's range holds only itself.
         """
-        order = self.dfs_preorder()
-        leaves = tuple(v for v in order if not self.children[v])
-        ranges = {v: (i, i + 1) for i, v in enumerate(leaves)}
-        for v in reversed(order):  # children before their parent
-            kids = self.children[v]
-            if kids:
-                ranges[v] = (ranges[kids[0]][0], ranges[kids[-1]][1])
-        return leaves, ranges
+        order, _, _, end = self._preorder
+        is_leaf = [not self.children[v] for v in order]
+        before = list(accumulate(is_leaf, initial=0))  # leaves ahead of each position
+        ranges = {v: (before[p], before[end[p]]) for p, v in enumerate(order)}
+        return tuple(compress(order, is_leaf)), ranges
 
-    def _require(self, v: str) -> None:
-        if v not in self._depths:
+    def _require(self, v: str) -> int:
+        """The preorder position of ``v``."""
+        position = self._preorder[1].get(v)
+        if position is None:
             raise DomainError(f"unknown vertex {v!r}")
+        return position
 
     def is_leaf(self, v: str) -> bool:
         self._require(v)
@@ -222,8 +226,7 @@ class Hierarchy:
 
     def depth(self, v: str) -> int:
         """Tree depth of ``v``, with the root at depth 1."""
-        self._require(v)
-        return self._depths[v]
+        return self._preorder[2][self._require(v)]
 
     def leafset(self, v: str) -> frozenset[str]:
         """All descendant leaves of ``v``; a leaf's leafset is itself."""
@@ -234,15 +237,9 @@ class Hierarchy:
 
     def descendants(self, v: str) -> set[str]:
         """``v`` plus everything below it."""
-        self._require(v)
-        out = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                out.add(c)
-                stack.append(c)
-        return out
+        p = self._require(v)
+        order, _, _, end = self._preorder
+        return set(order[p:end[p]])
 
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.children[v])
@@ -252,13 +249,7 @@ class Hierarchy:
 
     def dfs_preorder(self) -> tuple[str, ...]:
         """Depth-first preorder from the root, children in name order."""
-        order: list[str] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return tuple(order)
+        return self._preorder[0]
 
     def restricted_to(self, keep: Iterable[str]) -> "Hierarchy":
         """Sub-hierarchy on an ancestor-closed subset containing the root."""

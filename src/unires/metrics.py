@@ -96,12 +96,12 @@ class DegreeFit:
 
 def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense 0/1 adjacency and sorted-row CSR ``(indptr, indices)`` over dense ids."""
-    idx = g.index
-    rows = [[idx[w] for w in g.out_map[v]] for v in g.vertices]
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    indices = np.array([w for r in rows for w in r], dtype=np.int64)
-    a = np.zeros((len(rows), len(rows)))
-    a[np.repeat(np.arange(len(rows)), np.diff(indptr)), indices] = 1.0
+    src, dst, _ = g.arrays
+    n = len(g.vertices)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    indices = dst[np.argsort(src * n + dst)]
+    a = np.zeros((n, n))
+    a[src, dst] = 1.0
     return a, indptr, indices
 
 

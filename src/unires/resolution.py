@@ -46,23 +46,6 @@ class ResolutionResult:
     dropped: dict[Edge, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ProbabilityNet:
-    """Probability mass over candidate leaf pairs; sums to 1 when any
-    candidate has positive mass."""
-
-    weights: dict[Edge, float]
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) for w in self.weights.values()):
-            raise DomainError("non-finite probability mass")
-        total = sum(self.weights[e] for e in sorted(self.weights))
-        if any(w < 0 for w in self.weights.values()):
-            raise DomainError("negative probability mass")
-        if total > 0 and abs(total - 1.0) > 1e-12:
-            raise DomainError(f"probability masses sum to {total!r}, not 1")
-
-
 def _freeze(prov: dict[Edge, set[Edge]]) -> dict[Edge, frozenset[Edge]]:
     return {e: frozenset(srcs) for e, srcs in prov.items()}
 
@@ -205,27 +188,6 @@ def _masses(resistance: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if math.isinf(total):
         raise DomainError("probability mass (resistance × count) overflows float64")
     return masses / total if total > 0 else masses
-
-
-def probability_weights(resistances: dict[Edge, float], inherit_counts: Graph) -> ProbabilityNet:
-    """Normalized product of effective resistance and inherited count.
-
-    ``resistances`` may be keyed by either orientation of a pair (it is
-    symmetric); pairs with infinite resistance get mass 0.  When every
-    candidate lands on 0 the masses are left unnormalized at 0 and
-    consumers fall back to counts.
-    """
-    pairs = sorted(inherit_counts.weights)
-    found = []
-    for s, d in pairs:
-        r = resistances.get((s, d))
-        if r is None:
-            r = resistances.get((d, s))
-        if r is None:
-            raise DomainError(f"no resistance supplied for pair ({s!r}, {d!r})")
-        found.append(r)
-    counts = np.fromiter((inherit_counts.weights[e] for e in pairs), dtype=float, count=len(pairs))
-    return ProbabilityNet(dict(zip(pairs, _masses(np.array(found, dtype=float), counts).tolist())))
 
 
 def _argmax_keys(score: np.ndarray, key: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ Moore-Penrose pseudoinverse at lower cost.
 Internally a network is a tuple of vertex names plus its undirected edges
 as index arrays ``i < j`` and weights ``w``, each pair once.  Every
 Laplacian is built from those arrays by :func:`_laplacian`, which sums each
-diagonal entry in edge order, so a given edge order fixes every bit.
+diagonal entry in edge order, so a given edge order fixes every bit: an
+input network's pairs keep the order of their first appearance.
 """
 
 from __future__ import annotations
@@ -32,22 +33,16 @@ class NumericalError(RuntimeError):
     """Linear algebra failed where the inputs should have made it impossible."""
 
 
-def symmetrized_weights(g: Graph) -> dict[Edge, float]:
-    """Undirected weight map keyed by (min, max) name pairs."""
-    sym: dict[Edge, float] = {}
-    for (u, v), w in g.weights.items():
-        key = (u, v) if u < v else (v, u)
-        sym[key] = sym.get(key, 0.0) + w
-    return sym
-
-
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``symmetrized_weights(g)`` as dense-id and weight arrays, in its order."""
-    sym = symmetrized_weights(g)
-    idx = g.index
-    i = np.fromiter((idx[u] for u, _ in sym), dtype=np.intp, count=len(sym))
-    j = np.fromiter((idx[v] for _, v in sym), dtype=np.intp, count=len(sym))
-    return i, j, np.fromiter(sym.values(), dtype=float, count=len(sym))
+    """The symmetrized network as dense ids ``i < j`` and weights
+    ``0.0 + w(u,v) + w(v,u)`` summed in edge order, each pair once, in the
+    order in which it first appears among ``g``'s edges."""
+    src, dst, w = g.arrays
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    _, first, inverse = np.unique(lo * len(g.vertices) + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct pairs, by first appearance
+    sums = np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(order))
+    return lo[first[order]], hi[first[order]], sums
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -92,7 +87,7 @@ def _kron_edges(g: Graph, retain: Iterable[str]) -> tuple[tuple[str, ...], np.nd
     index arrays into them, component by component.
 
     A component whose vertices are all retained keeps its symmetrized edges
-    in :func:`symmetrized_weights` order; any other component with a
+    in :func:`_edge_arrays` order; any other component with a
     retained vertex contributes the thresholded Schur complement's upper
     triangle in row-major order.
     """

@@ -16,6 +16,31 @@ import numpy as np
 from unires.graph import Graph, Hierarchy
 
 
+def preorder_recursive(t: Hierarchy, v: str | None = None) -> list[str]:
+    """Depth-first preorder of the subtree at ``v`` (default: the root),
+    children in name order."""
+    v = t.root if v is None else v
+    order = [v]
+    for c in sorted(t.children[v]):
+        order += preorder_recursive(t, c)
+    return order
+
+
+def depth_walk(t: Hierarchy, v: str) -> int:
+    """Number of vertices on the path from ``v`` up to the root."""
+    return 1 if v == t.root else 1 + depth_walk(t, t.parent[v])
+
+
+def leaf_ranges_recursive(t: Hierarchy) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
+    """Leaves in preorder, and each vertex's leaves as positions in them."""
+    leaves = tuple(v for v in preorder_recursive(t) if not t.children[v])
+    ranges = {}
+    for v in t.vertices:
+        below = [leaves.index(x) for x in preorder_recursive(t, v) if not t.children[x]]
+        ranges[v] = (min(below), max(below) + 1)
+    return leaves, ranges
+
+
 def leafset_recursive(t: Hierarchy, v: str) -> frozenset[str]:
     kids = t.children[v]
     if not kids:
@@ -147,6 +172,23 @@ def disinherit_collapse(g: Graph, t: Hierarchy):
         if not any(a in anchors for a in chain[1:]):  # no proper ancestor is an anchor
             kept.add(v)
     return out, kept
+
+
+def out_neighbours(g: Graph) -> dict[str, list[str]]:
+    """Each vertex's out-neighbours in name order."""
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for u, v in g.weights:
+        adj[u].append(v)
+    return {v: sorted(ts) for v, ts in adj.items()}
+
+
+def degree_loop(g: Graph) -> dict[str, int]:
+    """In- plus out-degree of every vertex, one edge at a time."""
+    degree = dict.fromkeys(g.vertices, 0)
+    for u, v in g.weights:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
 
 
 def components_bfs(g: Graph) -> dict[str, int]:
@@ -312,7 +354,7 @@ def enumerate_shortest_paths(g: Graph, source: str, target: str, dist: dict) -> 
     goal = dist.get((source, target))
     if goal is None:
         return []
-    out_map = g.out_map
+    out_map = out_neighbours(g)
     paths: list[tuple[str, ...]] = []
 
     def walk(prefix: list[str]):
@@ -351,8 +393,8 @@ def betweenness_paths(g: Graph) -> dict[str, Fraction]:
 
 
 def out_adjacency(g: Graph) -> list[list[int]]:
-    idx = g.index
-    return [[idx[w] for w in g.out_map[v]] for v in g.vertices]
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    return [[idx[w] for w in targets] for targets in out_neighbours(g).values()]
 
 
 def bfs_distances(adjacency: list[list[int]], source: int) -> list[int]:

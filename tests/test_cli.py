@@ -123,8 +123,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN))
-def test_convert_output_bytes_are_pinned(tmp_path, method):
+def write_pinned_pair(tmp_path):
     rng = random.Random(4242)
     t = branching_hierarchy(rng, names(200))
     pool = [v for v in t.vertices if v != t.root]  # a root edge leaves disinherit nothing to write
@@ -132,12 +131,52 @@ def test_convert_output_bytes_are_pinned(tmp_path, method):
     for _ in range(3000):
         u, v = rng.sample(pool, 2)
         weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice((0.1, 0.2, 0.3, 0.7))
-    gp, hp = write_pair(tmp_path, serialize_graph(Graph.from_edges(weights, vertices=t.vertices)),
-                        serialize_hierarchy(t))
+    return write_pair(tmp_path, serialize_graph(Graph.from_edges(weights, vertices=t.vertices)),
+                      serialize_hierarchy(t))
+
+
+def assert_pinned(out, digests):
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_convert_output_bytes_are_pinned(tmp_path, method):
+    gp, hp = write_pinned_pair(tmp_path)
     out = tmp_path / method
     assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
-    for name, digest in GOLDEN[method].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert_pinned(out, GOLDEN[method])
+
+
+# The analysis commands on the same instance, with the tree's container
+# vertices in the universe.  HITS and PageRank go through numpy
+# matrix-vector products, so their pin holds for one BLAS build.
+ANALYSIS_GOLDEN = {
+    "metrics": {
+        "metrics.json": "25f16100342bc8b26bb1eed2f974053c50d1be3c234e9a4d601b45125ef44cb6",
+        "metrics.txt": "5dd66072c25544dcdeda2541834b18f8a01423b30c756c37d2f5a47d08c1d107",
+    },
+    "centrality": {
+        "centrality.csv": "90c5a9444c3ab6aad64c06fee2028c3a56b3de715db552a0cf34f4321e255d93",
+        "top_k.csv": "84d5fe42e7b6aea1a98fa9e762227145f20f9fe47259a3d166d38b9484eff630",
+    },
+    "degree-fit": {
+        "ccdf.csv": "a74f9d1555b2117e1e3956ad085469c406f3de8afb7ba7dc3de56c63758c7f4c",
+        "fit.json": "bbb893851fda40570b1ee8d94ebbfedbc6631618480f428a6bd9fdec119741dc",
+    },
+    "spyplot": {
+        "ordering.txt": "6330a2b9c4912d9cb60e870ef5016882511eeacd6c52072c8015dce1223540cd",
+        "spy.tsv": "5e295b7b4ae8aec6feed2e8b66a6b6b93432049568f481e0007c41a9d044b30d",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSIS_GOLDEN))
+def test_analysis_output_bytes_are_pinned(tmp_path, command):
+    gp, hp = write_pinned_pair(tmp_path)
+    out = tmp_path / command
+    assert main([command, "--graph", gp, "--hierarchy", hp, "--out", str(out)]) == 0
+    assert_pinned(out, ANALYSIS_GOLDEN[command])
 
 
 def test_convert_refuses_to_overwrite_inputs(tmp_path):
@@ -186,6 +225,46 @@ def test_byte_order_mark_is_not_part_of_a_name(tmp_path):
     for key in ("graph", "hierarchy"):
         assert manifests[0]["inputs"][key]["sha256"] == manifests[1]["inputs"][key]["sha256"]
     assert manifests[0]["inputs"]["graph"]["sha256"] == hashlib.sha256(FOUR_GRAPH.encode()).hexdigest()
+
+
+def test_crlf_line_ends_read_as_lf(tmp_path):
+    plain_g, plain_h = write_pair(tmp_path)
+    crlf_g, crlf_h = tmp_path / "crlf_graph.tsv", tmp_path / "crlf_tree.tsv"
+    crlf_g.write_bytes(FOUR_GRAPH.replace("\n", "\r\n").encode())
+    crlf_h.write_bytes(FOUR_TREE.replace("\n", "\r").encode())
+    for name, gp, hp in (("plain", plain_g, plain_h), ("crlf", str(crlf_g), str(crlf_h))):
+        assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "inherit", "--out", str(tmp_path / name)]) == 0
+    for name in ("network.tsv", "hierarchy.tsv", "provenance.tsv"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["graph", "hierarchy"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, bad):
+    gp, hp = write_pair(tmp_path)
+    target = Path(gp if bad == "graph" else hp)
+    target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes() + b"\xff\xfe\n")
+    offset = 3 + len((FOUR_GRAPH if bad == "graph" else FOUR_TREE).encode())
+    out = tmp_path / "o"
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "inherit", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {target}: not UTF-8 at byte {offset} (invalid start byte)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "metrics"])
+@pytest.mark.parametrize("case", ["existing file", "under a file", "output is a directory"])
+def test_uncreatable_output_exits_2(tmp_path, capsys, command, case):
+    gp, hp = write_pair(tmp_path)
+    (tmp_path / "file").write_text("")
+    out = {"existing file": tmp_path / "file", "under a file": tmp_path / "file" / "o",
+           "output is a directory": tmp_path / "o"}[case]
+    (tmp_path / "o" / "metrics.json").mkdir(parents=True)
+    (tmp_path / "o" / "network.tsv").mkdir()
+    argv = ["--method", "inherit"] if command == "convert" else []
+    assert main([command, "--graph", gp, "--hierarchy", hp, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    expected = "cannot write" if case == "output is a directory" else "cannot create output directory"
+    assert err.startswith(f"error: {expected} {out}") and err.count("\n") == 1
 
 
 def _python(*args):

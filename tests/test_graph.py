@@ -5,6 +5,7 @@ import pytest
 from unires.graph import (
     DomainError,
     Graph,
+    Hierarchy,
     ParseError,
     ValidationError,
     anchor,
@@ -15,7 +16,7 @@ from unires.graph import (
     serialize_hierarchy,
 )
 
-from oracles import leafset_recursive
+from oracles import degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
 from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
@@ -80,6 +81,15 @@ def test_load_hierarchy_cycle():
     g = load_graph(FOUR_GRAPH)
     with pytest.raises(ValidationError, match="cycle"):
         load_hierarchy(FOUR_TREE + "a1\tBr\n", g)
+
+
+def test_hierarchy_cycle_away_from_the_root():
+    # The root reaches r and a; b and c point at each other.
+    parent = {"a": "r", "b": "c", "c": "b"}
+    with pytest.raises(ValidationError, match=r"cycle: vertices \['b', 'c'\] unreachable from root 'r'"):
+        Hierarchy(("a", "b", "c", "r"), parent, "r")
+    with pytest.raises(ValidationError, match="unreachable from root"):
+        Hierarchy(("a", "b", "r"), {"a": "b", "b": "a"}, "r")
 
 
 def test_load_hierarchy_two_parents():
@@ -190,6 +200,32 @@ def test_leafset_matches_recursive_oracle(shape):
             assert t.leafset(v) == leafset_recursive(t, v)
 
 
+@pytest.mark.parametrize("shape", [random_hierarchy, branching_hierarchy])
+def test_tree_queries_match_recursive_oracles(shape):
+    rng = random.Random(41)
+    for _ in range(60):
+        t = shape(rng, names(rng.randrange(3, 60)))
+        assert list(t.dfs_preorder()) == preorder_recursive(t)
+        assert t.leaf_ranges == leaf_ranges_recursive(t)
+        for v in t.vertices:
+            assert t.depth(v) == depth_walk(t, v)
+            assert t.descendants(v) == set(preorder_recursive(t, v))
+        for query in (t.depth, t.descendants):
+            with pytest.raises(DomainError):
+                query("nope")
+
+
+def test_degrees_match_edge_loop():
+    rng = random.Random(43)
+    for _ in range(30):
+        g, t = random_pair(rng, rng.randrange(3, 30))
+        for graph in (g, Graph.from_edges(g.weights)):
+            degree = degree_loop(graph)
+            assert {v: graph.degree(v) for v in graph.vertices} == degree
+            assert {v: graph.connectivity(v) for v in graph.vertices} == {v: d > 0 for v, d in degree.items()}
+            assert graph.active_vertices() == tuple(v for v in graph.vertices if degree[v])
+
+
 def test_leafset_members_are_leaves_and_laminar():
     rng = random.Random(31)
     for _ in range(20):
@@ -232,10 +268,17 @@ def test_with_vertices_equals_a_full_rebuild():
     for _ in range(25):
         g, t = random_pair(rng, rng.randrange(3, 30))
         edges_only = Graph.from_edges(g.weights)
+        # Cache ids and degrees over the smaller universe first.
+        assert len(edges_only.arrays[0]) == g.edge_count
+        assert edges_only.active_vertices() == g.active_vertices()
         extended = edges_only.with_vertices(t.vertices)
         assert extended == Graph.from_edges(g.weights, vertices=t.vertices)
         assert extended.vertices == g.vertices
-        assert extended.index == g.index and extended.out_map == g.out_map
+        assert extended.index == g.index
+        for mine, full in zip(extended.arrays, g.arrays):
+            assert mine.tolist() == full.tolist()
+        assert {v: extended.degree(v) for v in g.vertices} == {v: g.degree(v) for v in g.vertices}
+        assert extended.active_vertices() == g.active_vertices()
         assert extended.weights is not edges_only.weights
 
 

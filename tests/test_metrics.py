@@ -138,6 +138,14 @@ def _inherit_output(rng):
     return inherit(random_graph_on(rng, t, edge_budget=120), t).network
 
 
+def _shuffled(rng):
+    """Edges inserted in random order: the kernel must still read each
+    vertex's out-neighbours in name order."""
+    items = list(random_digraph(rng, rng.randrange(10, 30), 0.3).weights.items())
+    rng.shuffle(items)
+    return Graph.from_edges(dict(items))
+
+
 PATH_CASES = {
     "dense": lambda rng: random_digraph(rng, rng.randrange(10, 30), 0.8),
     "sparse": lambda rng: random_digraph(rng, rng.randrange(10, 50), 0.07),
@@ -145,6 +153,7 @@ PATH_CASES = {
     "disconnected": _disconnected,
     "isolated": lambda rng: random_digraph(rng, 12, 0.3).with_vertices(names(8, "iso")),
     "inherit-output": _inherit_output,
+    "shuffled": _shuffled,
 }
 
 

@@ -1,20 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import unires.resolution
 from unires.cli import main
-from unires.graph import DomainError, Graph, anchor, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
+from unires.graph import DomainError, anchor, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
 from unires.resolution import (
     GUARD_MODES,
-    ProbabilityNet,
     _anchors,
+    _masses,
     disinherit,
     edge_order,
     inherit,
     kron_sampling,
-    probability_weights,
 )
 
 from oracles import (
@@ -232,61 +232,42 @@ def test_edge_order_singleton():
     assert edge_order(g.with_vertices(t.vertices), t) == [("A", "B")]
 
 
-# --- probability weights -----------------------------------------------------
+# --- probability masses -----------------------------------------------------
 
 
 def test_probability_symmetric_candidates():
-    counts = Graph.from_edges({("x", "y"): 1.0, ("y", "z"): 1.0})
-    p = probability_weights({("x", "y"): 1.0, ("y", "z"): 1.0}, counts)
-    assert p.weights == {("x", "y"): 0.5, ("y", "z"): 0.5}
+    assert _masses(np.array([1.0, 1.0]), np.array([1.0, 1.0])).tolist() == [0.5, 0.5]
 
 
 def test_probability_direct_evaluation():
-    counts = Graph.from_edges({("x", "y"): 1.0, ("y", "z"): 1.0})
-    p = probability_weights({("x", "y"): 2.0, ("y", "z"): 1.0}, counts)
-    assert p.weights[("x", "y")] == pytest.approx(2.0 / 3.0)
-    assert p.weights[("y", "z")] == pytest.approx(1.0 / 3.0)
-    assert sum(p.weights.values()) == pytest.approx(1.0, abs=1e-12)
+    masses = _masses(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+    assert masses.tolist() == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probability_infinite_resistance_gets_zero():
-    counts = Graph.from_edges({("x", "y"): 3.0, ("y", "z"): 1.0})
-    p = probability_weights({("x", "y"): math.inf, ("y", "z"): 2.0}, counts)
-    assert p.weights[("x", "y")] == 0.0
-    assert p.weights[("y", "z")] == 1.0
+    assert _masses(np.array([math.inf, 2.0]), np.array([3.0, 1.0])).tolist() == [0.0, 1.0]
 
 
 def test_probability_all_zero_mass_is_representable():
-    counts = Graph.from_edges({("x", "y"): 1.0})
-    p = probability_weights({("x", "y"): math.inf}, counts)
-    assert p.weights == {("x", "y"): 0.0}
+    # Nothing to normalise by: the masses stay 0 and kron falls back to counts.
+    assert _masses(np.array([math.inf, math.inf]), np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
 
 
-def test_probability_reverse_orientation_lookup():
-    counts = Graph.from_edges({("y", "x"): 1.0})
-    p = probability_weights({("x", "y"): 1.0}, counts)
-    assert p.weights == {("y", "x"): 1.0}
-
-
-def test_probability_rejects_non_finite_mass():
-    counts = Graph.from_edges({("x", "y"): 1.0, ("y", "z"): 1.0})
-    with pytest.raises(DomainError, match="non-finite"):
-        probability_weights({("x", "y"): math.nan, ("y", "z"): 1.0}, counts)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="non-finite"):
-            ProbabilityNet({("x", "y"): bad})
+def test_probability_total_is_summed_in_pair_order():
+    # Left to right, each 1.0 vanishes against 1e16; fsum or numpy's
+    # pairwise sum would keep them and give a total above 1e16.
+    resistance = np.array([1e16] + [1.0] * 16)
+    masses = _masses(resistance, np.ones(17))
+    assert masses[0] == 1.0
+    assert masses[1:].tolist() == [1e-16] * 16
+    assert math.fsum(resistance) > 1e16 and resistance.sum() > 1e16
 
 
 def test_probability_mass_overflow_rejected():
-    counts = Graph.from_edges({("x", "y"): 10.0})
-    with pytest.raises(DomainError, match="overflows float64"):
-        probability_weights({("x", "y"): 1e308}, counts)
-
-
-def test_probability_missing_pair_rejected():
-    counts = Graph.from_edges({("x", "y"): 1.0})
-    with pytest.raises(DomainError):
-        probability_weights({}, counts)
+    for resistance, counts in (([1e308], [10.0]), ([1e308, 1e308], [1.0, 1.0])):
+        with pytest.raises(DomainError, match="overflows float64"):
+            _masses(np.array(resistance), np.array(counts))
 
 
 # --- kron sampling -----------------------------------------------------------

@@ -14,7 +14,7 @@ from unires.spectral import (
     kron_reduce,
 )
 
-from oracles import kron_reduce_loop, kron_resistance_reference, laplacian_loop, resistance_pinv
+from oracles import kron_reduce_loop, kron_resistance_reference, laplacian_loop, resistance_pinv, symmetrized
 from conftest import names, random_connected_weighted, random_pair
 
 
@@ -45,6 +45,33 @@ def test_laplacian_matches_edge_by_edge_reference_exactly():
         reversed_too = {(v, u): w * 0.7 for (u, v), w in list(g.weights.items())[::3]}
         g = Graph.from_edges({**g.weights, **reversed_too}, vertices=g.vertices)
         assert np.array_equal(laplacian(g), laplacian_loop(g))
+
+
+def shuffled_with_reciprocals(rng: random.Random, g: Graph) -> Graph:
+    """``g`` plus reversed copies of a third of its edges, inserted in
+    random order."""
+    items = list(g.weights.items())
+    items += [((v, u), w * 0.7) for (u, v), w in items[::3]]
+    rng.shuffle(items)
+    return Graph(g.vertices, dict(items))
+
+
+def test_edge_arrays_match_symmetrized_oracle_in_first_appearance_order():
+    rng = random.Random(9)
+    hubs = 0
+    for _ in range(40):
+        g = shuffled_with_reciprocals(rng, random_connected_weighted(rng, rng.randrange(2, 40)))
+        hubs += max(map(g.degree, g.vertices)) >= 3
+        i, j, w = _edge_arrays(g)
+        names = g.vertices
+        pairs = list(zip([names[x] for x in i.tolist()], [names[x] for x in j.tolist()]))
+        sym = symmetrized(g)
+        assert pairs == list(sym)
+        assert w.tolist() == list(sym.values())
+        assert np.array_equal(laplacian(g), laplacian_loop(g))
+    assert hubs >= 30
+    i, j, w = _edge_arrays(Graph(("a", "b"), {}))
+    assert i.size == j.size == w.size == 0
 
 
 def test_laplacian_structural_invariants():
