@@ -28,6 +28,11 @@ from .spectral import _kron_resistance
 
 GUARD_MODES = ("any", "directed")
 
+# Kron masses within this relative distance of a candidate set's best mass
+# count as tied with it, so that rounding noise in the resistances (another
+# BLAS kernel, another solve route) cannot decide a placement.
+MASS_TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ResolutionResult:
@@ -190,11 +195,12 @@ def _masses(resistance: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return masses / total if total > 0 else masses
 
 
-def _argmax_keys(score: np.ndarray, key: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _argmax_keys(score: np.ndarray, key: np.ndarray, heads: np.ndarray, rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Per segment of ``score`` (segments start at ``heads``): the maximum
-    score, and the smallest key among the entries that reach it."""
+    score, and the smallest key among the entries within ``rtol`` of it
+    (relative)."""
     best = np.maximum.reduceat(score, heads)
-    tied = score == np.repeat(best, np.diff(heads, append=len(score)))
+    tied = score >= np.repeat(best * (1.0 - rtol), np.diff(heads, append=len(score)))
     return best, np.minimum.reduceat(np.where(tied, key, np.iinfo(np.int64).max), heads)
 
 
@@ -208,8 +214,9 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     candidate set is all ordered leaf pairs under its endpoints; if an
     output edge already connects those leaf sets the input edge is merely
     recorded against it, otherwise the maximum-probability candidate is
-    added with weight 1.  Candidates with zero mass everywhere fall back
-    to the inherited count, then to lexicographic order.
+    added with weight 1; masses within ``MASS_TIE_RTOL`` of the best tie.
+    Candidates with zero mass everywhere fall back to the inherited count,
+    then to lexicographic order.
 
     ``guard`` controls what blocks a candidate set: ``"any"`` (default)
     blocks on an existing output edge in either direction between the leaf
@@ -236,7 +243,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     # whether it is placed does: pick every winner up front.
     bounds = np.searchsorted(edge, np.arange(len(edges) + 1))
     heads = bounds[:-1][bounds[1:] > bounds[:-1]]
-    best, by_mass = _argmax_keys(mass[inverse], key, heads)
+    best, by_mass = _argmax_keys(mass[inverse], key, heads, MASS_TIE_RTOL)
     _, by_count = _argmax_keys(counts[inverse], key, heads)
     winner = np.zeros(len(edges), dtype=np.int64)
     winner[edge[heads]] = np.where(best > 0.0, by_mass, by_count)

@@ -15,6 +15,9 @@ import numpy as np
 
 from unires.graph import Graph, Hierarchy
 
+# Kron masses this close to the best (relative) tie with it, as documented.
+MASS_TIE_RTOL = 1e-9
+
 
 def preorder_recursive(t: Hierarchy, v: str | None = None) -> list[str]:
     """Depth-first preorder of the subtree at ``v`` (default: the root),
@@ -83,13 +86,11 @@ def inherit_loop(g: Graph, t: Hierarchy):
     return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped
 
 
-def _argmax_scan(candidates, score):
-    """First candidate, in the given order, that reaches the maximum score."""
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if score[cand] > score[best]:
-            best = cand
-    return best
+def _argmax_scan(candidates, score, rtol=0.0):
+    """First candidate, in the given order, whose score is within ``rtol``
+    (relative) of the maximum score."""
+    best = max(score[cand] for cand in candidates)
+    return next(cand for cand in candidates if score[cand] >= best * (1.0 - rtol))
 
 
 def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: str = "any"):
@@ -102,8 +103,9 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
     taken by depth product (root at depth 1), ties in name order.  An edge
     whose candidates meet an output edge (either direction under ``"any"``)
     joins the smallest such edge; otherwise the first candidate in name
-    order with the largest mass is placed, or with the largest count when
-    that mass is not positive.
+    order whose mass is within ``MASS_TIE_RTOL`` (relative) of the largest
+    is placed, or the first with the largest count when no mass is
+    positive.
     """
 
     def depth(v: str) -> int:
@@ -139,7 +141,7 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
         if blockers:
             prov[min(blockers)].add((u, v))
             continue
-        chosen = _argmax_scan(candidates, masses)
+        chosen = _argmax_scan(candidates, masses, MASS_TIE_RTOL)
         if masses[chosen] <= 0.0:
             chosen = _argmax_scan(candidates, counts)
         out[chosen] = 1.0
