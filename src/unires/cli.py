@@ -95,18 +95,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _edge_label(edge: tuple[str, str]) -> str:
-    return f"{edge[0]}->{edge[1]}"
-
-
 def _provenance_lines(result: ResolutionResult) -> str:
-    lines = []
-    for out_edge in sorted(result.provenance):
-        for in_edge in sorted(result.provenance[out_edge]):
-            lines.append(f"{_edge_label(out_edge)}\t{_edge_label(in_edge)}")
-    for in_edge in sorted(result.dropped):
-        lines.append(f"dropped\t{_edge_label(in_edge)}")
-    lines.sort()
+    lines = [f"{s}->{d}\t{u}->{v}" for (s, d), (u, v) in result.links]
+    lines += [f"dropped\t{u}->{v}" for u, v in result.dropped]
+    lines.sort()  # near linear on inherit's links, which come in name-pair order
     return "\n".join(lines) + ("\n" if lines else "")
 
 

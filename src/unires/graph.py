@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -83,6 +83,17 @@ class Graph:
         object.__setattr__(self, "weights", plain)
 
     @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], weights: dict[Edge, float], arrays=None) -> "Graph":
+        """A graph from parts the package has checked itself, so not checked
+        again; ``arrays``, when given, must equal what the property computes."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", vertices)
+        object.__setattr__(graph, "weights", weights)
+        if arrays is not None:
+            graph.__dict__["arrays"] = arrays
+        return graph
+
+    @classmethod
     def from_edges(cls, weights: Mapping[Edge, float], vertices: Iterable[str] = ()) -> "Graph":
         """Build a graph from a weight map; the universe is the union of the
         given vertices and all edge endpoints."""
@@ -136,10 +147,11 @@ class Graph:
         """
         added = sorted(set(extra).difference(self.vertices))
         _check_names(added)
-        graph = object.__new__(Graph)
-        object.__setattr__(graph, "vertices", tuple(sorted((*self.vertices, *added))))
-        object.__setattr__(graph, "weights", dict(self.weights))
-        return graph
+        vertices = tuple(sorted((*self.vertices, *added)))
+        index = {v: i for i, v in enumerate(vertices)}
+        new_id = np.fromiter(map(index.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
+        src, dst, w = self.arrays
+        return Graph._trusted(vertices, dict(self.weights), (new_id[src], new_id[dst], w))
 
 
 @dataclass(frozen=True)
@@ -289,8 +301,45 @@ def load_graph(text: str) -> Graph:
     Raises :class:`ParseError` (with the line number) on a wrong field
     count, an invalid vertex name, a non-positive or unparsable weight, a
     self-loop, or duplicate edges whose summed weight overflows float64.
-    Weights of duplicate edges are summed.
+    Weights of duplicate edges are summed, in line order.
+
+    The whole document is parsed at once into name ids and weight arrays;
+    on any problem the line-by-line parse below runs instead, so that it
+    alone words every error and names its line.
     """
+    lines = [raw for raw in text.split("\n") if raw and raw[0] != "#"]
+    m = len(lines)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=m)
+    if not m or not np.isin(tabs, (1, 2)).all():
+        return _load_graph_lines(text)
+    if tabs.min() < tabs.max():  # give the 2-field lines their weight 1
+        lines = [raw if k == 2 else raw + "\t1" for raw, k in zip(lines, tabs.tolist())]
+    k = int(tabs.max()) + 1
+    fields = "\t".join(lines).split("\t")
+    del lines  # lower the peak: the lines' strings are not needed beside their fields
+    src, dst = fields[0::k], fields[1::k]
+    names = sorted(set(src).union(dst))
+    index = {v: i for i, v in enumerate(names)}
+    s, d = (np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=m) for ends in (src, dst))
+    try:
+        w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m) if k == 3 else np.ones(m)
+    except ValueError:
+        return _load_graph_lines(text)
+    if not (all(map(_valid_name, names)) and (s != d).all() and np.isfinite(w).all() and (w > 0).all()):
+        return _load_graph_lines(text)
+    keys, first, inverse = np.unique(s * len(names) + d, return_index=True, return_inverse=True)
+    if len(keys) < m:  # sum duplicate lines in line order; keep keys in order of first appearance
+        order = np.argsort(first)
+        w = np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(keys))
+        if np.isinf(w).any():
+            return _load_graph_lines(text)
+        first = first[order].tolist()
+        s, d, src, dst = s[first], d[first], list(map(src.__getitem__, first)), list(map(dst.__getitem__, first))
+    return Graph._trusted(tuple(names), dict(zip(zip(src, dst), w.tolist())), (s, d, w))
+
+
+def _load_graph_lines(text: str) -> Graph:
+    """:func:`load_graph` one line at a time, raising at the first bad line."""
     weights: dict[Edge, float] = {}
     for lineno, raw in _iter_lines(text):
         fields = raw.split("\t")
@@ -354,7 +403,10 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
 
 def serialize_graph(g: Graph) -> str:
     """Canonical edge-list text: sorted lines, explicit weights."""
-    lines = [f"{u}\t{v}\t{w!r}" for (u, v), w in sorted(g.weights.items())]
+    src, dst, w = g.arrays
+    order = np.argsort(src * len(g.vertices) + dst)  # ids follow name order, so this is name-pair order
+    names, edges = g.vertices, zip(src[order].tolist(), dst[order].tolist(), w[order].tolist())
+    lines = [f"{names[u]}\t{names[v]}\t{x!r}" for u, v, x in edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -105,12 +105,13 @@ def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, indptr, indices
 
 
-def _bfs(indptr: np.ndarray, indices: np.ndarray):
+def _bfs(indptr: np.ndarray, indices: np.ndarray, with_arcs: bool = True):
     """Level-synchronous BFS from each vertex with an out-edge, in id order,
     at O(n + m) array work per source.  Yields ``(source, levels, dist,
     arcs)``: each level's vertex ids in the discovery order of a FIFO-queue
     BFS, distances (-1 where unreached), and per level after the first the
-    shortest-path arcs ``(tails, heads)`` into it."""
+    shortest-path arcs ``(tails, heads)`` into it (none without
+    ``with_arcs``)."""
     n = len(indptr) - 1
     has_in = np.bincount(indices, minlength=n) > 0  # the only vertices a BFS reaches
     for source in np.flatnonzero(np.diff(indptr)).tolist():
@@ -135,7 +136,8 @@ def _bfs(indptr: np.ndarray, indices: np.ndarray):
             np.minimum.at(first, fresh, np.arange(fresh.size))
             level = fresh[np.sort(first[first < fresh.size])]
             dist[level] = len(levels)
-            arcs.append((np.repeat(frontier, degree)[on_path], fresh))
+            if with_arcs:
+                arcs.append((np.repeat(frontier, degree)[on_path], fresh))
             levels.append(level)
             unreached -= level.size
         yield source, levels, dist, arcs
@@ -166,7 +168,7 @@ def metrics_report(g: Graph) -> MetricsReport:
     n_active = len(g.active_vertices())
     a, indptr, indices = _adjacency(g)
     total = finite_pairs = diameter = 0
-    for _, levels, _, _ in _bfs(indptr, indices):
+    for _, levels, _, _ in _bfs(indptr, indices, with_arcs=False):
         total += sum(d * len(level) for d, level in enumerate(levels))
         finite_pairs += sum(map(len, levels)) - 1
         diameter = max(diameter, len(levels) - 1)

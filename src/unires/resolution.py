@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,8 @@ from .spectral import _kron_resistance
 
 GUARD_MODES = ("any", "directed")
 
-# Kron masses within this relative distance of a candidate set's best mass
-# count as tied with it, so that rounding noise in the resistances (another
-# BLAS kernel, another solve route) cannot decide a placement.
+# Kron masses this close (relative) to a candidate set's best tie with it, so
+# that rounding in the resistances (BLAS kernel, solve route) decides nothing.
 MASS_TIE_RTOL = 1e-9
 
 
@@ -38,27 +38,38 @@ MASS_TIE_RTOL = 1e-9
 class ResolutionResult:
     """Converted network plus its hierarchy and an edge audit trail.
 
-    ``provenance`` maps each output edge to the set of input edges it
-    represents.  ``dropped`` maps input edges to the weight that could not
-    be expressed in the output (ancestor-descendant collapses onto the
-    diagonal); for :func:`inherit` an edge may appear in both when only its
-    diagonal part was dropped.
+    ``links`` lists each ``(output edge, input edge)`` pair of the trail
+    once; ``provenance`` groups it by output edge.  ``dropped`` maps input
+    edges to the weight that could not be expressed in the output
+    (ancestor-descendant collapses onto the diagonal); for :func:`inherit`
+    an edge may appear in both when only its diagonal part was dropped.
     """
 
     network: Graph
     hierarchy: Hierarchy
-    provenance: dict[Edge, frozenset[Edge]]
+    links: list[tuple[Edge, Edge]]
     dropped: dict[Edge, float] = field(default_factory=dict)
 
-
-def _freeze(prov: dict[Edge, set[Edge]]) -> dict[Edge, frozenset[Edge]]:
-    return {e: frozenset(srcs) for e, srcs in prov.items()}
+    @cached_property
+    def provenance(self) -> dict[Edge, frozenset[Edge]]:
+        """Each output edge and the set of input edges it represents."""
+        sources: dict[Edge, list[Edge]] = {}
+        for out_edge, in_edge in self.links:
+            sources.setdefault(out_edge, []).append(in_edge)
+        return {e: frozenset(srcs) for e, srcs in sources.items()}
 
 
 def _pairs(names: tuple[str, ...], keys: np.ndarray) -> list[Edge]:
     """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``."""
     s, d = np.divmod(keys, len(names))
     return list(zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist())))
+
+
+def _network(t: Hierarchy, keys: np.ndarray, pairs: list[Edge], w: np.ndarray) -> Graph:
+    """Edges ``pairs`` (keyed ``keys``) weighted ``w`` over ``t.vertices``,
+    all made and checked here, so not validated again."""
+    # astype: np.bincount returns int64 when it has nothing to count.
+    return Graph._trusted(t.vertices, dict(zip(pairs, w.tolist())), (*np.divmod(keys, len(t.vertices)), w.astype(float)))
 
 
 def _leaf_pairs(g: Graph, t: Hierarchy):
@@ -111,17 +122,15 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     """
     edges, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(g, t)
     out_edges = _pairs(t.vertices, pairs)
-    sources = [edges[i] for i in edge[np.argsort(inverse, kind="stable")].tolist()]
-    ends = np.cumsum(np.bincount(inverse, minlength=len(pairs))).tolist()
-    prov = {pair: frozenset(sources[a:b]) for pair, a, b in zip(out_edges, [0, *ends], ends)}
+    by_pair = np.argsort(inverse, kind="stable")  # links by output pair, then input edge
+    links = list(zip(map(out_edges.__getitem__, inverse[by_pair].tolist()), map(edges.__getitem__, edge[by_pair].tolist())))
     with np.errstate(over="ignore"):
         lost = weights * diagonal
     if not np.isfinite(lost).all():
         u, v = edges[int(np.flatnonzero(~np.isfinite(lost))[0])]
         raise DomainError(f"dropped diagonal weight of edge ({u!r}, {v!r}) overflows float64")
     dropped = {edges[i]: float(lost[i]) for i in np.flatnonzero(diagonal).tolist()}
-    network = Graph.from_edges(dict(zip(out_edges, sums.tolist())), vertices=t.vertices)
-    return ResolutionResult(network, t, prov, dropped)
+    return ResolutionResult(_network(t, pairs, out_edges, sums), t, links, dropped)
 
 
 def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
@@ -149,7 +158,7 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     check_pair(g, t)
     anchors = _anchors(g, t)
     out: dict[Edge, float] = {}
-    prov: dict[Edge, set[Edge]] = {}
+    links: list[tuple[Edge, Edge]] = []
     dropped: dict[Edge, float] = {}
     for (u, v), w in sorted(g.weights.items()):
         a, b = anchors[u], anchors[v]
@@ -160,14 +169,13 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
         if math.isinf(total):
             raise DomainError(f"summed weight of edge ({a!r}, {b!r}) overflows float64")
         out[(a, b)] = total
-        prov.setdefault((a, b), set()).add((u, v))
+        links.append(((a, b), (u, v)))
     removed: set[str] = set()
     for a in set(anchors.values()):
         removed |= t.descendants(a) - {a}
-    kept = set(t.vertices) - removed
-    hierarchy = t.restricted_to(kept)
-    network = Graph.from_edges(out, vertices=kept)
-    return ResolutionResult(network, hierarchy, _freeze(prov), dropped)
+    hierarchy = t.restricted_to(set(t.vertices) - removed)
+    # The anchors are kept, so the kept tree's vertices are the universe.
+    return ResolutionResult(Graph._trusted(hierarchy.vertices, out), hierarchy, links, dropped)
 
 
 def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
@@ -179,8 +187,9 @@ def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
     inverts the depth ordering for sensitivity analysis.
     """
     check_pair(g, t)
+    depth = dict(zip(t.dfs_preorder(), t._preorder[2]))
     edges = sorted(g.weights)
-    edges.sort(key=lambda e: t.depth(e[0]) * t.depth(e[1]), reverse=descending)
+    edges.sort(key=lambda e: depth[e[0]] * depth[e[1]], reverse=descending)
     return edges
 
 
@@ -268,6 +277,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
             placed[min(blockers)].append((u, v))
         else:
             placed[winners[i]] = [(u, v)]
-    chosen = _pairs(names, np.array(list(placed), dtype=np.int64))
-    network = Graph.from_edges(dict.fromkeys(chosen, 1.0), vertices=t.vertices)
-    return ResolutionResult(network, t, dict(zip(chosen, map(frozenset, placed.values()))), dropped)
+    chosen_keys = np.array(list(placed), dtype=np.int64)
+    chosen = _pairs(names, chosen_keys)
+    links = [(pair, e) for pair, sources in zip(chosen, placed.values()) for e in sources]
+    return ResolutionResult(_network(t, chosen_keys, chosen, np.ones(len(chosen))), t, links, dropped)

@@ -13,10 +13,58 @@ from fractions import Fraction
 
 import numpy as np
 
-from unires.graph import Graph, Hierarchy
+from unires.graph import Graph, Hierarchy, ParseError
 
 # Kron masses this close to the best (relative) tie with it, as documented.
 MASS_TIE_RTOL = 1e-9
+
+
+def load_graph_loop(text: str) -> Graph:
+    """The edge-list parse one line at a time, as ``load_graph`` did before
+    it parsed whole documents: same checks, same messages, same order."""
+
+    def valid(token: str) -> bool:
+        return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token
+
+    weights: dict[tuple[str, str], float] = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not raw or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) not in (2, 3):
+            raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(fields)}", lineno)
+        src, dst = fields[0], fields[1]
+        for token in (src, dst):
+            if not valid(token):
+                raise ParseError(f"invalid vertex name {token!r}", lineno)
+        if src == dst:
+            raise ParseError(f"self-loop at {src!r}", lineno)
+        weight = 1.0
+        if len(fields) == 3:
+            try:
+                weight = float(fields[2])
+            except ValueError:
+                raise ParseError(f"unparsable weight {fields[2]!r}", lineno) from None
+            if not (math.isfinite(weight) and weight > 0):
+                raise ParseError(f"weight must be positive and finite, got {fields[2]!r}", lineno)
+        total = weights.get((src, dst), 0.0) + weight
+        if math.isinf(total):
+            raise ParseError(f"summed weight of duplicate edge ({src!r}, {dst!r}) overflows float64", lineno)
+        weights[(src, dst)] = total
+    return Graph.from_edges(weights)
+
+
+def provenance_nested_sort(provenance, dropped) -> str:
+    """``provenance.tsv`` as it was first written: output edges sorted, each
+    one's input edges sorted, then the dropped edges, then every line."""
+    lines = []
+    for out_edge in sorted(provenance):
+        for in_edge in sorted(provenance[out_edge]):
+            lines.append(f"{out_edge[0]}->{out_edge[1]}\t{in_edge[0]}->{in_edge[1]}")
+    for in_edge in sorted(dropped):
+        lines.append(f"dropped\t{in_edge[0]}->{in_edge[1]}")
+    lines.sort()
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def preorder_recursive(t: Hierarchy, v: str | None = None) -> list[str]:

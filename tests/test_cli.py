@@ -9,9 +9,13 @@ from pathlib import Path
 import pytest
 
 from unires.cli import main
-from unires.graph import Graph, serialize_graph, serialize_hierarchy
+from unires.graph import Graph, load_graph, serialize_graph, serialize_hierarchy
 
-from conftest import branching_hierarchy, names
+from unires.resolution import disinherit, inherit, kron_sampling
+from unires.spectral import _edge_arrays, _laplacian
+
+from oracles import provenance_nested_sort
+from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -107,8 +111,10 @@ def test_convert_duplicate_line_overflow_exits_2(tmp_path, capsys):
 
 
 # sha256 of the output files for a seeded n=200 instance with non-integer
-# weights.  Both conversions add plain Python floats, with no BLAS, so the
-# bytes are the same on every platform.
+# weights.  Inherit and disinherit add plain Python floats, with no BLAS, so
+# their bytes are the same on every platform.  Kron's resistances go through
+# BLAS, but masses within MASS_TIE_RTOL tie, so its placement holds under
+# every BLAS kernel tested below.
 GOLDEN = {
     "inherit": {
         "network.tsv": "ca028757fa622131a800f2deaf7c8c8070abeaf07db6a9c59b2a976a13dc697f",
@@ -119,6 +125,25 @@ GOLDEN = {
         "network.tsv": "288b021b0b4431392bd664a24e1114f06bff7c4ecba2187b83bd0a5c92609a5d",
         "hierarchy.tsv": "d743b33d85926a3def4b310bab4bf0d248ad33462c50b569891dfaa346f12b2f",
         "provenance.tsv": "c6e8edcce7b19a789a2eb417db8fd14e229d0fa79fb3d20de1a6dcd8b68fa7cc",
+    },
+    "kron": {
+        "network.tsv": "fbffdab369084e8d953966da72aae00ec269005081c997ece8652a84b39722fb",
+        "hierarchy.tsv": "163d2b298f3ac3cd85a7f0050fe85190d58876985c63f5118d2e1f7f3fd669ce",
+        "provenance.tsv": "aede17ae07580c4b86906f529972a495d8a7c04334d626a37b567822eec06c36",
+    },
+}
+
+# The same pair written messily (write_messy_pair): the repeated lines change
+# the weights, and kron's bits follow the order in which edges first appear.
+MESSY_GOLDEN = {
+    "inherit": {**GOLDEN["inherit"],
+                "network.tsv": "6e5734d388b6fd53fb337a23d9e76a536be64849da6befbab053ef42a1e690d0"},
+    "disinherit": {**GOLDEN["disinherit"],
+                   "network.tsv": "fa0ade8955b671eaa7f44cbfcc0d492c6a16206f58447e796c1b322e1ef116de"},
+    "kron": {
+        "network.tsv": "c414604d8e14561ff51e02fd38babe2ec34c9a8beb6bbd2e1fb7f11923924c85",
+        "hierarchy.tsv": "163d2b298f3ac3cd85a7f0050fe85190d58876985c63f5118d2e1f7f3fd669ce",
+        "provenance.tsv": "bcbbd76329d3489c5124e713ecf093f1210aeb436ad3a3d96513c47d01961e86",
     },
 }
 
@@ -135,6 +160,22 @@ def write_pinned_pair(tmp_path):
                       serialize_hierarchy(t))
 
 
+def write_messy_pair(tmp_path):
+    """The pinned pair's graph as people write files: lines shuffled, some
+    repeated with another weight or none, comments and blank lines between."""
+    gp, hp = write_pinned_pair(tmp_path)
+    rng = random.Random(77)
+    lines = Path(gp).read_text().splitlines()
+    ends = [line.rsplit("\t", 1)[0] for line in rng.sample(lines, 400)]
+    lines += [f"{e}\t0.3" for e in ends[:200]] + ends[200:]
+    rng.shuffle(lines)
+    for _ in range(20):
+        lines.insert(rng.randrange(len(lines)), rng.choice(("# messy", "", "#\tcomment")))
+    messy = tmp_path / "messy.tsv"
+    messy.write_text("\n".join(lines) + "\n")
+    return str(messy), hp
+
+
 def assert_pinned(out, digests):
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -146,6 +187,34 @@ def test_convert_output_bytes_are_pinned(tmp_path, method):
     out = tmp_path / method
     assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
     assert_pinned(out, GOLDEN[method])
+
+
+@pytest.mark.parametrize("method", sorted(MESSY_GOLDEN))
+def test_convert_output_bytes_of_a_messy_input_are_pinned(tmp_path, method):
+    gp, hp = write_messy_pair(tmp_path)
+    out = tmp_path / method
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+    assert_pinned(out, MESSY_GOLDEN[method])
+
+
+def test_laplacian_of_a_messy_input_is_pinned(tmp_path):
+    # Kron's resistances follow the order in which edges first appear, but
+    # its placement is blind to the few ULPs that order moves, so pin the
+    # Laplacian (summed with np.bincount, no BLAS) that the input gives.
+    gp, _ = write_messy_pair(tmp_path)
+    g = load_graph(Path(gp).read_text())
+    lap = _laplacian(len(g.vertices), *_edge_arrays(g))
+    assert hashlib.sha256(lap.tobytes()).hexdigest() == "9f98d5a2cacfec7c669e544f5450d7807676d85cf92257e16994a93700ca9c61"
+
+
+def test_kron_bytes_are_the_same_under_three_blas_kernels(tmp_path):
+    gp, hp = write_pinned_pair(tmp_path)
+    for kernel in ("Haswell", "Sandybridge", "Prescott"):
+        out = tmp_path / kernel
+        done = _python("-m", "unires", "convert", "--graph", gp, "--hierarchy", hp, "--method", "kron",
+                       "--out", str(out), OPENBLAS_CORETYPE=kernel)
+        assert done.returncode == 0, done.stderr
+        assert_pinned(out, GOLDEN["kron"])
 
 
 # The analysis commands on the same instance, with the tree's container
@@ -177,6 +246,35 @@ def test_analysis_output_bytes_are_pinned(tmp_path, command):
     out = tmp_path / command
     assert main([command, "--graph", gp, "--hierarchy", hp, "--out", str(out)]) == 0
     assert_pinned(out, ANALYSIS_GOLDEN[command])
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSIS_GOLDEN))
+def test_analysis_of_a_messy_input_reads_only_its_edge_set(tmp_path, command):
+    # Same edges as the pinned pair, and the analyses ignore weights.
+    gp, hp = write_messy_pair(tmp_path)
+    out = tmp_path / command
+    assert main([command, "--graph", gp, "--hierarchy", hp, "--out", str(out)]) == 0
+    assert_pinned(out, ANALYSIS_GOLDEN[command])
+
+
+# Names whose "u->v" labels sort unlike the name pairs ("a" < "a-", but
+# "a-->x" < "a->x"), and whose labels collide: ("a->", "b") and ("a", "->b")
+# both read "a->->b".
+ADVERSARIAL_NAMES = ["a", "a-", "a-!", "a->b", "b->", "a->", "->", "-", "b", "->b"]
+
+
+def test_provenance_file_matches_the_nested_sort_writer(tmp_path):
+    rng = random.Random(71)
+    for k in range(30):
+        t = random_hierarchy(rng, ADVERSARIAL_NAMES)
+        g = random_graph_on(rng, t, edge_budget=rng.randrange(1, 40))
+        gp, hp = write_pair(tmp_path, serialize_graph(g), serialize_hierarchy(t))
+        for method, convert in (("inherit", inherit), ("disinherit", disinherit), ("kron", kron_sampling)):
+            out = tmp_path / f"{method}{k}"
+            assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+            result = convert(g, t)
+            expected = provenance_nested_sort(result.provenance, result.dropped)
+            assert (out / "provenance.tsv").read_bytes() == expected.encode(), (k, method)
 
 
 def test_convert_refuses_to_overwrite_inputs(tmp_path):
@@ -267,8 +365,8 @@ def test_uncreatable_output_exits_2(tmp_path, capsys, command, case):
     assert err.startswith(f"error: {expected} {out}") and err.count("\n") == 1
 
 
-def _python(*args):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def _python(*args, **env):
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
