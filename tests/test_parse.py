@@ -19,13 +19,12 @@ WEIGHTS = ("", "", "1", "2.5", "0.1", "0.2", "0.7", "1_0", " 2.5 ", "1e3", "3.0"
 
 
 def random_document(rng: random.Random) -> str:
+    edges = [rng.sample(NAMES, 2) for _ in range(rng.randrange(1, 60))]
+    edges += rng.choices(edges, k=rng.randrange(0, 25))  # duplicate lines, each with its own weight
     lines = []
-    for _ in range(rng.randrange(1, 60)):
-        u, v = rng.sample(NAMES, 2)
+    for u, v in edges:
         weight = rng.choice(WEIGHTS)
         lines.append(f"{u}\t{v}\t{weight}" if weight else f"{u}\t{v}")
-    lines += rng.choices(lines, k=rng.randrange(0, 20))  # duplicate lines, also with other weights
-    lines += [f"{line.split(chr(9))[0]}\t{line.split(chr(9))[1]}\t0.3" for line in rng.choices(lines, k=5)]
     rng.shuffle(lines)
     for _ in range(rng.randrange(0, 4)):
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "# a comment", "#\tx\ty\tz", "#")))
