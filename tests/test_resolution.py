@@ -21,8 +21,10 @@ from unires.resolution import (
     inherit,
     kron_sampling,
 )
+from unires.spectral import effective_resistance
 
 from oracles import (
+    MASS_TIE_RTOL as DOCUMENTED_TIE_RTOL,
     disinherit_collapse,
     inherit_closure,
     inherit_loop,
@@ -30,9 +32,6 @@ from oracles import (
     kron_sampling_loop,
     leafset_recursive,
 )
-from unires.spectral import effective_resistance
-
-from oracles import MASS_TIE_RTOL as DOCUMENTED_TIE_RTOL
 from conftest import branching_hierarchy, names, random_graph_on, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
