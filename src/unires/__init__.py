@@ -7,9 +7,6 @@ from .graph import (
     Hierarchy,
     ParseError,
     ValidationError,
-    VertexClassification,
-    anchor,
-    classify,
     load_graph,
     load_hierarchy,
     serialize_graph,
@@ -32,7 +29,7 @@ from .resolution import (
     inherit,
     kron_sampling,
 )
-from .spectral import NumericalError, effective_resistance, kron_reduce
+from .spectral import NumericalError, effective_resistance
 
 __version__ = "0.1.0"
 
@@ -49,16 +46,12 @@ __all__ = [
     "ParseError",
     "ResolutionResult",
     "ValidationError",
-    "VertexClassification",
-    "anchor",
     "centrality_suite",
-    "classify",
     "degree_fit",
     "disinherit",
     "edge_order",
     "effective_resistance",
     "inherit",
-    "kron_reduce",
     "kron_sampling",
     "load_graph",
     "load_hierarchy",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import dataclasses
 import hashlib
 import json
 import math
@@ -70,13 +71,13 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _prepare_outdir(out: str, inputs: list[str], filenames: list[str]) -> Path:
+def _prepare_outdir(out: str, inputs: list[str | None], filenames: list[str]) -> Path:
     outdir = Path(out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
-    input_paths = {Path(p).resolve() for p in inputs}
+    input_paths = {Path(p).resolve() for p in inputs if p}
     for name in filenames:
         if (outdir / name).resolve() in input_paths:
             raise ValidationError(f"refusing to overwrite input file {outdir / name}")
@@ -166,8 +167,8 @@ def _load_graph_for_analysis(args: argparse.Namespace) -> Graph:
 def cmd_metrics(args: argparse.Namespace) -> int:
     graph = _load_graph_for_analysis(args)
     report = metrics_report(graph)
-    outdir = _prepare_outdir(args.out, [args.graph], ["metrics.json", "metrics.txt"])
-    _write(outdir / "metrics.json", json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+    outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["metrics.json", "metrics.txt"])
+    _write(outdir / "metrics.json", json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
     _write(outdir / "metrics.txt", _metrics_text(report))
     return 0
 
@@ -176,7 +177,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     graph = _load_graph_for_analysis(args)
     table = centrality_suite(graph, pagerank_damping=args.pagerank_damping)
     ranked = top_k(table, args.top_k)
-    outdir = _prepare_outdir(args.out, [args.graph], ["centrality.csv", "top_k.csv"])
+    outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["centrality.csv", "top_k.csv"])
     lines = ["vertex," + ",".join(CENTRALITY_METRICS)]
     for v in table.vertices:
         lines.append(v + "," + ",".join(_fmt(table.scores[m][v]) for m in CENTRALITY_METRICS))
@@ -205,7 +206,7 @@ def cmd_spyplot(args: argparse.Namespace) -> int:
 def cmd_degree_fit(args: argparse.Namespace) -> int:
     graph = _load_graph_for_analysis(args)
     fit = degree_fit(graph)
-    outdir = _prepare_outdir(args.out, [args.graph], ["ccdf.csv", "fit.json"])
+    outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["ccdf.csv", "fit.json"])
     lines = ["degree,ccdf_empirical,ccdf_fitted"]
     for degree, empirical, fitted in fit.ccdf_points:
         lines.append(f"{degree},{_fmt(empirical)},{_fmt(fitted)}")

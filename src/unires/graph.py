@@ -128,10 +128,6 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self.index
 
-    def connectivity(self, v: str) -> bool:
-        """True when ``v`` touches at least one edge, in either direction."""
-        return self.degree(v) > 0
-
     def degree(self, v: str) -> int:
         """Total number of edges touching ``v`` (in plus out)."""
         return self._degrees[self.index[v]]
@@ -190,11 +186,11 @@ class Hierarchy:
         return {v: tuple(sorted(cs)) for v, cs in kids.items()}
 
     @cached_property
-    def _preorder(self) -> tuple[tuple[str, ...], dict[str, int], list[int], list[int]]:
+    def _preorder(self) -> tuple[tuple[str, ...], list[int], list[int]]:
         """One depth-first pass from the root, children in name order: the
-        preorder, each reached vertex's position in it, and per position
-        the depth (the root's is 1) and the end of the subtree, so that
-        ``order[p:end[p]]`` is the subtree at position ``p``."""
+        preorder, and per position the depth (the root's is 1) and the end
+        of the subtree, so that ``order[p:end[p]]`` is the subtree at
+        position ``p``."""
         order: list[str] = []
         depth: list[int] = []
         stack = [(self.root, 1)]
@@ -209,7 +205,7 @@ class Hierarchy:
             kids = self.children[order[p]]
             if kids:
                 end[p] = end[position[kids[-1]]]
-        return tuple(order), position, depth, end
+        return tuple(order), depth, end
 
     @cached_property
     def leaf_ranges(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
@@ -219,45 +215,17 @@ class Hierarchy:
         Children are visited in name order, so every subtree's leaves are
         contiguous; a leaf's range holds only itself.
         """
-        order, _, _, end = self._preorder
+        order, _, end = self._preorder
         is_leaf = [not self.children[v] for v in order]
         before = list(accumulate(is_leaf, initial=0))  # leaves ahead of each position
         ranges = {v: (before[p], before[end[p]]) for p, v in enumerate(order)}
         return tuple(compress(order, is_leaf)), ranges
 
-    def _require(self, v: str) -> int:
-        """The preorder position of ``v``."""
-        position = self._preorder[1].get(v)
-        if position is None:
-            raise DomainError(f"unknown vertex {v!r}")
-        return position
-
     def is_leaf(self, v: str) -> bool:
-        self._require(v)
-        return not self.children[v]
-
-    def depth(self, v: str) -> int:
-        """Tree depth of ``v``, with the root at depth 1."""
-        return self._preorder[2][self._require(v)]
-
-    def leafset(self, v: str) -> frozenset[str]:
-        """All descendant leaves of ``v``; a leaf's leafset is itself."""
-        self._require(v)
-        leaves, ranges = self.leaf_ranges
-        lo, hi = ranges[v]
-        return frozenset(leaves[lo:hi])
-
-    def descendants(self, v: str) -> set[str]:
-        """``v`` plus everything below it."""
-        p = self._require(v)
-        order, _, _, end = self._preorder
-        return set(order[p:end[p]])
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self.children[v])
-
-    def internal_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.children[v])
+        kids = self.children.get(v)
+        if kids is None:
+            raise DomainError(f"unknown vertex {v!r}")
+        return not kids
 
     def dfs_preorder(self) -> tuple[str, ...]:
         """Depth-first preorder from the root, children in name order."""
@@ -273,19 +241,6 @@ class Hierarchy:
                 raise ValidationError(f"restriction is not ancestor-closed at {v!r}")
         parent = {v: p for v, p in self.parent.items() if v in kept}
         return Hierarchy(tuple(sorted(kept)), parent, self.root)
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    """Partition of the vertex universe by tree position and connectivity.
-
-    ``silent`` holds every vertex without incident edges, container vertices
-    and unreported leaves alike, so the three sets partition the universe.
-    """
-
-    internal_with_connectivity: frozenset[str]
-    leaves_with_connectivity: frozenset[str]
-    silent: frozenset[str]
 
 
 def _iter_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -422,39 +377,3 @@ def check_pair(g: Graph, t: Hierarchy) -> None:
     for v in g.vertices:
         if v not in tree:
             raise ValidationError(f"graph vertex {v!r} missing from the hierarchy")
-
-
-def classify(g: Graph, t: Hierarchy) -> VertexClassification:
-    """Split the tree's vertex universe by connectivity and leaf status."""
-    check_pair(g, t)
-    internal_conn: set[str] = set()
-    leaf_conn: set[str] = set()
-    silent: set[str] = set()
-    for v in t.vertices:
-        if g.has_vertex(v) and g.connectivity(v):
-            if t.is_leaf(v):
-                leaf_conn.add(v)
-            else:
-                internal_conn.add(v)
-        else:
-            silent.add(v)
-    return VertexClassification(frozenset(internal_conn), frozenset(leaf_conn), frozenset(silent))
-
-
-def anchor(g: Graph, t: Hierarchy, v: str) -> str:
-    """Topmost connectivity-bearing ancestor-or-self of ``v``.
-
-    Returns ``v`` itself when no proper ancestor has connectivity; raises
-    :class:`DomainError` when ``v`` has no connectivity at all.
-    """
-    check_pair(g, t)
-    t._require(v)
-    if not (g.has_vertex(v) and g.connectivity(v)):
-        raise DomainError(f"vertex {v!r} has no connectivity")
-    best = v
-    cur = v
-    while cur != t.root:
-        cur = t.parent[cur]
-        if g.has_vertex(cur) and g.connectivity(cur):
-            best = cur
-    return best

@@ -56,19 +56,6 @@ class MetricsReport:
     characteristic_path_length: float
     mean_clustering_directed: float
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {
-            "vertex_count": self.vertex_count,
-            "active_vertex_count": self.active_vertex_count,
-            "edge_count": self.edge_count,
-            "density": self.density,
-            "density_all_vertices": self.density_all_vertices,
-            "reciprocity": self.reciprocity,
-            "diameter": self.diameter,
-            "characteristic_path_length": self.characteristic_path_length,
-            "mean_clustering_directed": self.mean_clustering_directed,
-        }
-
 
 @dataclass(frozen=True)
 class CentralityTable:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import DomainError, Edge, Graph, Hierarchy, check_pair, classify
+from .graph import DomainError, Edge, Graph, Hierarchy, check_pair
 from .spectral import _kron_resistance
 
 GUARD_MODES = ("any", "directed")
@@ -134,14 +134,15 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
 
 
 def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
-    """:func:`~unires.graph.anchor` of every connectivity-bearing vertex, in
-    one top-down pass; silent vertices below an anchor map to it too."""
+    """The anchor of every connectivity-bearing vertex, in one top-down
+    pass: its topmost connectivity-bearing ancestor-or-self.  Silent
+    vertices below an anchor map to it too."""
     anchors: dict[str, str] = {}
     for v in t.dfs_preorder():
         above = anchors.get(t.parent.get(v))
         if above is not None:
             anchors[v] = above
-        elif g.has_vertex(v) and g.connectivity(v):
+        elif g.has_vertex(v) and g.degree(v):
             anchors[v] = v
     return anchors
 
@@ -149,11 +150,12 @@ def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
 def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     """Pull every edge up to the topmost connectivity-bearing ancestors.
 
-    Each input edge (u, v) is reassigned to (anchor(u), anchor(v)) with
-    weights summed; edges whose endpoints share an anchor collapse to
-    self-loops and are dropped (logged with their weight).  The output
-    hierarchy removes every proper descendant of an anchor, so anchors
-    become leaves; untouched silent vertices keep the tree connected.
+    Each input edge (u, v) is reassigned to its endpoints' anchors (see
+    :func:`_anchors`) with weights summed; edges whose endpoints share an
+    anchor collapse to self-loops and are dropped (logged with their
+    weight).  The output hierarchy removes every proper descendant of an
+    anchor, so anchors become leaves; untouched silent vertices keep the
+    tree connected.
     """
     check_pair(g, t)
     anchors = _anchors(g, t)
@@ -170,10 +172,7 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
             raise DomainError(f"summed weight of edge ({a!r}, {b!r}) overflows float64")
         out[(a, b)] = total
         links.append(((a, b), (u, v)))
-    removed: set[str] = set()
-    for a in set(anchors.values()):
-        removed |= t.descendants(a) - {a}
-    hierarchy = t.restricted_to(set(t.vertices) - removed)
+    hierarchy = t.restricted_to([v for v in t.vertices if anchors.get(v, v) == v])
     # The anchors are kept, so the kept tree's vertices are the universe.
     return ResolutionResult(Graph._trusted(hierarchy.vertices, out), hierarchy, links, dropped)
 
@@ -187,7 +186,7 @@ def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
     inverts the depth ordering for sensitivity analysis.
     """
     check_pair(g, t)
-    depth = dict(zip(t.dfs_preorder(), t._preorder[2]))
+    depth = dict(zip(t.dfs_preorder(), t._preorder[1]))
     edges = sorted(g.weights)
     edges.sort(key=lambda e: depth[e[0]] * depth[e[1]], reverse=descending)
     return edges
@@ -236,16 +235,14 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
     edges, _, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
-    leaves_conn = classify(g, t).leaves_with_connectivity
+    if g.vertices != names:  # give g the tree's ids
+        g = g.with_vertices(names)
+    leaf = np.fromiter((not t.children[v] for v in names), dtype=bool, count=n)
+    conn = leaf & (np.array(g._degrees) > 0)
     src, dst = np.divmod(pairs, n)
-    conn = np.fromiter((v in leaves_conn for v in names), dtype=bool, count=n)
     both = conn[src] & conn[dst]
-    undirected = np.minimum(src, dst)[both] * n + np.maximum(src, dst)[both]
-    wanted = np.unique(undirected)
-    wanted_names = _pairs(names, wanted)
-    resist = _kron_resistance(g, leaves_conn, wanted_names)
     resistance = np.full(len(pairs), np.inf)
-    resistance[both] = np.array([resist[p] for p in wanted_names])[np.searchsorted(wanted, undirected)]
+    resistance[both] = _kron_resistance(g, conn, src[both], dst[both])
     mass = _masses(resistance, counts)
 
     # Each edge's choice does not depend on what is placed before it, only

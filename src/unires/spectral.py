@@ -82,9 +82,10 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarra
     return lap
 
 
-def _kron_edges(g: Graph, retain: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """The Kron-reduced network: retained names in order, and its edges as
-    index arrays into them, component by component.
+def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Kron reduction of ``g`` onto the ids where the mask ``keep`` is
+    set: its edges as index arrays into the retained ids in order, and
+    their weights, component by component.
 
     A component whose vertices are all retained keeps its symmetrized edges
     in :func:`_edge_arrays` order; any other component with a
@@ -93,15 +94,9 @@ def _kron_edges(g: Graph, retain: Iterable[str]) -> tuple[tuple[str, ...], np.nd
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-    retain_set = set(retain)
-    for v in retain_set:
-        if not g.has_vertex(v):
-            raise DomainError(f"unknown vertex {v!r}")
     n = len(g.vertices)
     i, j, w = _edge_arrays(g)
-    keep = np.zeros(n, dtype=bool)
-    keep[[g.index[v] for v in retain_set]] = True
-    position = np.cumsum(keep) - 1  # index among the retained names
+    position = np.cumsum(keep) - 1  # index among the retained ids
     labels = _components(n, i, j)
     roots = np.flatnonzero(labels == np.arange(n))
     parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
@@ -131,23 +126,7 @@ def _kron_edges(g: Graph, retain: Iterable[str]) -> tuple[tuple[str, ...], np.nd
         a, b = np.nonzero(np.triu(reduced < -threshold, 1))
         ids = position[members[keep_idx]]
         parts.append((ids[a], ids[b], -reduced[a, b]))
-    ri, rj, rw = (np.concatenate(column) for column in zip(*parts))
-    return tuple(sorted(retain_set)), ri, rj, rw
-
-
-def kron_reduce(g: Graph, retain: Iterable[str]) -> Graph:
-    """Eliminate all non-retained vertices by Schur complement.
-
-    The result is an undirected weighted graph on ``retain`` (each edge
-    stored once, endpoints in name order) whose Laplacian is the Schur
-    complement of the symmetrized input Laplacian.  Components without a
-    retained vertex are dropped; retained vertices that end up with no
-    neighbours persist edgeless.  Pairwise effective resistance among
-    retained vertices is preserved.
-    """
-    names, i, j, w = _kron_edges(g, retain)
-    keys = zip([names[x] for x in i.tolist()], [names[x] for x in j.tolist()])
-    return Graph.from_edges(dict(zip(keys, w.tolist())), vertices=names)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
@@ -190,28 +169,25 @@ def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndar
     return out
 
 
-def _resistance_map(names: tuple[str, ...], i, j, w, pairs: Iterable[Edge]) -> dict[Edge, float]:
-    wanted = list(pairs)
-    index = {v: x for x, v in enumerate(names)}
-    for u, v in wanted:
-        for x in (u, v):
-            if x not in index:
-                raise DomainError(f"unknown vertex {x!r}")
-    a = np.fromiter((index[u] for u, _ in wanted), dtype=np.intp, count=len(wanted))
-    b = np.fromiter((index[v] for _, v in wanted), dtype=np.intp, count=len(wanted))
-    return dict(zip(wanted, _resistances(len(names), i, j, w, a, b).tolist()))
-
-
 def effective_resistance(g: Graph, pairs: Iterable[Edge]) -> dict[Edge, float]:
     """Effective resistance of the symmetrized graph for each requested pair.
 
     Identical endpoints give 0; endpoints in different components give
     ``math.inf``.  Unknown vertices raise :class:`~unires.graph.DomainError`.
     """
-    return _resistance_map(g.vertices, *_edge_arrays(g), pairs)
+    wanted = list(pairs)
+    for pair in wanted:
+        for v in pair:
+            if v not in g.index:
+                raise DomainError(f"unknown vertex {v!r}")
+    a = np.fromiter((g.index[u] for u, _ in wanted), dtype=np.intp, count=len(wanted))
+    b = np.fromiter((g.index[v] for _, v in wanted), dtype=np.intp, count=len(wanted))
+    return dict(zip(wanted, _resistances(len(g.vertices), *_edge_arrays(g), a, b).tolist()))
 
 
-def _kron_resistance(g: Graph, retain: Iterable[str], pairs: Iterable[Edge]) -> dict[Edge, float]:
-    """``effective_resistance(kron_reduce(g, retain), pairs)``, bit for bit,
-    without building the reduced :class:`~unires.graph.Graph`."""
-    return _resistance_map(*_kron_edges(g, retain), pairs)
+def _kron_resistance(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Effective resistance between ids ``a[p]`` and ``b[p]`` (all kept) in
+    the Kron reduction of ``g`` onto the mask ``keep``, bit for bit that of
+    the reduced network built as a graph, without building it."""
+    position = np.cumsum(keep) - 1  # index among the kept ids
+    return _resistances(int(keep.sum()), *_kron_edges(g, keep), position[a], position[b])

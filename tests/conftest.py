@@ -1,10 +1,14 @@
-"""Shared random-instance generators.  All randomness is seeded per test."""
+"""Shared random-instance generators and test helpers.  All randomness is
+seeded per test."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from unires.graph import Graph, Hierarchy
+from unires.spectral import _kron_edges, _kron_resistance
 
 
 def names(n: int, prefix: str = "n") -> list[str]:
@@ -69,7 +73,7 @@ def random_graph_on(
 ) -> Graph:
     """Random directed graph over the tree universe, each drawn edge adding
     a weight chosen from ``weights_from`` (small integers by default)."""
-    pool = list(t.leaves()) if leaf_only else list(t.vertices)
+    pool = [v for v in t.vertices if not t.children[v]] if leaf_only else list(t.vertices)
     weights: dict[tuple[str, str], float] = {}
     for _ in range(edge_budget):
         u = rng.choice(pool)
@@ -118,3 +122,28 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Graph:
             if u != v and rng.random() < p:
                 weights[(u, v)] = 1.0
     return Graph.from_edges(weights, vertices=labels)
+
+
+def kron_mask(g: Graph, retain) -> np.ndarray:
+    """The id mask of the names ``retain`` in ``g``."""
+    keep = np.zeros(len(g.vertices), dtype=bool)
+    keep[[g.index[v] for v in retain]] = True
+    return keep
+
+
+def kron_reduced(g: Graph, retain) -> Graph:
+    """The edges :func:`~unires.spectral._kron_edges` computes, as a graph on
+    the retained names, each edge once with its endpoints in name order."""
+    keep = kron_mask(g, retain)
+    kept = [v for v, k in zip(g.vertices, keep.tolist()) if k]
+    i, j, w = _kron_edges(g, keep)
+    pairs = zip([kept[x] for x in i.tolist()], [kept[x] for x in j.tolist()])
+    return Graph.from_edges(dict(zip(pairs, w.tolist())), vertices=kept)
+
+
+def kron_resistances(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
+    """:func:`~unires.spectral._kron_resistance` asked by name pairs."""
+    wanted = list(pairs)
+    a = np.array([g.index[u] for u, _ in wanted], dtype=np.int64)
+    b = np.array([g.index[v] for _, v in wanted], dtype=np.int64)
+    return dict(zip(wanted, _kron_resistance(g, kron_mask(g, retain), a, b).tolist()))

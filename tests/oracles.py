@@ -201,7 +201,7 @@ def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:
     chain = [v]
     while chain[-1] != t.root:
         chain.append(t.parent[chain[-1]])
-    connected = [x for x in chain if g.has_vertex(x) and g.connectivity(x)]
+    connected = [x for x in chain if g.has_vertex(x) and g.degree(x)]
     return connected[-1]  # nearest the root
 
 
@@ -352,9 +352,9 @@ def resistance_grounded(g: Graph, pairs) -> dict[tuple[str, str], float]:
 
 
 def kron_resistance_reference(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
-    """The resistances Kron placement must reproduce bit for bit: the route
-    ``effective_resistance(kron_reduce(g, retain), pairs)`` through a
-    reduced ``Graph``, written the slow way."""
+    """The resistances Kron placement must reproduce bit for bit: those of
+    the Kron-reduced network, built as a ``Graph`` and solved grounded,
+    written the slow way."""
     return resistance_grounded(kron_reduce_loop(g, retain), pairs)
 
 

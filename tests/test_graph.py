@@ -8,15 +8,14 @@ from unires.graph import (
     Hierarchy,
     ParseError,
     ValidationError,
-    anchor,
-    classify,
     load_graph,
     load_hierarchy,
     serialize_graph,
     serialize_hierarchy,
 )
+from unires.resolution import _anchors
 
-from oracles import degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
+from oracles import anchor_walk, degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
 from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
@@ -27,6 +26,13 @@ def four_pair():
     g = load_graph(FOUR_GRAPH)
     t = load_hierarchy(FOUR_TREE, g)
     return g.with_vertices(t.vertices), t
+
+
+def leaves_under(t: Hierarchy, v: str) -> frozenset[str]:
+    """The leaves below ``v``, read from :attr:`Hierarchy.leaf_ranges`."""
+    leaves, ranges = t.leaf_ranges
+    lo, hi = ranges[v]
+    return frozenset(leaves[lo:hi])
 
 
 def test_load_graph_default_weight():
@@ -112,83 +118,56 @@ def test_load_hierarchy_missing_graph_vertex():
 
 def test_leafset_examples():
     _, t = four_pair()
-    assert t.leafset("A") == {"a1", "a2"}
-    assert t.leafset("B") == {"B"}
-    assert t.leafset("Br") == {"a1", "a2", "B"}
+    assert leaves_under(t, "A") == {"a1", "a2"}
+    assert leaves_under(t, "B") == {"B"}
+    assert leaves_under(t, "Br") == {"a1", "a2", "B"}
 
 
 def test_leafset_unknown_vertex():
     _, t = four_pair()
+    assert "nope" not in t.leaf_ranges[1]
     with pytest.raises(DomainError):
-        t.leafset("nope")
+        t.is_leaf("nope")
 
 
 def test_depth_examples():
     _, t = four_pair()
-    assert t.depth("Br") == 1
-    assert t.depth("A") == 2
-    assert t.depth("a1") == 3
-
-
-def test_classify_example():
-    g, t = four_pair()
-    cls = classify(g, t)
-    assert cls.internal_with_connectivity == {"A"}
-    assert cls.leaves_with_connectivity == {"a1", "a2", "B"}
-    assert cls.silent == {"Br"}
-
-
-def test_classify_edgeless_graph_all_silent():
-    g = load_graph("")
-    t = load_hierarchy(FOUR_TREE, g)
-    cls = classify(g, t)
-    assert not cls.internal_with_connectivity
-    assert not cls.leaves_with_connectivity
-    assert cls.silent == set(t.vertices)
-
-
-def test_classify_leaf_only_graph_has_no_internal():
-    g = load_graph("a1\ta2\n")
-    t = load_hierarchy(FOUR_TREE, g)
-    assert not classify(g, t).internal_with_connectivity
-
-
-def test_classify_partition_property():
-    rng = random.Random(11)
-    for _ in range(50):
-        g, t = random_pair(rng, rng.randrange(4, 30))
-        cls = classify(g, t)
-        sets = (cls.internal_with_connectivity, cls.leaves_with_connectivity, cls.silent)
-        assert sum(map(len, sets)) == len(t.vertices)
-        assert frozenset().union(*sets) == set(t.vertices)
+    order, depth, _ = t._preorder
+    assert dict(zip(order, depth)) == {"Br": 1, "A": 2, "a1": 3, "a2": 3, "B": 2}
 
 
 def test_anchor_examples():
     g, t = four_pair()
-    assert anchor(g, t, "a1") == "A"
-    assert anchor(g, t, "B") == "B"
+    anchors = _anchors(g, t)
+    assert anchors["a1"] == "A"
+    assert anchors["B"] == "B"
+    for v in g.active_vertices():
+        assert anchors[v] == anchor_walk(g, t, v)
 
 
 def test_anchor_topmost_wins_when_nested():
     g = load_graph("A\tB\nA1\tB\na1\tB\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\tA1\nA1\ta1\n", g)
-    assert anchor(g, t, "a1") == "A"
-    assert anchor(g, t, "A1") == "A"
+    anchors = _anchors(g.with_vertices(t.vertices), t)
+    assert anchors["a1"] == "A"
+    assert anchors["A1"] == "A"
 
 
 def test_anchor_requires_connectivity():
+    # A silent vertex with no connectivity-bearing ancestor has no anchor.
     g, t = four_pair()
-    with pytest.raises(DomainError):
-        anchor(g, t, "Br")
+    assert "Br" not in _anchors(g, t)
 
 
 def test_anchor_idempotent():
     rng = random.Random(23)
     for _ in range(30):
         g, t = random_pair(rng, rng.randrange(4, 25))
+        anchors = _anchors(g, t)
         for v in g.active_vertices():
-            a = anchor(g, t, v)
-            assert anchor(g, t, a) == a
+            a = anchors[v]
+            assert a == anchor_walk(g, t, v)
+            assert anchors[a] == a
 
 
 @pytest.mark.parametrize("shape", [random_hierarchy, branching_hierarchy])
@@ -197,7 +176,7 @@ def test_leafset_matches_recursive_oracle(shape):
     for _ in range(60):
         t = shape(rng, names(rng.randrange(3, 60)))
         for v in t.vertices:
-            assert t.leafset(v) == leafset_recursive(t, v)
+            assert leaves_under(t, v) == leafset_recursive(t, v)
 
 
 @pytest.mark.parametrize("shape", [random_hierarchy, branching_hierarchy])
@@ -207,12 +186,12 @@ def test_tree_queries_match_recursive_oracles(shape):
         t = shape(rng, names(rng.randrange(3, 60)))
         assert list(t.dfs_preorder()) == preorder_recursive(t)
         assert t.leaf_ranges == leaf_ranges_recursive(t)
-        for v in t.vertices:
-            assert t.depth(v) == depth_walk(t, v)
-            assert t.descendants(v) == set(preorder_recursive(t, v))
-        for query in (t.depth, t.descendants):
-            with pytest.raises(DomainError):
-                query("nope")
+        order, depth, end = t._preorder
+        for p, v in enumerate(order):
+            assert depth[p] == depth_walk(t, v)
+            assert list(order[p:end[p]]) == preorder_recursive(t, v)
+        with pytest.raises(DomainError):
+            t.is_leaf("nope")
 
 
 def test_degrees_match_edge_loop():
@@ -222,7 +201,6 @@ def test_degrees_match_edge_loop():
         for graph in (g, Graph.from_edges(g.weights)):
             degree = degree_loop(graph)
             assert {v: graph.degree(v) for v in graph.vertices} == degree
-            assert {v: graph.connectivity(v) for v in graph.vertices} == {v: d > 0 for v, d in degree.items()}
             assert graph.active_vertices() == tuple(v for v in graph.vertices if degree[v])
 
 
@@ -230,7 +208,7 @@ def test_leafset_members_are_leaves_and_laminar():
     rng = random.Random(31)
     for _ in range(20):
         t = random_hierarchy(rng, names(rng.randrange(3, 25)))
-        sets = {v: t.leafset(v) for v in t.vertices}
+        sets = {v: leaves_under(t, v) for v in t.vertices}
         for v, ls in sets.items():
             assert ls
             assert all(t.is_leaf(x) for x in ls)

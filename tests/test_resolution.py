@@ -10,7 +10,7 @@ import pytest
 
 import unires.resolution
 from unires.cli import main
-from unires.graph import DomainError, anchor, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
+from unires.graph import DomainError, Graph, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
 from unires.resolution import (
     GUARD_MODES,
     MASS_TIE_RTOL,
@@ -25,6 +25,7 @@ from unires.spectral import effective_resistance
 
 from oracles import (
     MASS_TIE_RTOL as DOCUMENTED_TIE_RTOL,
+    anchor_walk,
     disinherit_collapse,
     inherit_closure,
     inherit_loop,
@@ -57,8 +58,22 @@ def audit(result):
     return result.network.weights, result.provenance, result.dropped
 
 
+def by_id(resistances):
+    """A stand-in for ``_kron_resistance`` that asks ``resistances(g,
+    retain, pairs)`` by names and answers by ids."""
+
+    def kron_resistance(g, keep, a, b):
+        names = g.vertices
+        pairs = list(zip([names[x] for x in a.tolist()], [names[x] for x in b.tolist()]))
+        retain = [v for v, k in zip(names, keep.tolist()) if k]
+        found = resistances(g, retain, pairs)
+        return np.array([found[p] for p in pairs])
+
+    return kron_resistance
+
+
 def assert_uniresolution(result):
-    internal = set(result.hierarchy.internal_vertices())
+    internal = {v for v, kids in result.hierarchy.children.items() if kids}
     for u, v in result.network.weights:
         assert u not in internal and v not in internal
 
@@ -140,7 +155,7 @@ def test_inherit_weight_identity_without_ancestor_edges():
             continue
         checked += 1
         expected = sum(
-            w * len(t.leafset(u)) * len(t.leafset(v)) for (u, v), w in g.weights.items()
+            w * len(leafset_recursive(t, u)) * len(leafset_recursive(t, v)) for (u, v), w in g.weights.items()
         )
         assert sum(inherit(g, t).network.weights.values()) == expected
 
@@ -165,7 +180,7 @@ def test_disinherit_example():
     assert result.network.weights == {("A", "B"): 1.0}
     assert result.network.vertices == ("A", "B", "Br")
     assert set(result.hierarchy.vertices) == {"Br", "A", "B"}
-    assert result.hierarchy.leaves() == ("A", "B")
+    assert tuple(v for v in result.hierarchy.vertices if result.hierarchy.is_leaf(v)) == ("A", "B")
     assert result.dropped == {("a1", "a2"): 1.0}
 
 
@@ -205,7 +220,7 @@ def test_anchor_pass_matches_anchor(branching):
         g, t = random_pair(rng, rng.randrange(3, 40), branching=branching)
         anchors = _anchors(g, t)
         for v in g.active_vertices():
-            assert anchors[v] == anchor(g, t, v)
+            assert anchors[v] == anchor_walk(g, t, v)
 
 
 def test_disinherit_conserves_weight():
@@ -345,11 +360,11 @@ def test_kron_sampling_invariants_random():
             creators = [
                 (u, v)
                 for u, v in sources
-                if s in t.leafset(u) | {u} and d in t.leafset(v) | {v}
+                if s in leafset_recursive(t, u) | {u} and d in leafset_recursive(t, v) | {v}
             ]
             assert creators
             for u, v in sources:
-                lu, lv = t.leafset(u), t.leafset(v)
+                lu, lv = leafset_recursive(t, u), leafset_recursive(t, v)
                 assert (s in lu and d in lv) or (s in lv and d in lu)
 
 
@@ -359,6 +374,18 @@ def test_kron_sampling_matches_loop_oracle(descending, guard):
     for seed in range(300):
         g, t = oracle_pair(seed)
         assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard), seed
+
+
+def test_kron_sampling_maps_a_smaller_universe_onto_the_tree():
+    # The CLI always passes the tree's universe; a graph over its edges'
+    # endpoints alone must be placed the same.
+    smaller = 0
+    for seed in range(300):
+        g, t = oracle_pair(seed)
+        small = Graph.from_edges(g.weights)
+        smaller += small.vertices != t.vertices
+        assert audit(kron_sampling(small, t)) == audit(kron_sampling(small.with_vertices(t.vertices), t)), seed
+    assert smaller >= 200
 
 
 def default_pair(seed):
@@ -391,7 +418,7 @@ def test_kron_placement_does_not_depend_on_the_resistance_route(monkeypatch):
     for route in ("kron", "full"):
         if route == "full":
             monkeypatch.setattr(unires.resolution, "_kron_resistance",
-                                lambda g, retain, pairs: effective_resistance(g, pairs))
+                                by_id(lambda g, retain, pairs: effective_resistance(g, pairs)))
         placements.append([audit(kron_sampling(*default_pair(seed))) for seed in range(300)])
     for seed, (kron, full) in enumerate(zip(*placements)):
         assert kron == full, seed
@@ -463,7 +490,7 @@ def test_kron_convert_matches_reference_pipeline(tmp_path, monkeypatch):
     hp.write_text(serialize_hierarchy(t))
     argv = ["convert", "--graph", str(gp), "--hierarchy", str(hp), "--method", "kron", "--out"]
     assert main([*argv, str(tmp_path / "direct")]) == 0
-    monkeypatch.setattr(unires.resolution, "_kron_resistance", kron_resistance_reference)
+    monkeypatch.setattr(unires.resolution, "_kron_resistance", by_id(kron_resistance_reference))
     assert main([*argv, str(tmp_path / "reference")]) == 0
     files = sorted(p.name for p in (tmp_path / "direct").iterdir())
     assert files == ["hierarchy.tsv", "manifest.json", "network.tsv", "provenance.tsv"]

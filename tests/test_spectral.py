@@ -4,18 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from unires.graph import DomainError, Graph, classify, load_graph
-from unires.resolution import inherit
-from unires.spectral import (
-    _edge_arrays,
-    _kron_resistance,
-    _laplacian,
-    effective_resistance,
-    kron_reduce,
-)
+from unires.graph import DomainError, Graph, ValidationError, load_graph, load_hierarchy
+from unires.resolution import inherit, kron_sampling
+from unires.spectral import _edge_arrays, _laplacian, effective_resistance
 
 from oracles import kron_reduce_loop, kron_resistance_reference, laplacian_loop, resistance_pinv, symmetrized
-from conftest import names, random_connected_weighted, random_pair
+from conftest import kron_reduced, kron_resistances, names, random_connected_weighted, random_pair
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -87,13 +81,13 @@ def test_laplacian_structural_invariants():
 
 
 def test_kron_series_path():
-    k = kron_reduce(load_graph("a\tb\nb\tc\n"), ["a", "c"])
+    k = kron_reduced(load_graph("a\tb\nb\tc\n"), ["a", "c"])
     assert set(k.weights) == {("a", "c")}
     assert k.weights[("a", "c")] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_kron_star_elimination():
-    k = kron_reduce(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
+    k = kron_reduced(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
     assert set(k.weights) == {("x", "y"), ("x", "z"), ("y", "z")}
     for w in k.weights.values():
         assert w == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -101,22 +95,26 @@ def test_kron_star_elimination():
 
 def test_kron_retain_all_is_symmetrized_input():
     g = load_graph("a\tb\t2\nb\ta\t1\nb\tc\t4\n")
-    k = kron_reduce(g, g.vertices)
+    k = kron_reduced(g, g.vertices)
     assert k.weights == {("a", "b"): 3.0, ("b", "c"): 4.0}
     assert k.vertices == g.vertices
 
 
 def test_kron_drops_unretained_components_keeps_isolated_retained():
     g = load_graph("a\tb\nc\td\n")
-    k = kron_reduce(g, ["a", "b", "c"])
+    k = kron_reduced(g, ["a", "b", "c"])
     assert k.vertices == ("a", "b", "c")
     # c's partner was eliminated, so c persists edgeless.
     assert set(k.weights) == {("a", "b")}
 
 
 def test_kron_unknown_vertex():
-    with pytest.raises(DomainError):
-        kron_reduce(load_graph("a\tb\n"), ["a", "zz"])
+    # Kron works on the tree's ids, so a graph vertex outside the tree is
+    # refused before any id is mapped.
+    g = load_graph("a\tb\nb\tzz\n")
+    t = load_hierarchy("r\ta\nr\tb\nr\tzz\n", g)
+    with pytest.raises(ValidationError, match="'zz'"):
+        kron_sampling(g, t.restricted_to(["r", "a", "b"]))
 
 
 def test_kron_output_is_valid_laplacian():
@@ -124,7 +122,7 @@ def test_kron_output_is_valid_laplacian():
     for _ in range(20):
         g = random_connected_weighted(rng, rng.randrange(4, 25))
         retain = rng.sample(list(g.vertices), rng.randrange(2, len(g.vertices)))
-        m = laplacian_loop(kron_reduce(g, retain))
+        m = laplacian_loop(kron_reduced(g, retain))
         scale = max(1.0, np.abs(m).max())
         assert np.abs(m.sum(axis=1)).max() <= 1e-9 * scale
         assert (m[~np.eye(len(m), dtype=bool)] <= 0).all()
@@ -203,7 +201,7 @@ def test_kron_preserves_resistance_small():
         retain = rng.sample(list(g.vertices), rng.randrange(2, len(g.vertices)))
         pairs = [(u, v) for u in retain for v in retain if u < v]
         before = effective_resistance(g, pairs)
-        after = effective_resistance(kron_reduce(g, retain), pairs)
+        after = effective_resistance(kron_reduced(g, retain), pairs)
         for pair in pairs:
             assert after[pair] == pytest.approx(before[pair], rel=1e-8)
 
@@ -212,8 +210,9 @@ def test_kron_preserves_resistance_small():
 
 
 def kron_inputs(g, t):
-    """The retained leaves and the pairs that kron_sampling asks about."""
-    leaves = sorted(classify(g, t).leaves_with_connectivity)
+    """The retained leaves, and each leaf pair that kron_sampling weighs,
+    once, in name order."""
+    leaves = [v for v in t.vertices if not t.children[v] and g.degree(v)]
     counts = inherit(g, t).network
     wanted = sorted({(s, d) if s < d else (d, s) for s, d in counts.weights if s in leaves and d in leaves})
     return leaves, wanted
@@ -225,7 +224,7 @@ def test_kron_resistance_equals_reference_random(branching):
         rng = random.Random(seed)
         g, t = random_pair(rng, rng.randrange(4, 40), branching=branching)
         leaves, wanted = kron_inputs(g, t)
-        assert _kron_resistance(g, leaves, wanted) == kron_resistance_reference(g, leaves, wanted)
+        assert kron_resistances(g, leaves, wanted) == kron_resistance_reference(g, leaves, wanted)
 
 
 def test_kron_resistance_equals_reference_weighted():
@@ -234,12 +233,12 @@ def test_kron_resistance_equals_reference_weighted():
         g = random_connected_weighted(rng, rng.randrange(3, 30))
         retain = rng.sample(list(g.vertices), rng.randrange(1, len(g.vertices)))
         pairs = [(u, v) for u in retain for v in retain]
-        assert list(kron_reduce(g, retain).weights.items()) == list(kron_reduce_loop(g, retain).weights.items())
-        assert _kron_resistance(g, retain, pairs) == kron_resistance_reference(g, retain, pairs)
+        assert list(kron_reduced(g, retain).weights.items()) == list(kron_reduce_loop(g, retain).weights.items())
+        assert kron_resistances(g, retain, pairs) == kron_resistance_reference(g, retain, pairs)
 
 
 def check_against_reference(g, retain, expected):
-    got = _kron_resistance(g, retain, list(expected))
+    got = kron_resistances(g, retain, list(expected))
     assert got == kron_resistance_reference(g, retain, list(expected))
     for pair, value in expected.items():
         assert got[pair] == pytest.approx(value, rel=1e-12)
@@ -277,12 +276,5 @@ def test_kron_resistance_threshold_splits_a_component():
     # Eliminating x leaves a-b at about 1e-14, below FILL_EPS times the
     # largest reduced entry, so a ends up alone in the reduced graph.
     g = load_graph("a\tx\t1e-14\nx\tb\nb\tc\n")
-    assert set(kron_reduce(g, ["a", "b", "c"]).weights) == {("b", "c")}
+    assert set(kron_reduced(g, ["a", "b", "c"]).weights) == {("b", "c")}
     check_against_reference(g, ["a", "b", "c"], {("a", "b"): math.inf, ("b", "c"): 1.0})
-
-
-def test_kron_resistance_unknown_retained_vertex():
-    with pytest.raises(DomainError):
-        _kron_resistance(load_graph("a\tb\n"), ["a", "zz"], [("a", "zz")])
-    with pytest.raises(DomainError):
-        _kron_resistance(load_graph("a\tb\nb\tc\n"), ["a", "c"], [("a", "b")])
