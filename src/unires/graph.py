@@ -43,7 +43,9 @@ class DomainError(ValueError):
 
 
 def _valid_name(token: str) -> bool:
-    return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token
+    """Non-empty, unpadded, without tab or newline, and not starting with
+    ``#``: such a name would turn its output lines into comments."""
+    return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token and token[0] != "#"
 
 
 def _check_names(names: Iterable[str]) -> None:

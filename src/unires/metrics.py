@@ -300,9 +300,12 @@ def degree_fit(g: Graph) -> DegreeFit:
     """Exponential tail fit of the total-degree distribution.
 
     Matches the empirical mean on ``[d_min, inf)``, giving the rate
-    ``1 / (mean - d_min)``.  Raises :class:`DegenerateFitError` when all
-    degrees coincide.
+    ``1 / (mean - d_min)``.  Raises :class:`~unires.graph.DomainError` for
+    an edgeless graph and :class:`DegenerateFitError` when all degrees
+    coincide.
     """
+    if g.edge_count == 0:
+        raise DomainError("degree fit needs at least one edge")
     degrees = sorted(g.degree(v) for v in g.vertices)
     if len(set(degrees)) < 2:
         raise DegenerateFitError("all degrees are equal; nothing to fit")

@@ -4,7 +4,8 @@ Directed weights are symmetrized as ``w_sym(u,v) = w(u,v) + w(v,u)`` before
 any spectral work, so the total reported connection strength is preserved.
 All solves are per connected component with one vertex grounded (the
 lexicographically smallest, i.e. the lowest dense id), which replaces the
-Moore-Penrose pseudoinverse at lower cost.
+Moore-Penrose pseudoinverse at lower cost.  The solves are LU
+factorizations from ``numpy.linalg``.
 
 Internally a network is a tuple of vertex names plus its undirected edges
 as index arrays ``i < j`` and weights ``w``, each pair once.  Every
@@ -20,9 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from .graph import DomainError, Edge, Graph
-
-# scipy.linalg is imported inside the functions that factorize: importing it
-# takes about 0.3 s, which commands without linear algebra should not pay.
 
 # Relative threshold below which a reduced-Laplacian entry counts as exact
 # cancellation rather than an edge.
@@ -92,8 +90,6 @@ def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     retained vertex contributes the thresholded Schur complement's upper
     triangle in row-major order.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     n = len(g.vertices)
     i, j, w = _edge_arrays(g)
     position = np.cumsum(keep) - 1  # index among the retained ids
@@ -110,16 +106,16 @@ def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         local_i, local_j = np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges])
         lap = _laplacian(len(members), local_i, local_j, w[edges])
         keep_idx, elim_idx = np.flatnonzero(kept), np.flatnonzero(~kept)
-        l_rr = lap[np.ix_(keep_idx, keep_idx)]
+        reduced = lap[np.ix_(keep_idx, keep_idx)]
         l_re = lap[np.ix_(keep_idx, elim_idx)]
         l_ee = lap[np.ix_(elim_idx, elim_idx)]
+        del lap
         try:
-            factor = cho_factor(l_ee)
-        except LinAlgError as exc:  # pragma: no cover - impossible for connected components
+            reduced -= l_re @ np.linalg.solve(l_ee, l_re.T)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for connected components
             first = [g.vertices[x] for x in members[:3]]
             raise NumericalError(f"singular elimination block in component {first}") from exc
-        reduced = l_rr - l_re @ cho_solve(factor, l_re.T)
-        threshold = FILL_EPS * float(np.abs(reduced).max())
+        threshold = FILL_EPS * max(float(reduced.max()), -float(reduced.min()))
         positive = np.triu(reduced > threshold, 1)
         if positive.any():  # pragma: no cover - Kron reduction keeps off-diagonals <= 0
             raise NumericalError(f"positive off-diagonal {reduced[positive][0]!r} in reduced Laplacian")
@@ -129,30 +125,14 @@ def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
-    """Inverse of the Laplacian grounded at index 0, re-embedded with a zero
-    row/column at the ground.  Symmetrized to make resistances exact under
-    argument swap."""
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-    n = lap.shape[0]
-    full = np.zeros((n, n))
-    if n > 1:
-        block = lap[1:, 1:]
-        try:
-            factor = cho_factor(block)
-        except LinAlgError as exc:  # pragma: no cover - SPD for connected components
-            raise NumericalError("singular grounded Laplacian block") from exc
-        inv = cho_solve(factor, np.eye(n - 1))
-        full[1:, 1:] = (inv + inv.T) / 2.0
-    return full
-
-
 def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Effective resistance between vertices ``a[p]`` and ``b[p]`` of the
     network on ``n`` vertices with edges ``(i, j, w)``: 0 for equal
     endpoints, ``inf`` across components.  Each component is grounded at
-    its lowest index."""
+    its lowest index, and ``R(x, y) = d[x] + d[y] - (inv[x, y] + inv[y, x])``
+    is read from the LU inverse of the grounded block, whose ground row and
+    column are 0: a sum of commuting terms, so ``R(x, y) == R(y, x)``
+    exactly."""
     labels = _components(n, i, j)
     out = np.where(a == b, 0.0, np.inf)
     solve = np.flatnonzero((a != b) & (labels[a] == labels[b]))
@@ -162,10 +142,15 @@ def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndar
         if not asked.size:
             continue
         lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
-        inv = _grounded_inverse(lap)
+        try:
+            inv = np.linalg.inv(lap[1:, 1:])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD for connected components
+            raise NumericalError("singular grounded Laplacian block") from exc
         asked = solve[asked]
         x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
-        out[asked] = inv[x, x] + inv[y, y] - 2.0 * inv[x, y]
+        diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
+        cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
+        out[asked] = diag[x] + diag[y] - cross
     return out
 
 

@@ -24,7 +24,7 @@ def load_graph_loop(text: str) -> Graph:
     it parsed whole documents: same checks, same messages, same order."""
 
     def valid(token: str) -> bool:
-        return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token
+        return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token and token[0] != "#"
 
     weights: dict[tuple[str, str], float] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -296,12 +296,23 @@ def components_sorted(g: Graph) -> list[tuple[str, ...]]:
     return [tuple(members) for _, members in sorted(groups.items())]
 
 
-def kron_reduce_loop(g: Graph, retain) -> Graph:
-    """Kron reduction one component at a time, with the Schur complement's
-    upper triangle read entry by entry; components whose vertices are all
-    retained keep their symmetrized edges."""
+def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a⁻¹ b`` through scipy's Cholesky factorization, the route the
+    package took before it used ``numpy.linalg`` alone."""
     from scipy.linalg import cho_factor, cho_solve
 
+    return cho_solve(cho_factor(a), b)
+
+
+def cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    return cholesky_solve(a, np.eye(len(a)))
+
+
+def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
+    """Kron reduction one component at a time, with the Schur complement's
+    upper triangle read entry by entry; components whose vertices are all
+    retained keep their symmetrized edges.  ``solve(a, b)`` gives ``a⁻¹ b``
+    for the eliminated block."""
     retain = set(retain)
     sym = symmetrized(g)
     out: dict[tuple[str, str], float] = {}
@@ -316,7 +327,7 @@ def kron_reduce_loop(g: Graph, retain) -> Graph:
         k = [i for i, v in enumerate(comp) if v in retain]
         e = [i for i, v in enumerate(comp) if v not in retain]
         l_re = lap[np.ix_(k, e)]
-        reduced = lap[np.ix_(k, k)] - l_re @ cho_solve(cho_factor(lap[np.ix_(e, e)]), l_re.T)
+        reduced = lap[np.ix_(k, k)] - l_re @ solve(lap[np.ix_(e, e)], l_re.T)
         threshold = 1e-12 * float(np.abs(reduced).max())
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
@@ -325,11 +336,10 @@ def kron_reduce_loop(g: Graph, retain) -> Graph:
     return Graph.from_edges(out, vertices=retain)
 
 
-def resistance_grounded(g: Graph, pairs) -> dict[tuple[str, str], float]:
-    """Effective resistance from the inverse of each component's Laplacian
-    grounded at its first member, symmetrized as ``(inv + inv.T) / 2``."""
-    from scipy.linalg import cho_factor, cho_solve
-
+def resistance_grounded(g: Graph, pairs, invert=np.linalg.inv) -> dict[tuple[str, str], float]:
+    """Effective resistance ``inv[i, i] + inv[j, j] - (inv[i, j] + inv[j, i])``
+    from ``invert`` applied to each component's Laplacian grounded at its
+    first member, re-embedded with a zero row and column at the ground."""
     comp_of = {v: comp for comp in components_sorted(g) for v in comp}
     inverses: dict[tuple[str, ...], np.ndarray] = {}
     out: dict[tuple[str, str], float] = {}
@@ -342,20 +352,21 @@ def resistance_grounded(g: Graph, pairs) -> dict[tuple[str, str], float]:
             out[(u, v)] = float("inf")
             continue
         if comp not in inverses:
-            inv = cho_solve(cho_factor(laplacian_loop(g, comp)[1:, 1:]), np.eye(len(comp) - 1))
             inverses[comp] = np.zeros((len(comp), len(comp)))
-            inverses[comp][1:, 1:] = (inv + inv.T) / 2.0
+            inverses[comp][1:, 1:] = invert(laplacian_loop(g, comp)[1:, 1:])
         full = inverses[comp]
         i, j = sorted((comp.index(u), comp.index(v)))
-        out[(u, v)] = float(full[i, i] + full[j, j] - 2.0 * full[i, j])
+        out[(u, v)] = float(full[i, i] + full[j, j] - (full[i, j] + full[j, i]))
     return out
 
 
-def kron_resistance_reference(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
+def kron_resistance_reference(g: Graph, retain, pairs, solve=np.linalg.solve,
+                              invert=np.linalg.inv) -> dict[tuple[str, str], float]:
     """The resistances Kron placement must reproduce bit for bit: those of
     the Kron-reduced network, built as a ``Graph`` and solved grounded,
-    written the slow way."""
-    return resistance_grounded(kron_reduce_loop(g, retain), pairs)
+    written the slow way.  With :func:`cholesky_solve` and
+    :func:`cholesky_inverse` it gives the package's former Cholesky route."""
+    return resistance_grounded(kron_reduce_loop(g, retain, solve), pairs, invert)
 
 
 def resistance_pinv(g: Graph, u: str, v: str) -> float:

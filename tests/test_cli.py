@@ -407,10 +407,18 @@ def test_python_dash_m_runs_the_cli(module):
     assert "required" in done.stderr
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    done = _python("-c", "import sys, unires.cli; print('scipy.linalg' in sys.modules)")
+def test_kron_convert_and_resistance_load_no_scipy(tmp_path):
+    gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
+    script = (
+        "import sys; from unires.cli import main\n"
+        "codes = [main(['convert', '--graph', sys.argv[1], '--hierarchy', sys.argv[2], '--method', 'kron',"
+        " '--out', sys.argv[3]]), main(['resistance', '--graph', sys.argv[1]])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = _python("-c", script, gp, hp, str(tmp_path / "kron"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "kron" / "network.tsv").read_text()
 
 
 def test_metrics_command(tmp_path):
@@ -434,6 +442,18 @@ def test_metrics_single_edge(tmp_path):
     report = json.loads((out / "metrics.json").read_text())
     assert report["characteristic_path_length"] == 1.0
     assert report["diameter"] == 1
+
+
+def test_hash_name_fails_with_its_line_instead_of_vanishing_from_the_output(tmp_path, capsys):
+    # Accepted, "#b" would lead two lines of network.tsv, which every
+    # later parse would skip as comments.
+    gp, hp = write_pair(tmp_path, "P\tQ\n", "R\tP\nR\tQ\nP\t#b\nP\tc\nQ\tq\nQ\tr\n")
+    argv = ["convert", "--graph", gp, "--hierarchy", hp, "--method", "inherit", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: line 3: invalid vertex name '#b'\n"
+    gp, _ = write_pair(tmp_path, "P\tQ\nQ\t#b\n")
+    assert main(["metrics", "--graph", gp, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == "error: line 2: invalid vertex name '#b'\n"
 
 
 def test_metrics_edgeless_graph_fails(tmp_path):
@@ -519,6 +539,14 @@ def test_degree_fit_command(tmp_path):
     assert rows[0] == "degree,ccdf_empirical,ccdf_fitted"
     empirical = [float(r.split(",")[1]) for r in rows[1:]]
     assert empirical == sorted(empirical, reverse=True)
+
+
+@pytest.mark.parametrize("command", ["metrics", "centrality", "degree-fit"])
+def test_edgeless_graph_exits_2_for_every_analysis(tmp_path, capsys, command):
+    gp, hp = write_pair(tmp_path, "# no edges\n")
+    assert main([command, "--graph", gp, "--out", str(tmp_path / "a")]) == 2
+    assert main([command, "--graph", gp, "--hierarchy", hp, "--out", str(tmp_path / "b")]) == 2
+    assert "at least one edge" in capsys.readouterr().err
 
 
 def test_degree_fit_degenerate_exits_3(tmp_path):

@@ -71,6 +71,21 @@ def test_load_graph_line_numbers_and_field_errors():
         load_graph("a \tb\n")  # trailing whitespace in a name
 
 
+def test_names_starting_with_hash_are_rejected():
+    # Such a name could lead an output line, which a parse reads back as a
+    # comment.
+    with pytest.raises(ParseError, match="invalid vertex name '#b'") as err:
+        load_graph("a\tb\nb\t#b\n")
+    assert err.value.line == 2
+    g = load_graph("P\tQ\n")
+    with pytest.raises(ParseError, match="invalid vertex name '#b'") as err:
+        load_hierarchy("R\tP\nR\tQ\nP\t#b\nP\tc\nQ\tq\nQ\tr\n", g)
+    assert err.value.line == 3
+    with pytest.raises(ValidationError, match="'#b'"):
+        Graph.from_edges({("a", "#b"): 1.0})
+    assert load_graph("a\tb#\n").vertices == ("a", "b#")
+
+
 def test_load_graph_comments_and_blank_lines():
     g = load_graph("# header\n\na\tb\n")
     assert g.weights == {("a", "b"): 1.0}

@@ -346,6 +346,11 @@ def test_degree_fit_ccdf_shape():
     assert fit.lam > 0
 
 
+def test_degree_fit_edgeless_rejected():
+    with pytest.raises(DomainError):
+        degree_fit(Graph.from_edges({}, vertices=["a", "b"]))
+
+
 def test_degree_fit_degenerate_cases():
     with pytest.raises(DegenerateFitError):
         degree_fit(load_graph("a\tb\n"))

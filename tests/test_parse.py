@@ -78,6 +78,7 @@ BAD_LINES = {
     "empty name": "\tb",
     "name with a leading space": " a\tb",
     "name with a trailing space": "a\tb \t1",
+    "target starting with #": "a\t#b",
     "self-loop": "a\ta\t1",
     "zero": "a\tb\t0",
     "negative": "a\tb\t-1",

@@ -8,7 +8,16 @@ from unires.graph import DomainError, Graph, ValidationError, load_graph, load_h
 from unires.resolution import inherit, kron_sampling
 from unires.spectral import _edge_arrays, _laplacian, effective_resistance
 
-from oracles import kron_reduce_loop, kron_resistance_reference, laplacian_loop, resistance_pinv, symmetrized
+from oracles import (
+    cholesky_inverse,
+    cholesky_solve,
+    kron_reduce_loop,
+    kron_resistance_reference,
+    laplacian_loop,
+    resistance_grounded,
+    resistance_pinv,
+    symmetrized,
+)
 from conftest import kron_reduced, kron_resistances, names, random_connected_weighted, random_pair
 
 
@@ -278,3 +287,69 @@ def test_kron_resistance_threshold_splits_a_component():
     g = load_graph("a\tx\t1e-14\nx\tb\nb\tc\n")
     assert set(kron_reduced(g, ["a", "b", "c"]).weights) == {("b", "c")}
     check_against_reference(g, ["a", "b", "c"], {("a", "b"): math.inf, ("b", "c"): 1.0})
+
+
+# --- LU numerics: close to the Cholesky route, symmetric, exact at the ground --
+
+
+def assert_close_to_cholesky(g, retain, pairs):
+    """Kron resistances within 1e-12 (relative) of those of the former
+    scipy Cholesky route, with the same zeros and infinities."""
+    got = kron_resistances(g, retain, pairs)
+    old = kron_resistance_reference(g, retain, pairs, cholesky_solve, cholesky_inverse)
+    for pair in pairs:
+        if old[pair] in (0.0, math.inf):
+            assert got[pair] == old[pair]
+        else:
+            assert got[pair] == pytest.approx(old[pair], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("branching", [False, True])
+def test_kron_resistance_near_cholesky_route_random(branching):
+    for seed in range(150):
+        rng = random.Random(seed)
+        g, t = random_pair(rng, rng.randrange(4, 40), branching=branching)
+        assert_close_to_cholesky(g, *kron_inputs(g, t))
+
+
+def test_kron_resistance_near_cholesky_route_weighted():
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_connected_weighted(rng, rng.randrange(3, 30))
+        retain = rng.sample(list(g.vertices), rng.randrange(1, len(g.vertices)))
+        assert_close_to_cholesky(g, retain, [(u, v) for u in retain for v in retain])
+
+
+def test_resistance_is_symmetric_bit_for_bit():
+    rng = random.Random(43)
+    asymmetric = 0
+    for _ in range(30):
+        g = random_connected_weighted(rng, rng.randrange(3, 30))
+        inv = np.linalg.inv(laplacian(g)[1:, 1:])
+        asymmetric += not np.array_equal(inv, inv.T)
+        vs = list(g.vertices)
+        r = effective_resistance(g, [(u, v) for u in vs for v in vs])
+        assert all(r[(u, v)] == r[(v, u)] for u in vs for v in vs)
+        retain = rng.sample(vs, rng.randrange(2, len(vs) + 1))
+        k = kron_resistances(g, retain, [(u, v) for u in retain for v in retain])
+        assert all(k[(u, v)] == k[(v, u)] for u in retain for v in retain)
+    assert asymmetric >= 10  # the LU inverse is not symmetric, the read must be
+
+
+def test_resistance_to_the_ground_vertex():
+    # Each component is grounded at its first name: "a" and "p".
+    g = load_graph("a\tb\t2\nb\tc\nc\ta\t0.5\np\tq\t4\nq\tr\n")
+    pairs = [("a", "b"), ("c", "a"), ("a", "c"), ("p", "r"), ("q", "p"), ("a", "p")]
+    got = effective_resistance(g, pairs)
+    assert got == resistance_grounded(g, pairs)
+    assert got[("a", "c")] == got[("c", "a")]
+    assert got[("a", "p")] == math.inf
+    assert got[("p", "r")] == pytest.approx(1.25, rel=1e-12)
+    assert got[("q", "p")] == pytest.approx(0.25, rel=1e-12)
+    for u, v in pairs[:-1]:
+        assert got[(u, v)] == pytest.approx(resistance_pinv(g, u, v), rel=1e-12)
+    # In a reduction, the ground is the first retained name: "b" once "a" goes.
+    pairs = [("b", "c"), ("c", "b"), ("b", "d"), ("c", "d")]
+    g = load_graph("a\tb\na\tc\nb\tc\t3\nc\td\n")
+    check_against_reference(g, ["b", "c", "d"], {("b", "c"): 2.0 / 7.0, ("c", "b"): 2.0 / 7.0,
+                                                  ("b", "d"): 9.0 / 7.0, ("c", "d"): 1.0})
