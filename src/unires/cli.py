@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .graph import (
@@ -25,6 +29,7 @@ from .graph import (
     Hierarchy,
     ParseError,
     ValidationError,
+    _pairs,
     load_graph,
     load_hierarchy,
     serialize_graph,
@@ -141,6 +146,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv(rows: list[list]) -> str:
+    """``rows`` as CSV, quoting only names that hold a comma or a quote."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _metrics_text(report) -> str:
     rows = [
         ("vertices", str(report.vertex_count)),
@@ -178,15 +190,12 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     table = centrality_suite(graph, pagerank_damping=args.pagerank_damping)
     ranked = top_k(table, args.top_k)
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["centrality.csv", "top_k.csv"])
-    lines = ["vertex," + ",".join(CENTRALITY_METRICS)]
-    for v in table.vertices:
-        lines.append(v + "," + ",".join(_fmt(table.scores[m][v]) for m in CENTRALITY_METRICS))
-    _write(outdir / "centrality.csv", "\n".join(lines) + "\n")
-    lines = ["metric,rank,vertex,score"]
-    for metric in CENTRALITY_METRICS:
-        for rank, name, score in ranked[metric]:
-            lines.append(f"{metric},{rank},{name},{_fmt(score)}")
-    _write(outdir / "top_k.csv", "\n".join(lines) + "\n")
+    rows = [["vertex", *CENTRALITY_METRICS]]
+    rows += ([v, *(_fmt(table.scores[m][v]) for m in CENTRALITY_METRICS)] for v in table.vertices)
+    _write(outdir / "centrality.csv", _csv(rows))
+    rows = [["metric", "rank", "vertex", "score"]]
+    rows += ([metric, rank, name, _fmt(score)] for metric in CENTRALITY_METRICS for rank, name, score in ranked[metric])
+    _write(outdir / "top_k.csv", _csv(rows))
     return 0
 
 
@@ -195,11 +204,11 @@ def cmd_spyplot(args: argparse.Namespace) -> int:
     preorder = hierarchy.dfs_preorder()
     ordering = [v for v in preorder if not hierarchy.is_leaf(v)]
     ordering += [v for v in preorder if hierarchy.is_leaf(v)]
-    position = {v: i for i, v in enumerate(ordering)}
-    cells = sorted((position[u], position[v]) for u, v in graph.weights)
+    pos = np.argsort([hierarchy.index[v] for v in ordering])  # by vertex id, its place in the ordering
+    rows, cols = np.divmod(np.sort(pos[graph.src] * len(pos) + pos[graph.dst]), len(pos))
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["ordering.txt", "spy.tsv"])
     _write(outdir / "ordering.txt", "\n".join(ordering) + ("\n" if ordering else ""))
-    _write(outdir / "spy.tsv", "\n".join(f"{r}\t{c}" for r, c in cells) + ("\n" if cells else ""))
+    _write(outdir / "spy.tsv", "".join(map("{}\t{}\n".format, rows.tolist(), cols.tolist())))
     return 0
 
 
@@ -207,10 +216,9 @@ def cmd_degree_fit(args: argparse.Namespace) -> int:
     graph = _load_graph_for_analysis(args)
     fit = degree_fit(graph)
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["ccdf.csv", "fit.json"])
-    lines = ["degree,ccdf_empirical,ccdf_fitted"]
-    for degree, empirical, fitted in fit.ccdf_points:
-        lines.append(f"{degree},{_fmt(empirical)},{_fmt(fitted)}")
-    _write(outdir / "ccdf.csv", "\n".join(lines) + "\n")
+    rows = [["degree", "ccdf_empirical", "ccdf_fitted"]]
+    rows += ([degree, _fmt(empirical), _fmt(fitted)] for degree, empirical, fitted in fit.ccdf_points)
+    _write(outdir / "ccdf.csv", _csv(rows))
     summary = {
         "lambda": fit.lam,
         "d_min": fit.d_min,
@@ -223,7 +231,8 @@ def cmd_degree_fit(args: argparse.Namespace) -> int:
 
 def cmd_resistance(args: argparse.Namespace) -> int:
     graph = load_graph(_read(args.graph))
-    pairs = sorted({(min(u, v), max(u, v)) for u, v in graph.weights})
+    lo, hi = np.minimum(graph.src, graph.dst), np.maximum(graph.src, graph.dst)  # ids follow name order
+    pairs = _pairs(graph.vertices, np.unique(lo * len(graph.vertices) + hi))
     values = effective_resistance(graph, pairs)
     for u, v in pairs:
         r = values[(u, v)]

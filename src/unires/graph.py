@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -54,78 +54,89 @@ def _check_names(names: Iterable[str]) -> None:
             raise ValidationError(f"invalid vertex name {name!r}")
 
 
-@dataclass(frozen=True)
+def _pairs(names: tuple[str, ...], keys: np.ndarray) -> list[Edge]:
+    """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``."""
+    s, d = np.divmod(keys, len(names))
+    return list(zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A directed weighted graph without self-loops or parallel edges.
 
     ``vertices`` is the full vertex universe in sorted order; the position
-    of a name in it is the vertex's dense integer id.  Vertices without any
-    incident edge are allowed (hierarchy-only container vertices).
-    Instances are immutable after construction; treat ``weights`` as
-    read-only.
+    of a name in it is the vertex's dense integer id.  Edge ``k`` runs from
+    ``src[k]`` to ``dst[k]`` with weight ``w[k]``; the constructor checks
+    them and stores read-only copies.  Vertices without any incident edge
+    are allowed (hierarchy-only container vertices).  Two graphs are equal
+    when they have the same vertices and the same weight on each edge,
+    whatever the edge order; graphs are not hashable.
     """
 
     vertices: tuple[str, ...]
-    weights: dict[Edge, float]
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", ordered)
-        _check_names(ordered)
-        universe = set(ordered)
-        plain: dict[Edge, float] = {}
-        for (u, v), w in self.weights.items():
-            if u == v:
-                raise ValidationError(f"self-loop at {u!r}")
-            if u not in universe or v not in universe:
-                raise ValidationError(f"edge ({u!r}, {v!r}) outside the vertex set")
-            if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
-                raise ValidationError(f"edge ({u!r}, {v!r}) has non-positive weight {w!r}")
-            plain[(u, v)] = float(w)
-        object.__setattr__(self, "weights", plain)
-
-    @classmethod
-    def _trusted(cls, vertices: tuple[str, ...], weights: dict[Edge, float], arrays=None) -> "Graph":
-        """A graph from parts the package has checked itself, so not checked
-        again; ``arrays``, when given, must equal what the property computes."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertices", vertices)
-        object.__setattr__(graph, "weights", weights)
-        if arrays is not None:
-            graph.__dict__["arrays"] = arrays
-        return graph
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        for name, dtype in (("src", np.int64), ("dst", np.int64), ("w", np.float64)):
+            given = np.asarray(getattr(self, name))
+            if given.size and not np.can_cast(given.dtype, dtype, "same_kind"):
+                raise ValidationError(f"{name} holds {given.dtype}, not {np.dtype(dtype)}")
+            object.__setattr__(self, name, given.astype(dtype))
+            getattr(self, name).flags.writeable = False
+        names, src, dst, w, n = self.vertices, self.src, self.dst, self.w, len(self.vertices)
+        if not (w.ndim == 1 and src.shape == dst.shape == w.shape):
+            raise ValidationError("src, dst and w must be 1-D arrays of one length")
+        _check_names(names)
+        if any(a >= b for a, b in zip(names, names[1:])):
+            raise ValidationError("vertices must be sorted and distinct")
+        if not ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all():
+            raise ValidationError(f"edge id outside the {n} vertex ids")
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            raise ValidationError(f"self-loop at {names[src[loops[0]]]!r}")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+        if len(bad):
+            u, v, x = names[src[bad[0]]], names[dst[bad[0]]], w[bad[0]].item()
+            raise ValidationError(f"edge ({u!r}, {v!r}) has non-positive weight {x!r}")
+        keys = np.sort(src * n + dst)
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(repeated):
+            u, v = divmod(int(keys[repeated[0]]), n)
+            raise ValidationError(f"parallel edges ({names[u]!r}, {names[v]!r})")
 
     @classmethod
     def from_edges(cls, weights: Mapping[Edge, float], vertices: Iterable[str] = ()) -> "Graph":
-        """Build a graph from a weight map; the universe is the union of the
-        given vertices and all edge endpoints."""
-        universe = set(vertices)
-        for u, v in weights:
-            universe.add(u)
-            universe.add(v)
-        return cls(tuple(sorted(universe)), dict(weights))
+        """Build a graph from a weight map, with edges in its order; the
+        universe is the union of the given vertices and all edge endpoints."""
+        names = tuple(sorted(set(vertices).union(*weights)))
+        index = {v: i for i, v in enumerate(names)}
+        return cls(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.weights == other.weights
+
+    @cached_property
+    def weights(self) -> dict[Edge, float]:
+        """The edges as a name-pair → weight map in edge order, built on
+        first use; treat it as read-only."""
+        return dict(zip(_pairs(self.vertices, self.src * len(self.vertices) + self.dst), self.w.tolist()))
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every edge as ``(src, dst, w)``: dense ids and weights, in
-        ``weights`` insertion order.  Treat the arrays as read-only."""
-        idx, m = self.index, len(self.weights)
-        src = np.fromiter((idx[u] for u, _ in self.weights), dtype=np.int64, count=m)
-        dst = np.fromiter((idx[v] for _, v in self.weights), dtype=np.int64, count=m)
-        return src, dst, np.fromiter(self.weights.values(), dtype=float, count=m)
-
-    @cached_property
     def _degrees(self) -> list[int]:
-        src, dst, _ = self.arrays
-        return np.bincount(np.concatenate((src, dst)), minlength=len(self.vertices)).tolist()
+        return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.vertices)).tolist()
 
     @property
     def edge_count(self) -> int:
-        return len(self.weights)
+        return len(self.w)
 
     def has_vertex(self, v: str) -> bool:
         return v in self.index
@@ -138,18 +149,12 @@ class Graph:
         return tuple(compress(self.vertices, self._degrees))
 
     def with_vertices(self, extra: Iterable[str]) -> "Graph":
-        """Same edges over a universe extended by ``extra`` names.
-
-        Only the added names are validated: the edges were checked when
-        this graph was built.
-        """
-        added = sorted(set(extra).difference(self.vertices))
-        _check_names(added)
-        vertices = tuple(sorted((*self.vertices, *added)))
+        """The same edges, in the same order, over a universe extended by
+        ``extra`` names."""
+        vertices = tuple(sorted(set(self.vertices).union(extra)))
         index = {v: i for i, v in enumerate(vertices)}
         new_id = np.fromiter(map(index.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
-        src, dst, w = self.arrays
-        return Graph._trusted(vertices, dict(self.weights), (new_id[src], new_id[dst], w))
+        return Graph(vertices, new_id[self.src], new_id[self.dst], self.w)
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,10 @@ class Hierarchy:
         if len(order) != len(ordered):
             stranded = sorted(universe.difference(order))
             raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.root!r}")
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
@@ -282,17 +291,17 @@ def load_graph(text: str) -> Graph:
         w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m) if k == 3 else np.ones(m)
     except ValueError:
         return _load_graph_lines(text)
-    if not (all(map(_valid_name, names)) and (s != d).all() and np.isfinite(w).all() and (w > 0).all()):
+    if not (w > 0).all():  # before summing, which could hide a bad weight
         return _load_graph_lines(text)
     keys, first, inverse = np.unique(s * len(names) + d, return_index=True, return_inverse=True)
     if len(keys) < m:  # sum duplicate lines in line order; keep keys in order of first appearance
         order = np.argsort(first)
         w = np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(keys))
-        if np.isinf(w).any():
-            return _load_graph_lines(text)
-        first = first[order].tolist()
-        s, d, src, dst = s[first], d[first], list(map(src.__getitem__, first)), list(map(dst.__getitem__, first))
-    return Graph._trusted(tuple(names), dict(zip(zip(src, dst), w.tolist())), (s, d, w))
+        s, d = s[first[order]], d[first[order]]
+    try:  # names, self-loops, and sums that overflow
+        return Graph(tuple(names), s, d, w)
+    except ValidationError:
+        return _load_graph_lines(text)
 
 
 def _load_graph_lines(text: str) -> Graph:
@@ -352,15 +361,13 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
         raise ValidationError("no root vertex: parent links form a cycle")
     if len(roots) > 1:
         raise ValidationError(f"multiple roots: {roots}")
-    for v in graph.vertices:
-        if v not in universe:
-            raise ValidationError(f"graph vertex {v!r} missing from the hierarchy")
+    check_pair(graph, universe)
     return Hierarchy(tuple(sorted(universe)), parent, roots[0])
 
 
 def serialize_graph(g: Graph) -> str:
     """Canonical edge-list text: sorted lines, explicit weights."""
-    src, dst, w = g.arrays
+    src, dst, w = g.src, g.dst, g.w
     order = np.argsort(src * len(g.vertices) + dst)  # ids follow name order, so this is name-pair order
     names, edges = g.vertices, zip(src[order].tolist(), dst[order].tolist(), w[order].tolist())
     lines = [f"{names[u]}\t{names[v]}\t{x!r}" for u, v, x in edges]
@@ -373,9 +380,8 @@ def serialize_hierarchy(h: Hierarchy) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def check_pair(g: Graph, t: Hierarchy) -> None:
-    """Every graph vertex must sit in the hierarchy."""
-    tree = set(t.vertices)
+def check_pair(g: Graph, tree: Container[str]) -> None:
+    """Every graph vertex must sit in the hierarchy whose vertex names are ``tree``."""
     for v in g.vertices:
         if v not in tree:
             raise ValidationError(f"graph vertex {v!r} missing from the hierarchy")

@@ -83,7 +83,7 @@ class DegreeFit:
 
 def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense 0/1 adjacency and sorted-row CSR ``(indptr, indices)`` over dense ids."""
-    src, dst, _ = g.arrays
+    src, dst = g.src, g.dst
     n = len(g.vertices)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
     indices = dst[np.argsort(src * n + dst)]

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
-from .graph import DomainError, Edge, Graph, Hierarchy, check_pair
+from .graph import DomainError, Edge, Graph, Hierarchy, _pairs, check_pair
 from .spectral import _kron_resistance
 
 GUARD_MODES = ("any", "directed")
@@ -59,40 +60,36 @@ class ResolutionResult:
         return {e: frozenset(srcs) for e, srcs in sources.items()}
 
 
-def _pairs(names: tuple[str, ...], keys: np.ndarray) -> list[Edge]:
-    """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``."""
-    s, d = np.divmod(keys, len(names))
-    return list(zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist())))
-
-
-def _network(t: Hierarchy, keys: np.ndarray, pairs: list[Edge], w: np.ndarray) -> Graph:
-    """Edges ``pairs`` (keyed ``keys``) weighted ``w`` over ``t.vertices``,
-    all made and checked here, so not validated again."""
-    # astype: np.bincount returns int64 when it has nothing to count.
-    return Graph._trusted(t.vertices, dict(zip(pairs, w.tolist())), (*np.divmod(keys, len(t.vertices)), w.astype(float)))
+def _edge_keys(g: Graph, t: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``g`` keyed ``id(u) * n + id(v)``, ids indexing the
+    name-ordered ``t.vertices``, in ascending key order (which is name-pair
+    order), and its weight."""
+    check_pair(g, t.index)
+    tree_id = np.fromiter(map(t.index.__getitem__, g.vertices), dtype=np.int64, count=len(g.vertices))
+    keys = tree_id[g.src] * len(t.vertices) + tree_id[g.dst]
+    order = np.argsort(keys)
+    return keys[order], g.w[order]
 
 
 def _leaf_pairs(g: Graph, t: Hierarchy):
-    """Every input edge, in sorted order, expanded by index arithmetic on
-    :attr:`Hierarchy.leaf_ranges` to the leaf pairs ``(s, d)`` under it.
+    """Every input edge, in :func:`_edge_keys` order, expanded by index
+    arithmetic on :attr:`Hierarchy.leaf_ranges` to the leaf pairs ``(s, d)``
+    under it.
 
-    A pair is keyed ``id(s) * n + id(d)``, ids indexing the name-ordered
-    ``t.vertices``, so keys sort like name pairs.  Returns the edges, their
-    weights; per listed off-diagonal pair its edge index, key and index into
-    the distinct ascending keys ``pairs``; per distinct pair its weight
-    summed in sorted-edge order, as a loop over the edges would; and per
-    edge its number of diagonal pairs (``s == d``).
+    A pair is keyed ``id(s) * n + id(d)`` like the edges, so keys sort like
+    name pairs.  Returns the edge keys, their weights; per listed
+    off-diagonal pair its edge index, key and index into the distinct
+    ascending keys ``pairs``; per distinct pair its weight summed in
+    sorted-edge order, as a loop over the edges would; and per edge its
+    number of diagonal pairs (``s == d``).
     """
-    check_pair(g, t)
+    edges, weights = _edge_keys(g, t)
     names = t.vertices
     n = len(names)
-    edges = sorted(g.weights)
-    weights = np.fromiter((g.weights[e] for e in edges), dtype=float, count=len(edges))
     leaves, ranges = t.leaf_ranges
-    index = {v: i for i, v in enumerate(names)}
-    ids = np.fromiter((index[v] for v in leaves), dtype=np.int64, count=len(leaves))
-    bounds = np.array([ranges[u] + ranges[v] for u, v in edges], dtype=np.int64).reshape(-1, 4)
-    lo_u, hi_u, lo_v, hi_v = bounds.T
+    ids = np.fromiter(map(t.index.__getitem__, leaves), dtype=np.int64, count=len(leaves))
+    bounds = np.array([ranges[v] for v in names], dtype=np.int64).T  # per vertex id: lo, hi
+    (lo_u, hi_u), (lo_v, hi_v) = bounds[:, edges // n], bounds[:, edges % n]
     cols = hi_v - lo_v
     sizes = (hi_u - lo_u) * cols
     edge = np.repeat(np.arange(len(edges)), sizes)
@@ -120,8 +117,8 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     logged.  The hierarchy is unchanged.  A sum that overflows float64
     raises :class:`~unires.graph.DomainError`.
     """
-    edges, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(g, t)
-    out_edges = _pairs(t.vertices, pairs)
+    keys, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(g, t)
+    edges, out_edges = _pairs(t.vertices, keys), _pairs(t.vertices, pairs)
     by_pair = np.argsort(inverse, kind="stable")  # links by output pair, then input edge
     links = list(zip(map(out_edges.__getitem__, inverse[by_pair].tolist()), map(edges.__getitem__, edge[by_pair].tolist())))
     with np.errstate(over="ignore"):
@@ -130,7 +127,7 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
         u, v = edges[int(np.flatnonzero(~np.isfinite(lost))[0])]
         raise DomainError(f"dropped diagonal weight of edge ({u!r}, {v!r}) overflows float64")
     dropped = {edges[i]: float(lost[i]) for i in np.flatnonzero(diagonal).tolist()}
-    return ResolutionResult(_network(t, pairs, out_edges, sums), t, links, dropped)
+    return ResolutionResult(Graph(t.vertices, *np.divmod(pairs, len(t.vertices)), sums), t, links, dropped)
 
 
 def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
@@ -157,24 +154,24 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     anchor, so anchors become leaves; untouched silent vertices keep the
     tree connected.
     """
-    check_pair(g, t)
+    keys, weights = _edge_keys(g, t)
+    names, n = t.vertices, len(t.vertices)
     anchors = _anchors(g, t)
-    out: dict[Edge, float] = {}
-    links: list[tuple[Edge, Edge]] = []
-    dropped: dict[Edge, float] = {}
-    for (u, v), w in sorted(g.weights.items()):
-        a, b = anchors[u], anchors[v]
-        if a == b:
-            dropped[(u, v)] = w
-            continue
-        total = out.get((a, b), 0.0) + w
-        if math.isinf(total):
-            raise DomainError(f"summed weight of edge ({a!r}, {b!r}) overflows float64")
-        out[(a, b)] = total
-        links.append(((a, b), (u, v)))
-    hierarchy = t.restricted_to([v for v in t.vertices if anchors.get(v, v) == v])
-    # The anchors are kept, so the kept tree's vertices are the universe.
-    return ResolutionResult(Graph._trusted(hierarchy.vertices, out), hierarchy, links, dropped)
+    anchor = np.fromiter((t.index[anchors.get(v, v)] for v in names), dtype=np.int64, count=n)
+    a, b = anchor[keys // n], anchor[keys % n]
+    kept = a != b
+    out, inverse = np.unique(a[kept] * n + b[kept], return_inverse=True)
+    sums = np.bincount(inverse, weights=weights[kept], minlength=len(out))
+    if not np.isfinite(sums).all():
+        u, v = _pairs(names, out[~np.isfinite(sums)])[0]
+        raise DomainError(f"summed weight of edge ({u!r}, {v!r}) overflows float64")
+    edges, out_edges = _pairs(names, keys), _pairs(names, out)
+    links = list(zip(map(out_edges.__getitem__, inverse.tolist()), compress(edges, kept)))
+    dropped = dict(zip(compress(edges, ~kept), weights[~kept].tolist()))
+    keep = anchor == np.arange(n)
+    hierarchy = t.restricted_to(compress(names, keep))
+    new_id = np.cumsum(keep) - 1  # the anchors are kept, and the kept vertices are the universe
+    return ResolutionResult(Graph(hierarchy.vertices, new_id[out // n], new_id[out % n], sums), hierarchy, links, dropped)
 
 
 def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
@@ -185,11 +182,17 @@ def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
     break lexicographically by (source, target).  ``descending=False``
     inverts the depth ordering for sensitivity analysis.
     """
-    check_pair(g, t)
+    keys, _ = _edge_keys(g, t)
+    return _pairs(t.vertices, keys[_depth_order(keys, t, descending)])
+
+
+def _depth_order(keys: np.ndarray, t: Hierarchy, descending: bool) -> np.ndarray:
+    """The positions of the ascending edge keys ``keys`` (see
+    :func:`_edge_keys`) in :func:`edge_order`'s order."""
     depth = dict(zip(t.dfs_preorder(), t._preorder[1]))
-    edges = sorted(g.weights)
-    edges.sort(key=lambda e: depth[e[0]] * depth[e[1]], reverse=descending)
-    return edges
+    by_id = np.fromiter(map(depth.__getitem__, t.vertices), dtype=np.int64, count=len(t.vertices))
+    product = by_id[keys // len(t.vertices)] * by_id[keys % len(t.vertices)]
+    return np.argsort(-product if descending else product, kind="stable")
 
 
 def _masses(resistance: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -233,7 +236,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     """
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
-    edges, _, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
+    edges, weights, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
     if g.vertices != names:  # give g the tree's ids
         g = g.with_vertices(names)
@@ -254,27 +257,26 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     winner = np.zeros(len(edges), dtype=np.int64)
     winner[edge[heads]] = np.where(best > 0.0, by_mass, by_count)
 
-    position = {e: i for i, e in enumerate(edges)}
     keys, winners, bounds = key.tolist(), winner.tolist(), bounds.tolist()
     reverse = (key % n * n + key // n).tolist() if guard == "any" else None
-    placed: dict[int, list[Edge]] = {}  # output pair key -> input edges, in placement order
-    dropped: dict[Edge, float] = {}
-    for u, v in edge_order(g, t, descending=descending):
-        i = position[(u, v)]
+    placed: dict[int, list[int]] = {}  # output pair key -> input edge positions, in placement order
+    dropped: list[int] = []
+    for i in _depth_order(edges, t, descending).tolist():
         a, b = bounds[i], bounds[i + 1]
         if a == b:
             # Both endpoints sit above the same single leaf; nothing off the
             # diagonal can represent this edge.
-            dropped[(u, v)] = g.weights[(u, v)]
+            dropped.append(i)
             continue
         blockers = placed.keys() & keys[a:b]
         if reverse is not None:
             blockers |= placed.keys() & reverse[a:b]
         if blockers:
-            placed[min(blockers)].append((u, v))
+            placed[min(blockers)].append(i)
         else:
-            placed[winners[i]] = [(u, v)]
-    chosen_keys = np.array(list(placed), dtype=np.int64)
-    chosen = _pairs(names, chosen_keys)
-    links = [(pair, e) for pair, sources in zip(chosen, placed.values()) for e in sources]
-    return ResolutionResult(_network(t, chosen_keys, chosen, np.ones(len(chosen))), t, links, dropped)
+            placed[winners[i]] = [i]
+    chosen = np.array(list(placed), dtype=np.int64)
+    inputs, outputs = _pairs(names, edges), _pairs(names, chosen)
+    links = [(pair, inputs[i]) for pair, sources in zip(outputs, placed.values()) for i in sources]
+    lost = dict(zip(map(inputs.__getitem__, dropped), weights[dropped].tolist()))
+    return ResolutionResult(Graph(names, *np.divmod(chosen, n), np.ones(len(chosen))), t, links, lost)

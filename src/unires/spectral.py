@@ -35,7 +35,7 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The symmetrized network as dense ids ``i < j`` and weights
     ``0.0 + w(u,v) + w(v,u)`` summed in edge order, each pair once, in the
     order in which it first appears among ``g``'s edges."""
-    src, dst, w = g.arrays
+    src, dst, w = g.src, g.dst, g.w
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     _, first, inverse = np.unique(lo * len(g.vertices) + hi, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct pairs, by first appearance

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import unires.cli
 from unires.cli import main
 from unires.graph import Graph, load_graph, serialize_graph, serialize_hierarchy
-
+from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 from unires.spectral import _edge_arrays, _laplacian
 
@@ -485,6 +487,22 @@ def test_centrality_command(tmp_path):
     assert len(full) == 5
 
 
+def test_csv_rows_keep_names_with_commas_and_quotes_in_one_field(tmp_path):
+    gp = tmp_path / "g.tsv"
+    gp.write_text('a,b\tc\t1\nc\td"x\t2\n')
+    out = tmp_path / "c"
+    assert main(["centrality", "--graph", str(gp), "--out", str(out)]) == 0
+    with open(out / "centrality.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9] * 4
+    assert [row[0] for row in rows[1:]] == ["a,b", "c", 'd"x']
+    assert rows[1][1] == "0.0"  # in_degree of 'a,b'
+    with open(out / "top_k.csv", newline="", encoding="utf-8") as fh:
+        top = list(csv.reader(fh))
+    assert {len(row) for row in top} == {4}
+    assert {row[2] for row in top[1:]} == {"a,b", "c", 'd"x'}
+
+
 def test_centrality_path_count_overflow_exits_3(tmp_path, capsys):
     # 54 diamonds in series: 2**54 shortest paths from the first junction to the last.
     lines = [f"j{i}\t{s}{i}\n{s}{i}\tj{i + 1}\n" for i in range(54) for s in "ab"]
@@ -577,3 +595,21 @@ def test_format_closure_end_to_end(tmp_path):
         assert main(["spyplot", "--graph", network, "--hierarchy", tree, "--out", str(conv / "s")]) == 0
         # Conversions of conversions parse cleanly too.
         assert main(["convert", "--graph", network, "--hierarchy", tree, "--method", method, "--out", str(conv / "again")]) == 0
+
+
+def test_analysis_never_builds_the_name_keyed_weights(tmp_path, monkeypatch):
+    g = load_graph(RICH_GRAPH)
+    metrics_report(g)
+    centrality_suite(g)
+    degree_fit(g)
+    assert "weights" not in g.__dict__
+    loaded = []
+    load_pair = unires.cli._load_pair
+    monkeypatch.setattr(unires.cli, "_load_pair", lambda *texts: loaded.append(load_pair(*texts)) or loaded[-1])
+    gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
+    assert main(["spyplot", "--graph", gp, "--hierarchy", hp, "--out", str(tmp_path / "spy")]) == 0
+    graph, tree = loaded[0]
+    assert "weights" not in graph.__dict__
+    for convert in (inherit, disinherit, kron_sampling):
+        assert "weights" not in convert(graph, tree).network.__dict__
+    assert "weights" not in graph.__dict__

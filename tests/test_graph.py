@@ -13,7 +13,7 @@ from unires.graph import (
     serialize_graph,
     serialize_hierarchy,
 )
-from unires.resolution import _anchors
+from unires.resolution import _anchors, disinherit, inherit, kron_sampling
 
 from oracles import anchor_walk, degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
 from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
@@ -129,6 +129,14 @@ def test_load_hierarchy_missing_graph_vertex():
     g = load_graph(FOUR_GRAPH + "x\tB\n")
     with pytest.raises(ValidationError, match="'x'"):
         load_hierarchy(FOUR_TREE, g)
+
+
+def test_load_hierarchy_missing_vertex_error_comes_after_the_root_checks_and_before_the_cycle_check():
+    g = load_graph("a\tz\n")
+    with pytest.raises(ValidationError, match="multiple roots"):
+        load_hierarchy("r\ta\nq\tb\n", g)
+    with pytest.raises(ValidationError, match="graph vertex 'z' missing from the hierarchy"):
+        load_hierarchy("r\ta\nx\ty\ny\tx\n", g)
 
 
 def test_leafset_examples():
@@ -253,7 +261,7 @@ def test_graph_rejects_bad_construction():
     with pytest.raises(ValidationError):
         Graph.from_edges({("a", "b"): 0.0})
     with pytest.raises(ValidationError):
-        Graph(("a",), {("a", "b"): 1.0})
+        Graph(("a",), [0], [1], [1.0])
 
 
 def test_with_vertices_equals_a_full_rebuild():
@@ -261,14 +269,14 @@ def test_with_vertices_equals_a_full_rebuild():
     for _ in range(25):
         g, t = random_pair(rng, rng.randrange(3, 30))
         edges_only = Graph.from_edges(g.weights)
-        # Cache ids and degrees over the smaller universe first.
-        assert len(edges_only.arrays[0]) == g.edge_count
+        # Cache degrees over the smaller universe first.
+        assert edges_only.edge_count == g.edge_count
         assert edges_only.active_vertices() == g.active_vertices()
         extended = edges_only.with_vertices(t.vertices)
         assert extended == Graph.from_edges(g.weights, vertices=t.vertices)
         assert extended.vertices == g.vertices
         assert extended.index == g.index
-        for mine, full in zip(extended.arrays, g.arrays):
+        for mine, full in zip((extended.src, extended.dst, extended.w), (g.src, g.dst, g.w)):
             assert mine.tolist() == full.tolist()
         assert {v: extended.degree(v) for v in g.vertices} == {v: g.degree(v) for v in g.vertices}
         assert extended.active_vertices() == g.active_vertices()
@@ -281,3 +289,52 @@ def test_with_vertices_rejects_a_bad_extra_name():
         with pytest.raises(ValidationError):
             g.with_vertices(["z", bad])
     assert g.with_vertices(["a", "b"]) == g
+
+
+def test_package_built_graphs_have_read_only_arrays():
+    rng = random.Random(5)
+    for g, t in (four_pair(), random_pair(rng, 12), random_pair(rng, 25)):
+        loaded = load_graph(serialize_graph(g))
+        built = [loaded, loaded.with_vertices(t.vertices)]
+        built += [convert(g, t).network for convert in (inherit, disinherit, kron_sampling)]
+        for graph in built:
+            for array in (graph.src, graph.dst, graph.w):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 1
+
+
+BAD_GRAPHS = {
+    "parallel id pair": ((("a", "b"), [0, 0], [1, 1], [1.0, 2.0]), "parallel edges ('a', 'b')"),
+    "id above the range": ((("a", "b"), [0], [2], [1.0]), "outside the 2 vertex ids"),
+    "negative id": ((("a", "b"), [-1], [1], [1.0]), "outside the 2 vertex ids"),
+    "unsorted vertices": ((("b", "a"), [0], [1], [1.0]), "sorted and distinct"),
+    "repeated vertex": ((("a", "a", "b"), [0], [2], [1.0]), "sorted and distinct"),
+    "self-loop": ((("a", "b"), [0, 1], [1, 1], [1.0, 1.0]), "self-loop at 'b'"),
+    "NaN weight": ((("a", "b"), [0], [1], [float("nan")]), "non-positive weight nan"),
+    "zero weight": ((("a", "b"), [0], [1], [0.0]), "non-positive weight 0.0"),
+    "negative weight": ((("a", "b"), [0], [1], [-1.0]), "non-positive weight -1.0"),
+    "infinite weight": ((("a", "b"), [0], [1], [float("inf")]), "non-positive weight inf"),
+    "invalid name": ((("a", "b "), [0], [1], [1.0]), "invalid vertex name 'b '"),
+    "fractional id": ((("a", "b"), [0.5], [1], [1.0]), "src holds float64"),
+    "string weight": ((("a", "b"), [0], [1], ["2"]), "w holds <U1"),
+    "arrays of two lengths": ((("a", "b"), [0, 1], [1], [1.0, 1.0]), "of one length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+def test_graph_constructor_rejects(case):
+    args, message = BAD_GRAPHS[case]
+    with pytest.raises(ValidationError) as err:
+        Graph(*args)
+    assert message in str(err.value)
+
+
+def test_graph_equality_ignores_edge_order():
+    g = Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    assert g == Graph(("a", "b", "c"), [2, 0, 1], [0, 1, 2], [3.0, 1.0, 2.0])
+    assert g == Graph.from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0})
+    assert g != Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 4.0])
+    assert g != Graph(("a", "b", "c"), [0, 1], [1, 2], [1.0, 2.0])
+    assert g != g.with_vertices(["d"])
+    with pytest.raises(TypeError):
+        hash(g)

@@ -1,5 +1,5 @@
 """The whole-document edge-list parse against the line-by-line loop, and the
-graphs the package builds without re-validation against validated rebuilds."""
+graphs the package builds against rebuilds from their name-keyed weights."""
 
 import random
 
@@ -36,7 +36,7 @@ def assert_same_graph(graph: Graph, reference: Graph) -> None:
     assert graph.vertices == reference.vertices
     assert list(graph.weights.items()) == list(reference.weights.items())
     assert all(type(w) is float for w in graph.weights.values())
-    for mine, full in zip(graph.arrays, reference.arrays):
+    for mine, full in zip((graph.src, graph.dst, graph.w), (reference.src, reference.dst, reference.w)):
         assert mine.dtype == full.dtype
         assert mine.tolist() == full.tolist()
 

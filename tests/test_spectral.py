@@ -56,7 +56,7 @@ def shuffled_with_reciprocals(rng: random.Random, g: Graph) -> Graph:
     items = list(g.weights.items())
     items += [((v, u), w * 0.7) for (u, v), w in items[::3]]
     rng.shuffle(items)
-    return Graph(g.vertices, dict(items))
+    return Graph.from_edges(dict(items), g.vertices)
 
 
 def test_edge_arrays_match_symmetrized_oracle_in_first_appearance_order():
@@ -73,7 +73,7 @@ def test_edge_arrays_match_symmetrized_oracle_in_first_appearance_order():
         assert w.tolist() == list(sym.values())
         assert np.array_equal(laplacian(g), laplacian_loop(g))
     assert hubs >= 30
-    i, j, w = _edge_arrays(Graph(("a", "b"), {}))
+    i, j, w = _edge_arrays(Graph.from_edges({}, ("a", "b")))
     assert i.size == j.size == w.size == 0
 
 
