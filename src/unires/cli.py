@@ -201,10 +201,10 @@ def cmd_centrality(args: argparse.Namespace) -> int:
 
 def cmd_spyplot(args: argparse.Namespace) -> int:
     graph, hierarchy = _load_pair(_read(args.graph), _read(args.hierarchy))
-    preorder = hierarchy.dfs_preorder()
-    ordering = [v for v in preorder if not hierarchy.is_leaf(v)]
-    ordering += [v for v in preorder if hierarchy.is_leaf(v)]
-    pos = np.argsort([hierarchy.index[v] for v in ordering])  # by vertex id, its place in the ordering
+    order, leaf = hierarchy.ids.order, hierarchy.ids.leaf
+    by_place = order[np.argsort(leaf[order], kind="stable")]  # internal vertices, then leaves, each in preorder
+    ordering = list(map(hierarchy.vertices.__getitem__, by_place.tolist()))
+    pos = np.argsort(by_place)  # by vertex id, its place in the ordering
     rows, cols = np.divmod(np.sort(pos[graph.src] * len(pos) + pos[graph.dst]), len(pos))
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], ["ordering.txt", "spy.tsv"])
     _write(outdir / "ordering.txt", "\n".join(ordering) + ("\n" if ordering else ""))

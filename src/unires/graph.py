@@ -16,10 +16,11 @@ File formats (byte-exact CLI contracts):
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
-from typing import Container, Iterable, Iterator, Mapping
+from itertools import compress, repeat
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -138,9 +139,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.w)
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.index
-
     def degree(self, v: str) -> int:
         """Total number of edges touching ``v`` (in plus out)."""
         return self._degrees[self.index[v]]
@@ -155,6 +153,10 @@ class Graph:
         index = {v: i for i, v in enumerate(vertices)}
         new_id = np.fromiter(map(index.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
         return Graph(vertices, new_id[self.src], new_id[self.dst], self.w)
+
+
+# A Hierarchy on its dense vertex ids: see Hierarchy.ids.
+TreeIds = namedtuple("TreeIds", "order end depth leaf lo hi")
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,7 @@ class Hierarchy:
         for child, par in self.parent.items():
             if par not in universe:
                 raise ValidationError(f"parent {par!r} of {child!r} not among the vertices")
-        # With one parent per vertex and none for the root, no cycle is
-        # reachable from the root: the preorder misses exactly the cycles.
-        order = self.dfs_preorder()
-        if len(order) != len(ordered):
-            stranded = sorted(universe.difference(order))
-            raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.root!r}")
+        self.ids  # its preorder pass rejects cycles
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -197,40 +194,42 @@ class Hierarchy:
         return {v: tuple(sorted(cs)) for v, cs in kids.items()}
 
     @cached_property
-    def _preorder(self) -> tuple[tuple[str, ...], list[int], list[int]]:
-        """One depth-first pass from the root, children in name order: the
-        preorder, and per position the depth (the root's is 1) and the end
-        of the subtree, so that ``order[p:end[p]]`` is the subtree at
-        position ``p``."""
-        order: list[str] = []
-        depth: list[int] = []
-        stack = [(self.root, 1)]
+    def ids(self) -> TreeIds:
+        """The tree on its dense vertex ids (positions in ``vertices``) as
+        read-only arrays, from one depth-first pass from the root with
+        children in name order.
+
+        ``order`` is the preorder and ``order[p:end[p]]`` the subtree at
+        position ``p``.  Per id: ``depth`` (the root's is 1), ``leaf``, and
+        the descendant leaves as the range ``[lo, hi)`` of the leaves in
+        preorder, ``order[leaf[order]]``; a leaf's range holds only itself.
+        No cycle is reachable from the root, as every vertex but the root
+        has one parent: a vertex the pass misses is on a cycle and raises
+        :class:`ValidationError`.
+        """
+        index, n = self.index, len(self.vertices)
+        kids = [list(map(index.__getitem__, self.children[v])) for v in self.vertices]
+        order, depth, stop = [], [0] * n, [0] * n  # per id: depth, and the position after its subtree
+        stack = [(index[self.root], 1)]
         while stack:
             v, d = stack.pop()
+            if v < 0:  # the subtree of ~v is listed
+                stop[~v] = len(order)
+                continue
             order.append(v)
-            depth.append(d)
-            stack.extend((c, d + 1) for c in reversed(self.children[v]))
-        position = {v: p for p, v in enumerate(order)}
-        end = list(range(1, len(order) + 1))
-        for p in reversed(range(len(order))):  # children before their parent
-            kids = self.children[order[p]]
-            if kids:
-                end[p] = end[position[kids[-1]]]
-        return tuple(order), depth, end
-
-    @cached_property
-    def leaf_ranges(self) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
-        """The leaves in :meth:`dfs_preorder` order, and each vertex's
-        descendant leaves as one range ``[lo, hi)`` of that sequence.
-
-        Children are visited in name order, so every subtree's leaves are
-        contiguous; a leaf's range holds only itself.
-        """
-        order, _, end = self._preorder
-        is_leaf = [not self.children[v] for v in order]
-        before = list(accumulate(is_leaf, initial=0))  # leaves ahead of each position
-        ranges = {v: (before[p], before[end[p]]) for p, v in enumerate(order)}
-        return tuple(compress(order, is_leaf)), ranges
+            depth[v] = d
+            stack.append((~v, 0))
+            stack.extend((c, d + 1) for c in reversed(kids[v]))
+        if len(order) != n:
+            stranded = list(compress(self.vertices, [not d for d in depth]))
+            raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.root!r}")
+        preorder, stop, leaf = np.array(order), np.array(stop), np.array([not k for k in kids], dtype=bool)
+        before = np.concatenate(([0], np.cumsum(leaf[preorder])))  # leaves ahead of each position
+        lo, hi = before[np.argsort(preorder)], before[stop]
+        view = TreeIds(preorder, stop[preorder], np.array(depth), leaf, lo, hi)
+        for array in view:
+            array.flags.writeable = False
+        return view
 
     def is_leaf(self, v: str) -> bool:
         kids = self.children.get(v)
@@ -240,7 +239,7 @@ class Hierarchy:
 
     def dfs_preorder(self) -> tuple[str, ...]:
         """Depth-first preorder from the root, children in name order."""
-        return self._preorder[0]
+        return tuple(map(self.vertices.__getitem__, self.ids.order.tolist()))
 
     def restricted_to(self, keep: Iterable[str]) -> "Hierarchy":
         """Sub-hierarchy on an ancestor-closed subset containing the root."""
@@ -252,6 +251,14 @@ class Hierarchy:
                 raise ValidationError(f"restriction is not ancestor-closed at {v!r}")
         parent = {v: p for v, p in self.parent.items() if v in kept}
         return Hierarchy(tuple(sorted(kept)), parent, self.root)
+
+
+def _first_sums(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions where the distinct ``keys`` first appear, ascending, and
+    per distinct key its weights ``0.0 + w[k1] + w[k2] + ...`` in input order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(order))
 
 
 def _iter_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -293,13 +300,9 @@ def load_graph(text: str) -> Graph:
         return _load_graph_lines(text)
     if not (w > 0).all():  # before summing, which could hide a bad weight
         return _load_graph_lines(text)
-    keys, first, inverse = np.unique(s * len(names) + d, return_index=True, return_inverse=True)
-    if len(keys) < m:  # sum duplicate lines in line order; keep keys in order of first appearance
-        order = np.argsort(first)
-        w = np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(keys))
-        s, d = s[first[order]], d[first[order]]
+    first, w = _first_sums(s * len(names) + d, w)  # duplicate lines summed in line order
     try:  # names, self-loops, and sums that overflow
-        return Graph(tuple(names), s, d, w)
+        return Graph(tuple(names), s[first], d[first], w)
     except ValidationError:
         return _load_graph_lines(text)
 
@@ -380,8 +383,8 @@ def serialize_hierarchy(h: Hierarchy) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def check_pair(g: Graph, tree: Container[str]) -> None:
+def check_pair(g: Graph, tree: Iterable[str]) -> None:
     """Every graph vertex must sit in the hierarchy whose vertex names are ``tree``."""
-    for v in g.vertices:
-        if v not in tree:
-            raise ValidationError(f"graph vertex {v!r} missing from the hierarchy")
+    missing = set(g.vertices).difference(tree)
+    if missing:
+        raise ValidationError(f"graph vertex {min(missing)!r} missing from the hierarchy")

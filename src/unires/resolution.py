@@ -60,21 +60,24 @@ class ResolutionResult:
         return {e: frozenset(srcs) for e, srcs in sources.items()}
 
 
-def _edge_keys(g: Graph, t: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge of ``g`` keyed ``id(u) * n + id(v)``, ids indexing the
-    name-ordered ``t.vertices``, in ascending key order (which is name-pair
-    order), and its weight."""
-    check_pair(g, t.index)
-    tree_id = np.fromiter(map(t.index.__getitem__, g.vertices), dtype=np.int64, count=len(g.vertices))
-    keys = tree_id[g.src] * len(t.vertices) + tree_id[g.dst]
+def _on_tree(g: Graph, t: Hierarchy) -> Graph:
+    """``g`` on the vertex ids of ``t``, which must hold all its vertices."""
+    check_pair(g, t.vertices)
+    return g if g.vertices == t.vertices else g.with_vertices(t.vertices)
+
+
+def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``g`` keyed ``id(u) * n + id(v)``, in ascending key
+    order (which is name-pair order), and its weight."""
+    keys = g.src * len(g.vertices) + g.dst
     order = np.argsort(keys)
     return keys[order], g.w[order]
 
 
 def _leaf_pairs(g: Graph, t: Hierarchy):
-    """Every input edge, in :func:`_edge_keys` order, expanded by index
-    arithmetic on :attr:`Hierarchy.leaf_ranges` to the leaf pairs ``(s, d)``
-    under it.
+    """Every edge of ``g`` (on the ids of ``t``), in :func:`_edge_keys`
+    order, expanded by index arithmetic on the leaf ranges of
+    :attr:`Hierarchy.ids` to the leaf pairs ``(s, d)`` under it.
 
     A pair is keyed ``id(s) * n + id(d)`` like the edges, so keys sort like
     name pairs.  Returns the edge keys, their weights; per listed
@@ -83,13 +86,11 @@ def _leaf_pairs(g: Graph, t: Hierarchy):
     sorted-edge order, as a loop over the edges would; and per edge its
     number of diagonal pairs (``s == d``).
     """
-    edges, weights = _edge_keys(g, t)
-    names = t.vertices
-    n = len(names)
-    leaves, ranges = t.leaf_ranges
-    ids = np.fromiter(map(t.index.__getitem__, leaves), dtype=np.int64, count=len(leaves))
-    bounds = np.array([ranges[v] for v in names], dtype=np.int64).T  # per vertex id: lo, hi
-    (lo_u, hi_u), (lo_v, hi_v) = bounds[:, edges // n], bounds[:, edges % n]
+    edges, weights = _edge_keys(g)
+    names, n, tree = t.vertices, len(t.vertices), t.ids
+    leaves = tree.order[tree.leaf[tree.order]]
+    u, v = np.divmod(edges, n)
+    lo_u, hi_u, lo_v, hi_v = tree.lo[u], tree.hi[u], tree.lo[v], tree.hi[v]
     cols = hi_v - lo_v
     sizes = (hi_u - lo_u) * cols
     edge = np.repeat(np.arange(len(edges)), sizes)
@@ -98,7 +99,7 @@ def _leaf_pairs(g: Graph, t: Hierarchy):
     d = lo_v[edge] + offset % cols[edge]
     off = s != d
     diagonal = np.bincount(edge[~off], minlength=len(edges))
-    edge, key = edge[off], ids[s[off]] * n + ids[d[off]]
+    edge, key = edge[off], leaves[s[off]] * n + leaves[d[off]]
     pairs, inverse = np.unique(key, return_inverse=True)
     sums = np.bincount(inverse, weights=weights[edge], minlength=len(pairs))
     if not np.isfinite(sums).all():
@@ -117,7 +118,7 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     logged.  The hierarchy is unchanged.  A sum that overflows float64
     raises :class:`~unires.graph.DomainError`.
     """
-    keys, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(g, t)
+    keys, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(_on_tree(g, t), t)
     edges, out_edges = _pairs(t.vertices, keys), _pairs(t.vertices, pairs)
     by_pair = np.argsort(inverse, kind="stable")  # links by output pair, then input edge
     links = list(zip(map(out_edges.__getitem__, inverse[by_pair].tolist()), map(edges.__getitem__, edge[by_pair].tolist())))
@@ -130,18 +131,19 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     return ResolutionResult(Graph(t.vertices, *np.divmod(pairs, len(t.vertices)), sums), t, links, dropped)
 
 
-def _anchors(g: Graph, t: Hierarchy) -> dict[str, str]:
-    """The anchor of every connectivity-bearing vertex, in one top-down
-    pass: its topmost connectivity-bearing ancestor-or-self.  Silent
-    vertices below an anchor map to it too."""
-    anchors: dict[str, str] = {}
-    for v in t.dfs_preorder():
-        above = anchors.get(t.parent.get(v))
-        if above is not None:
-            anchors[v] = above
-        elif g.has_vertex(v) and g.degree(v):
-            anchors[v] = v
-    return anchors
+def _anchors(g: Graph, t: Hierarchy) -> np.ndarray:
+    """Per vertex id of ``t`` (and of ``g``, which is on its ids): the
+    anchor of every connectivity-bearing vertex, its topmost
+    connectivity-bearing ancestor-or-self.  Silent vertices below an
+    anchor map to it too, all others to themselves."""
+    order, end = t.ids.order, t.ids.end
+    anchor = np.arange(len(order))
+    covered = 0  # the end of the last anchor's subtree
+    for p in np.flatnonzero(np.array(g._degrees)[order]).tolist():
+        if p >= covered:
+            anchor[order[p:end[p]]] = order[p]
+            covered = end[p]
+    return anchor
 
 
 def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
@@ -154,10 +156,10 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     anchor, so anchors become leaves; untouched silent vertices keep the
     tree connected.
     """
-    keys, weights = _edge_keys(g, t)
+    g = _on_tree(g, t)
+    keys, weights = _edge_keys(g)
     names, n = t.vertices, len(t.vertices)
-    anchors = _anchors(g, t)
-    anchor = np.fromiter((t.index[anchors.get(v, v)] for v in names), dtype=np.int64, count=n)
+    anchor = _anchors(g, t)
     a, b = anchor[keys // n], anchor[keys % n]
     kept = a != b
     out, inverse = np.unique(a[kept] * n + b[kept], return_inverse=True)
@@ -182,16 +184,15 @@ def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
     break lexicographically by (source, target).  ``descending=False``
     inverts the depth ordering for sensitivity analysis.
     """
-    keys, _ = _edge_keys(g, t)
+    keys, _ = _edge_keys(_on_tree(g, t))
     return _pairs(t.vertices, keys[_depth_order(keys, t, descending)])
 
 
 def _depth_order(keys: np.ndarray, t: Hierarchy, descending: bool) -> np.ndarray:
     """The positions of the ascending edge keys ``keys`` (see
     :func:`_edge_keys`) in :func:`edge_order`'s order."""
-    depth = dict(zip(t.dfs_preorder(), t._preorder[1]))
-    by_id = np.fromiter(map(depth.__getitem__, t.vertices), dtype=np.int64, count=len(t.vertices))
-    product = by_id[keys // len(t.vertices)] * by_id[keys % len(t.vertices)]
+    depth = t.ids.depth
+    product = depth[keys // len(t.vertices)] * depth[keys % len(t.vertices)]
     return np.argsort(-product if descending else product, kind="stable")
 
 
@@ -236,12 +237,10 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     """
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
+    g = _on_tree(g, t)
     edges, weights, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
-    if g.vertices != names:  # give g the tree's ids
-        g = g.with_vertices(names)
-    leaf = np.fromiter((not t.children[v] for v in names), dtype=bool, count=n)
-    conn = leaf & (np.array(g._degrees) > 0)
+    conn = t.ids.leaf & (np.array(g._degrees) > 0)
     src, dst = np.divmod(pairs, n)
     both = conn[src] & conn[dst]
     resistance = np.full(len(pairs), np.inf)

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import DomainError, Edge, Graph
+from .graph import DomainError, Edge, Graph, _first_sums
 
 # Relative threshold below which a reduced-Laplacian entry counts as exact
 # cancellation rather than an edge.
@@ -34,13 +34,16 @@ class NumericalError(RuntimeError):
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The symmetrized network as dense ids ``i < j`` and weights
     ``0.0 + w(u,v) + w(v,u)`` summed in edge order, each pair once, in the
-    order in which it first appears among ``g``'s edges."""
-    src, dst, w = g.src, g.dst, g.w
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    _, first, inverse = np.unique(lo * len(g.vertices) + hi, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct pairs, by first appearance
-    sums = np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(order))
-    return lo[first[order]], hi[first[order]], sums
+    order in which it first appears among ``g``'s edges.  A sum that
+    overflows float64 raises :class:`~unires.graph.DomainError`."""
+    lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
+    first, sums = _first_sums(lo * len(g.vertices) + hi, g.w)
+    i, j = lo[first], hi[first]
+    if not np.isfinite(sums).all():
+        k = int(np.flatnonzero(~np.isfinite(sums))[0])
+        u, v = g.vertices[i[k]], g.vertices[j[k]]
+        raise DomainError(f"symmetrized weight of ({u!r}, {v!r}) overflows float64")
+    return i, j, sums
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -76,7 +79,10 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarra
     lap[i, j] = -w
     lap[j, i] = -w
     ends = np.column_stack((i, j)).ravel()
-    np.fill_diagonal(lap, np.bincount(ends, weights=np.repeat(w, 2), minlength=n))
+    diagonal = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)
+    if not np.isfinite(diagonal).all():
+        raise DomainError("summed symmetrized weight at a vertex overflows float64")
+    np.fill_diagonal(lap, diagonal)
     return lap
 
 
@@ -110,11 +116,14 @@ def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         l_re = lap[np.ix_(keep_idx, elim_idx)]
         l_ee = lap[np.ix_(elim_idx, elim_idx)]
         del lap
+        first = [g.vertices[x] for x in members[:3]]
         try:
-            reduced -= l_re @ np.linalg.solve(l_ee, l_re.T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                reduced -= l_re @ np.linalg.solve(l_ee, l_re.T)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for connected components
-            first = [g.vertices[x] for x in members[:3]]
             raise NumericalError(f"singular elimination block in component {first}") from exc
+        if not np.isfinite(reduced).all():
+            raise NumericalError(f"non-finite Schur complement in component {first}")
         threshold = FILL_EPS * max(float(reduced.max()), -float(reduced.min()))
         positive = np.triu(reduced > threshold, 1)
         if positive.any():  # pragma: no cover - Kron reduction keeps off-diagonals <= 0
@@ -149,8 +158,11 @@ def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndar
         asked = solve[asked]
         x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
         diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
-        cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
-        out[asked] = diag[x] + diag[y] - cross
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
+            out[asked] = diag[x] + diag[y] - cross
+    if not np.isfinite(out[solve]).all():
+        raise NumericalError("effective resistance within a component is not finite")
     return out
 
 

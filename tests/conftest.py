@@ -8,6 +8,7 @@ import random
 import numpy as np
 
 from unires.graph import Graph, Hierarchy
+from unires.resolution import _anchors, _on_tree
 from unires.spectral import _kron_edges, _kron_resistance
 
 
@@ -147,3 +148,10 @@ def kron_resistances(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
     a = np.array([g.index[u] for u, _ in wanted], dtype=np.int64)
     b = np.array([g.index[v] for _, v in wanted], dtype=np.int64)
     return dict(zip(wanted, _kron_resistance(g, kron_mask(g, retain), a, b).tolist()))
+
+
+def anchors_by_name(g: Graph, t: Hierarchy) -> dict[str, str]:
+    """:func:`unires.resolution._anchors` by names: every vertex whose
+    anchor bears connectivity, mapped to that anchor."""
+    g = _on_tree(g, t)
+    return {t.vertices[v]: t.vertices[a] for v, a in enumerate(_anchors(g, t).tolist()) if g._degrees[a]}

@@ -201,7 +201,7 @@ def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:
     chain = [v]
     while chain[-1] != t.root:
         chain.append(t.parent[chain[-1]])
-    connected = [x for x in chain if g.has_vertex(x) and g.degree(x)]
+    connected = [x for x in chain if x in g.index and g.degree(x)]
     return connected[-1]  # nearest the root
 
 

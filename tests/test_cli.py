@@ -583,6 +583,38 @@ def test_resistance_debug_output(tmp_path, capsys):
         assert float(line[2]) == pytest.approx(1.0, rel=1e-9)
 
 
+SPECTRAL_TREE = "R\tA\nR\tB\nA\ta1\nA\ta2\nB\tb1\nB\tb2\n"
+
+
+def test_non_finite_linear_algebra_exits_3(tmp_path, capsys):
+    # Positive subnormal weights parse, but the grounded inverse of the
+    # first graph and the Schur complement of the path a1-A-{b1, c1} (A
+    # eliminated) overflow.
+    tiny = "a1\ta2\t1e-310\nA\tB\t1e-310\nb1\tb2\t1e-310\na2\tb1\t1e-310\n"
+    path = "a1\tA\t1e-310\nA\tb1\t1e-310\nA\tc1\t1e-310\n"
+    path_tree = "R\tA\nA\tx\nR\ta1\nR\tb1\nR\tc1\n"
+    for graph, tree in ((tiny, SPECTRAL_TREE), (path, path_tree)):
+        gp, hp = write_pair(tmp_path, graph, tree)
+        assert main(["resistance", "--graph", gp]) == 3
+        out = tmp_path / "o"
+        assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("finite") == 2
+
+
+def test_symmetrized_weight_overflow_exits_2(tmp_path, capsys):
+    # w(a1, a2) + w(a2, a1), and the Laplacian diagonal sum at a2.
+    for graph in ("a1\ta2\t1e308\na2\ta1\t1e308\n", "a1\ta2\t1e308\na2\tb1\t1e308\n"):
+        gp, hp = write_pair(tmp_path, graph, SPECTRAL_TREE)
+        assert main(["resistance", "--graph", gp]) == 2
+        out = tmp_path / "o"
+        assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("overflows float64") == 2
+
+
 def test_format_closure_end_to_end(tmp_path):
     gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
     for method in ("inherit", "disinherit", "kron"):

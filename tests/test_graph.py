@@ -13,10 +13,10 @@ from unires.graph import (
     serialize_graph,
     serialize_hierarchy,
 )
-from unires.resolution import _anchors, disinherit, inherit, kron_sampling
+from unires.resolution import disinherit, inherit, kron_sampling
 
 from oracles import anchor_walk, degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
-from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
+from conftest import anchors_by_name, branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -29,10 +29,10 @@ def four_pair():
 
 
 def leaves_under(t: Hierarchy, v: str) -> frozenset[str]:
-    """The leaves below ``v``, read from :attr:`Hierarchy.leaf_ranges`."""
-    leaves, ranges = t.leaf_ranges
-    lo, hi = ranges[v]
-    return frozenset(leaves[lo:hi])
+    """The leaves below ``v``, read from the leaf ranges of :attr:`Hierarchy.ids`."""
+    ids, i = t.ids, t.index[v]
+    leaves = ids.order[ids.leaf[ids.order]]
+    return frozenset(t.vertices[x] for x in leaves[ids.lo[i]:ids.hi[i]].tolist())
 
 
 def test_load_graph_default_weight():
@@ -148,20 +148,19 @@ def test_leafset_examples():
 
 def test_leafset_unknown_vertex():
     _, t = four_pair()
-    assert "nope" not in t.leaf_ranges[1]
+    assert "nope" not in t.index
     with pytest.raises(DomainError):
         t.is_leaf("nope")
 
 
 def test_depth_examples():
     _, t = four_pair()
-    order, depth, _ = t._preorder
-    assert dict(zip(order, depth)) == {"Br": 1, "A": 2, "a1": 3, "a2": 3, "B": 2}
+    assert dict(zip(t.vertices, t.ids.depth.tolist())) == {"Br": 1, "A": 2, "a1": 3, "a2": 3, "B": 2}
 
 
 def test_anchor_examples():
     g, t = four_pair()
-    anchors = _anchors(g, t)
+    anchors = anchors_by_name(g, t)
     assert anchors["a1"] == "A"
     assert anchors["B"] == "B"
     for v in g.active_vertices():
@@ -171,7 +170,7 @@ def test_anchor_examples():
 def test_anchor_topmost_wins_when_nested():
     g = load_graph("A\tB\nA1\tB\na1\tB\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\tA1\nA1\ta1\n", g)
-    anchors = _anchors(g.with_vertices(t.vertices), t)
+    anchors = anchors_by_name(g.with_vertices(t.vertices), t)
     assert anchors["a1"] == "A"
     assert anchors["A1"] == "A"
 
@@ -179,14 +178,14 @@ def test_anchor_topmost_wins_when_nested():
 def test_anchor_requires_connectivity():
     # A silent vertex with no connectivity-bearing ancestor has no anchor.
     g, t = four_pair()
-    assert "Br" not in _anchors(g, t)
+    assert "Br" not in anchors_by_name(g, t)
 
 
 def test_anchor_idempotent():
     rng = random.Random(23)
     for _ in range(30):
         g, t = random_pair(rng, rng.randrange(4, 25))
-        anchors = _anchors(g, t)
+        anchors = anchors_by_name(g, t)
         for v in g.active_vertices():
             a = anchors[v]
             assert a == anchor_walk(g, t, v)
@@ -207,12 +206,18 @@ def test_tree_queries_match_recursive_oracles(shape):
     rng = random.Random(41)
     for _ in range(60):
         t = shape(rng, names(rng.randrange(3, 60)))
-        assert list(t.dfs_preorder()) == preorder_recursive(t)
-        assert t.leaf_ranges == leaf_ranges_recursive(t)
-        order, depth, end = t._preorder
-        for p, v in enumerate(order):
-            assert depth[p] == depth_walk(t, v)
-            assert list(order[p:end[p]]) == preorder_recursive(t, v)
+        ids, name = t.ids, t.vertices.__getitem__
+        assert list(t.dfs_preorder()) == list(map(name, ids.order.tolist())) == preorder_recursive(t)
+        leaves, ranges = leaf_ranges_recursive(t)
+        assert tuple(map(name, ids.order[ids.leaf[ids.order]].tolist())) == leaves
+        assert dict(zip(t.vertices, zip(ids.lo.tolist(), ids.hi.tolist()))) == ranges
+        assert ids.leaf.tolist() == [leafset_recursive(t, v) == {v} for v in t.vertices]
+        for p, v in enumerate(ids.order.tolist()):
+            assert ids.depth[v] == depth_walk(t, name(v))
+            assert list(map(name, ids.order[p:ids.end[p]].tolist())) == preorder_recursive(t, name(v))
+        for array in ids:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 1
         with pytest.raises(DomainError):
             t.is_leaf("nope")
 

@@ -14,7 +14,6 @@ from unires.graph import DomainError, Graph, load_graph, load_hierarchy, seriali
 from unires.resolution import (
     GUARD_MODES,
     MASS_TIE_RTOL,
-    _anchors,
     _masses,
     disinherit,
     edge_order,
@@ -33,7 +32,7 @@ from oracles import (
     kron_sampling_loop,
     leafset_recursive,
 )
-from conftest import branching_hierarchy, names, random_graph_on, random_pair
+from conftest import anchors_by_name, branching_hierarchy, names, random_graph_on, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -218,7 +217,7 @@ def test_anchor_pass_matches_anchor(branching):
     for seed in range(100):
         rng = random.Random(seed)
         g, t = random_pair(rng, rng.randrange(3, 40), branching=branching)
-        anchors = _anchors(g, t)
+        anchors = anchors_by_name(g, t)
         for v in g.active_vertices():
             assert anchors[v] == anchor_walk(g, t, v)
 
@@ -376,15 +375,16 @@ def test_kron_sampling_matches_loop_oracle(descending, guard):
         assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard), seed
 
 
-def test_kron_sampling_maps_a_smaller_universe_onto_the_tree():
+@pytest.mark.parametrize("convert", [inherit, disinherit, kron_sampling])
+def test_conversions_map_a_smaller_universe_onto_the_tree(convert):
     # The CLI always passes the tree's universe; a graph over its edges'
-    # endpoints alone must be placed the same.
+    # endpoints alone must be converted the same.
     smaller = 0
     for seed in range(300):
         g, t = oracle_pair(seed)
         small = Graph.from_edges(g.weights)
         smaller += small.vertices != t.vertices
-        assert audit(kron_sampling(small, t)) == audit(kron_sampling(small.with_vertices(t.vertices), t)), seed
+        assert audit(convert(small, t)) == audit(convert(small.with_vertices(t.vertices), t)), seed
     assert smaller >= 200
 
 
