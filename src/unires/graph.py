@@ -244,6 +244,9 @@ class Hierarchy:
     def restricted_to(self, keep: Iterable[str]) -> "Hierarchy":
         """Sub-hierarchy on an ancestor-closed subset containing the root."""
         kept = set(keep)
+        unknown = kept.difference(self.children)
+        if unknown:
+            raise ValidationError(f"restriction names {min(unknown)!r}, which is not in the hierarchy")
         if self.root not in kept:
             raise ValidationError("restriction must keep the root")
         for v in kept:

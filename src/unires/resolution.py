@@ -26,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .graph import DomainError, Edge, Graph, Hierarchy, _pairs, check_pair
-from .spectral import _kron_resistance
+from .spectral import _resistances
 
 GUARD_MODES = ("any", "directed")
 
@@ -244,7 +244,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     src, dst = np.divmod(pairs, n)
     both = conn[src] & conn[dst]
     resistance = np.full(len(pairs), np.inf)
-    resistance[both] = _kron_resistance(g, conn, src[both], dst[both])
+    resistance[both] = _resistances(g, conn, src[both], dst[both])
     mass = _masses(resistance, counts)
 
     # Each edge's choice does not depend on what is placed before it, only

@@ -2,16 +2,16 @@
 
 Directed weights are symmetrized as ``w_sym(u,v) = w(u,v) + w(v,u)`` before
 any spectral work, so the total reported connection strength is preserved.
-All solves are per connected component with one vertex grounded (the
-lexicographically smallest, i.e. the lowest dense id), which replaces the
-Moore-Penrose pseudoinverse at lower cost.  The solves are LU
-factorizations from ``numpy.linalg``.
+All solves are per connected component of the input network.  Vertices
+that a Kron reduction eliminates leave through one Schur complement, and
+the component is grounded at its lowest kept id (its lexicographically
+smallest kept name), which replaces the Moore-Penrose pseudoinverse at
+lower cost.  The solves are LU factorizations from ``numpy.linalg``.
 
-Internally a network is a tuple of vertex names plus its undirected edges
-as index arrays ``i < j`` and weights ``w``, each pair once.  Every
-Laplacian is built from those arrays by :func:`_laplacian`, which sums each
-diagonal entry in edge order, so a given edge order fixes every bit: an
-input network's pairs keep the order of their first appearance.
+A network's undirected edges are index arrays ``i < j`` and weights ``w``,
+each pair once, in the order of its first appearance.  Every Laplacian is
+built from those arrays by :func:`_laplacian`, which sums each diagonal
+entry in edge order, so a given edge order fixes every bit.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from .graph import DomainError, Edge, Graph, _first_sums
-
-# Relative threshold below which a reduced-Laplacian entry counts as exact
-# cancellation rather than an edge.
-FILL_EPS = 1e-12
 
 
 class NumericalError(RuntimeError):
@@ -86,62 +82,21 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarra
     return lap
 
 
-def _kron_edges(g: Graph, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Kron reduction of ``g`` onto the ids where the mask ``keep`` is
-    set: its edges as index arrays into the retained ids in order, and
-    their weights, component by component.
+def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Effective resistance between ids ``a[p]`` and ``b[p]``, all set in the
+    mask ``keep``, in the Kron reduction of ``g`` onto ``keep``: 0 for equal
+    endpoints, ``inf`` across components.  Kron reduction leaves the
+    resistance between kept ids unchanged, so the reduced network is never
+    built.
 
-    A component whose vertices are all retained keeps its symmetrized edges
-    in :func:`_edge_arrays` order; any other component with a
-    retained vertex contributes the thresholded Schur complement's upper
-    triangle in row-major order.
-    """
+    Each component with an asked pair is factorized once: its Laplacian, or
+    when some of its ids are not kept the Schur complement onto the kept
+    ones, is grounded at its lowest kept id, and ``R(x, y) = d[x] + d[y] -
+    (inv[x, y] + inv[y, x])`` is read from the LU inverse of the grounded
+    block, whose ground row and column are 0: a sum of commuting terms, so
+    ``R(x, y) == R(y, x)`` exactly."""
     n = len(g.vertices)
     i, j, w = _edge_arrays(g)
-    position = np.cumsum(keep) - 1  # index among the retained ids
-    labels = _components(n, i, j)
-    roots = np.flatnonzero(labels == np.arange(n))
-    parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for members, edges in zip(_group(labels, roots), _group(labels[i], roots)):
-        kept = keep[members]
-        if not kept.any():
-            continue
-        if kept.all():
-            parts.append((position[i[edges]], position[j[edges]], w[edges]))
-            continue
-        local_i, local_j = np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges])
-        lap = _laplacian(len(members), local_i, local_j, w[edges])
-        keep_idx, elim_idx = np.flatnonzero(kept), np.flatnonzero(~kept)
-        reduced = lap[np.ix_(keep_idx, keep_idx)]
-        l_re = lap[np.ix_(keep_idx, elim_idx)]
-        l_ee = lap[np.ix_(elim_idx, elim_idx)]
-        del lap
-        first = [g.vertices[x] for x in members[:3]]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                reduced -= l_re @ np.linalg.solve(l_ee, l_re.T)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for connected components
-            raise NumericalError(f"singular elimination block in component {first}") from exc
-        if not np.isfinite(reduced).all():
-            raise NumericalError(f"non-finite Schur complement in component {first}")
-        threshold = FILL_EPS * max(float(reduced.max()), -float(reduced.min()))
-        positive = np.triu(reduced > threshold, 1)
-        if positive.any():  # pragma: no cover - Kron reduction keeps off-diagonals <= 0
-            raise NumericalError(f"positive off-diagonal {reduced[positive][0]!r} in reduced Laplacian")
-        a, b = np.nonzero(np.triu(reduced < -threshold, 1))
-        ids = position[members[keep_idx]]
-        parts.append((ids[a], ids[b], -reduced[a, b]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Effective resistance between vertices ``a[p]`` and ``b[p]`` of the
-    network on ``n`` vertices with edges ``(i, j, w)``: 0 for equal
-    endpoints, ``inf`` across components.  Each component is grounded at
-    its lowest index, and ``R(x, y) = d[x] + d[y] - (inv[x, y] + inv[y, x])``
-    is read from the LU inverse of the grounded block, whose ground row and
-    column are 0: a sum of commuting terms, so ``R(x, y) == R(y, x)``
-    exactly."""
     labels = _components(n, i, j)
     out = np.where(a == b, 0.0, np.inf)
     solve = np.flatnonzero((a != b) & (labels[a] == labels[b]))
@@ -151,6 +106,20 @@ def _resistances(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, a: np.ndar
         if not asked.size:
             continue
         lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
+        kept = keep[members]
+        if not kept.all():
+            k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
+            reduced, l_ke, l_ee = lap[np.ix_(k, k)], lap[np.ix_(k, e)], lap[np.ix_(e, e)]
+            del lap
+            first = [g.vertices[x] for x in members[:3]]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    reduced -= l_ke @ np.linalg.solve(l_ee, l_ke.T)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for connected components
+                raise NumericalError(f"singular elimination block in component {first}") from exc
+            if not np.isfinite(reduced).all():
+                raise NumericalError(f"non-finite Schur complement in component {first}")
+            lap, members = reduced, members[k]
         try:
             inv = np.linalg.inv(lap[1:, 1:])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD for connected components
@@ -179,12 +148,4 @@ def effective_resistance(g: Graph, pairs: Iterable[Edge]) -> dict[Edge, float]:
                 raise DomainError(f"unknown vertex {v!r}")
     a = np.fromiter((g.index[u] for u, _ in wanted), dtype=np.intp, count=len(wanted))
     b = np.fromiter((g.index[v] for _, v in wanted), dtype=np.intp, count=len(wanted))
-    return dict(zip(wanted, _resistances(len(g.vertices), *_edge_arrays(g), a, b).tolist()))
-
-
-def _kron_resistance(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Effective resistance between ids ``a[p]`` and ``b[p]`` (all kept) in
-    the Kron reduction of ``g`` onto the mask ``keep``, bit for bit that of
-    the reduced network built as a graph, without building it."""
-    position = np.cumsum(keep) - 1  # index among the kept ids
-    return _resistances(int(keep.sum()), *_kron_edges(g, keep), position[a], position[b])
+    return dict(zip(wanted, _resistances(g, np.ones(len(g.vertices), dtype=bool), a, b).tolist()))

@@ -9,7 +9,7 @@ import numpy as np
 
 from unires.graph import Graph, Hierarchy
 from unires.resolution import _anchors, _on_tree
-from unires.spectral import _kron_edges, _kron_resistance
+from unires.spectral import _resistances
 
 
 def names(n: int, prefix: str = "n") -> list[str]:
@@ -132,22 +132,22 @@ def kron_mask(g: Graph, retain) -> np.ndarray:
     return keep
 
 
-def kron_reduced(g: Graph, retain) -> Graph:
-    """The edges :func:`~unires.spectral._kron_edges` computes, as a graph on
-    the retained names, each edge once with its endpoints in name order."""
-    keep = kron_mask(g, retain)
-    kept = [v for v, k in zip(g.vertices, keep.tolist()) if k]
-    i, j, w = _kron_edges(g, keep)
-    pairs = zip([kept[x] for x in i.tolist()], [kept[x] for x in j.tolist()])
-    return Graph.from_edges(dict(zip(pairs, w.tolist())), vertices=kept)
-
-
 def kron_resistances(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
-    """:func:`~unires.spectral._kron_resistance` asked by name pairs."""
+    """:func:`~unires.spectral._resistances` with the kept mask ``retain``,
+    asked by name pairs."""
     wanted = list(pairs)
     a = np.array([g.index[u] for u, _ in wanted], dtype=np.int64)
     b = np.array([g.index[v] for _, v in wanted], dtype=np.int64)
-    return dict(zip(wanted, _kron_resistance(g, kron_mask(g, retain), a, b).tolist()))
+    return dict(zip(wanted, _resistances(g, kron_mask(g, retain), a, b).tolist()))
+
+
+def networkx_graph(nx, g: Graph):
+    """``g`` as an undirected networkx graph weighted ``w(u,v) + w(v,u)``."""
+    theirs = nx.Graph()
+    theirs.add_nodes_from(g.vertices)
+    for (u, v), w in g.weights.items():
+        theirs.add_edge(u, v, weight=theirs.get_edge_data(u, v, {"weight": 0.0})["weight"] + w)
+    return theirs
 
 
 def anchors_by_name(g: Graph, t: Hierarchy) -> dict[str, str]:

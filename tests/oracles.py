@@ -336,12 +336,20 @@ def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
     return Graph.from_edges(out, vertices=retain)
 
 
-def resistance_grounded(g: Graph, pairs, invert=np.linalg.inv) -> dict[tuple[str, str], float]:
-    """Effective resistance ``inv[i, i] + inv[j, j] - (inv[i, j] + inv[j, i])``
-    from ``invert`` applied to each component's Laplacian grounded at its
-    first member, re-embedded with a zero row and column at the ground."""
+def kron_resistance_reference(g: Graph, retain, pairs, solve=np.linalg.solve,
+                              invert=np.linalg.inv) -> dict[tuple[str, str], float]:
+    """The resistances Kron placement must reproduce bit for bit, written the
+    slow way.  Per component: its Laplacian, replaced by the Schur complement
+    onto the retained names when some are eliminated, grounded at its first
+    retained name; ``invert`` of the grounded block is re-embedded with a
+    zero row and column at the ground, and ``R`` is read as ``inv[i, i] +
+    inv[j, j] - (inv[i, j] + inv[j, i])``.  ``solve(a, b)`` gives ``a⁻¹ b``
+    for the eliminated block.  With :func:`cholesky_solve` and
+    :func:`cholesky_inverse` it gives the same route through scipy's
+    Cholesky factorization."""
+    retain = set(retain)
     comp_of = {v: comp for comp in components_sorted(g) for v in comp}
-    inverses: dict[tuple[str, ...], np.ndarray] = {}
+    inverses: dict[tuple[str, ...], tuple[list[str], np.ndarray]] = {}
     out: dict[tuple[str, str], float] = {}
     for u, v in pairs:
         if u == v:
@@ -352,21 +360,26 @@ def resistance_grounded(g: Graph, pairs, invert=np.linalg.inv) -> dict[tuple[str
             out[(u, v)] = float("inf")
             continue
         if comp not in inverses:
-            inverses[comp] = np.zeros((len(comp), len(comp)))
-            inverses[comp][1:, 1:] = invert(laplacian_loop(g, comp)[1:, 1:])
-        full = inverses[comp]
-        i, j = sorted((comp.index(u), comp.index(v)))
+            lap = laplacian_loop(g, comp)
+            k = [i for i, x in enumerate(comp) if x in retain]
+            e = [i for i, x in enumerate(comp) if x not in retain]
+            if e:
+                l_ke = lap[np.ix_(k, e)]
+                lap = lap[np.ix_(k, k)] - l_ke @ solve(lap[np.ix_(e, e)], l_ke.T)
+            full = np.zeros((len(k), len(k)))
+            full[1:, 1:] = invert(lap[1:, 1:])
+            inverses[comp] = ([comp[i] for i in k], full)
+        kept, full = inverses[comp]
+        i, j = sorted((kept.index(u), kept.index(v)))
         out[(u, v)] = float(full[i, i] + full[j, j] - (full[i, j] + full[j, i]))
     return out
 
 
-def kron_resistance_reference(g: Graph, retain, pairs, solve=np.linalg.solve,
-                              invert=np.linalg.inv) -> dict[tuple[str, str], float]:
-    """The resistances Kron placement must reproduce bit for bit: those of
-    the Kron-reduced network, built as a ``Graph`` and solved grounded,
-    written the slow way.  With :func:`cholesky_solve` and
-    :func:`cholesky_inverse` it gives the package's former Cholesky route."""
-    return resistance_grounded(kron_reduce_loop(g, retain, solve), pairs, invert)
+def resistance_grounded(g: Graph, pairs, invert=np.linalg.inv) -> dict[tuple[str, str], float]:
+    """Effective resistance from ``invert`` applied to each component's
+    Laplacian grounded at its first member: the reference with nothing
+    eliminated."""
+    return kron_resistance_reference(g, g.vertices, pairs, invert=invert)
 
 
 def resistance_pinv(g: Graph, u: str, v: str) -> float:

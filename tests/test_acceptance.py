@@ -25,7 +25,7 @@ from unires.resolution import disinherit, inherit, kron_sampling
 from unires.spectral import effective_resistance
 
 from oracles import betweenness_paths, disinherit_collapse, floyd_warshall, inherit_closure, leafset_recursive
-from conftest import kron_reduced, names, random_connected_weighted, random_digraph, random_pair
+from conftest import kron_resistances, names, networkx_graph, random_connected_weighted, random_digraph, random_pair
 
 RICH_GRAPH = (
     "A\tB\nA\tc1\nB\tA\n"
@@ -48,20 +48,24 @@ def test_criterion_1_kron_resistance_core():
     assert series[("a", "c")] == pytest.approx(2.0, rel=1e-12)
     triangle = effective_resistance(load_graph("a\tb\nb\tc\nc\ta\n"), [("a", "b")])
     assert triangle[("a", "b")] == pytest.approx(2.0 / 3.0, rel=1e-12)
-    star = kron_reduced(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
-    assert all(w == pytest.approx(1.0 / 3.0, rel=1e-12) for w in star.weights.values())
-    assert len(star.weights) == 3
+    star = kron_resistances(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"], [("x", "y"), ("x", "z"), ("y", "z")])
+    assert all(r == pytest.approx(2.0, rel=1e-12) for r in star.values())
 
+    # Kron reduction preserves resistance: compare with the unreduced graph
+    # and with networkx, neither of which eliminates anything.
+    nx = pytest.importorskip("networkx")
     rng = random.Random(1001)
     for _ in range(200):
         n = rng.randrange(3, 51)
         g = random_connected_weighted(rng, n)
         retain = rng.sample(list(g.vertices), rng.randrange(2, n + 1))
         pairs = [(u, v) for i, u in enumerate(retain) for v in retain[i + 1:]]
-        before = effective_resistance(g, pairs)
-        after = effective_resistance(kron_reduced(g, retain), pairs)
-        for pair in pairs:
-            assert after[pair] == pytest.approx(before[pair], rel=1e-8)
+        got = kron_resistances(g, retain, pairs)
+        full = effective_resistance(g, pairs)
+        theirs = nx.resistance_distance(networkx_graph(nx, g), weight="weight", invert_weight=False)
+        for u, v in pairs:
+            assert got[(u, v)] == pytest.approx(full[(u, v)], rel=1e-9)
+            assert got[(u, v)] == pytest.approx(theirs[u][v], rel=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(f"criterion 1 PASS: resistance preserved on 200 graphs + fixtures in {elapsed:.2f}s")

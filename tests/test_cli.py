@@ -259,6 +259,17 @@ def test_analysis_of_a_messy_input_reads_only_its_edge_set(tmp_path, command):
     assert_pinned(out, ANALYSIS_GOLDEN[command])
 
 
+# The resistance command's stdout on the same instance: every edge's
+# resistance through one LU inverse per component.
+RESISTANCE_GOLDEN = "2a09c2fe8863b80ef181e3ac4b4f9e727d4742b4410027b11d92ce40a4fb99c0"
+
+
+def test_resistance_output_bytes_are_pinned(tmp_path, capsys):
+    gp, _ = write_pinned_pair(tmp_path)
+    assert main(["resistance", "--graph", gp]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESISTANCE_GOLDEN
+
+
 # Names whose "u->v" labels sort unlike the name pairs ("a" < "a-", but
 # "a-->x" < "a->x"), and whose labels collide: ("a->", "b") and ("a", "->b")
 # both read "a->->b".
@@ -589,11 +600,9 @@ SPECTRAL_TREE = "R\tA\nR\tB\nA\ta1\nA\ta2\nB\tb1\nB\tb2\n"
 def test_non_finite_linear_algebra_exits_3(tmp_path, capsys):
     # Positive subnormal weights parse, but the grounded inverse of the
     # first graph and the Schur complement of the path a1-A-{b1, c1} (A
-    # eliminated) overflow.
+    # eliminated) overflow.  The edge a1-b1 makes kron read that complement.
     tiny = "a1\ta2\t1e-310\nA\tB\t1e-310\nb1\tb2\t1e-310\na2\tb1\t1e-310\n"
-    path = "a1\tA\t1e-310\nA\tb1\t1e-310\nA\tc1\t1e-310\n"
-    path_tree = "R\tA\nA\tx\nR\ta1\nR\tb1\nR\tc1\n"
-    for graph, tree in ((tiny, SPECTRAL_TREE), (path, path_tree)):
+    for graph, tree in ((tiny, SPECTRAL_TREE), (SUBNORMAL_PATH + "a1\tb1\t1e-310\n", SUBNORMAL_PATH_TREE)):
         gp, hp = write_pair(tmp_path, graph, tree)
         assert main(["resistance", "--graph", gp]) == 3
         out = tmp_path / "o"
@@ -601,6 +610,21 @@ def test_non_finite_linear_algebra_exits_3(tmp_path, capsys):
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("finite") == 2
+
+
+SUBNORMAL_PATH = "a1\tA\t1e-310\nA\tb1\t1e-310\nA\tc1\t1e-310\n"
+SUBNORMAL_PATH_TREE = "R\tA\nA\tx\nR\ta1\nR\tb1\nR\tc1\n"
+
+
+def test_kron_factorizes_no_component_that_no_leaf_pair_reads(tmp_path):
+    # Every candidate pair of the path a1-A-{b1, c1} runs through x, the
+    # only leaf under A, which carries no edge: no resistance is read, so
+    # the overflowing Schur complement is never formed, and every edge falls
+    # back to its count.
+    gp, hp = write_pair(tmp_path, SUBNORMAL_PATH, SUBNORMAL_PATH_TREE)
+    out = tmp_path / "o"
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]) == 0
+    assert (out / "network.tsv").read_text() == "a1\tx\t1.0\nx\tb1\t1.0\nx\tc1\t1.0\n"
 
 
 def test_symmetrized_weight_overflow_exits_2(tmp_path, capsys):

@@ -139,6 +139,13 @@ def test_load_hierarchy_missing_vertex_error_comes_after_the_root_checks_and_bef
         load_hierarchy("r\ta\nx\ty\ny\tx\n", g)
 
 
+def test_restriction_refuses_a_name_outside_the_tree():
+    _, t = four_pair()
+    with pytest.raises(ValidationError, match="restriction names 'zy', which is not in the hierarchy"):
+        t.restricted_to(["Br", "zz", "zy", "A"])
+    assert t.restricted_to(["Br", "A", "a1"]).vertices == ("A", "Br", "a1")
+
+
 def test_leafset_examples():
     _, t = four_pair()
     assert leaves_under(t, "A") == {"a1", "a2"}

@@ -28,9 +28,11 @@ from oracles import (
     disinherit_collapse,
     inherit_closure,
     inherit_loop,
+    kron_reduce_loop,
     kron_resistance_reference,
     kron_sampling_loop,
     leafset_recursive,
+    resistance_grounded,
 )
 from conftest import anchors_by_name, branching_hierarchy, names, random_graph_on, random_pair
 
@@ -58,8 +60,8 @@ def audit(result):
 
 
 def by_id(resistances):
-    """A stand-in for ``_kron_resistance`` that asks ``resistances(g,
-    retain, pairs)`` by names and answers by ids."""
+    """A stand-in for ``_resistances`` that asks ``resistances(g, retain,
+    pairs)`` by names and answers by ids."""
 
     def kron_resistance(g, keep, a, b):
         names = g.vertices
@@ -413,15 +415,19 @@ def test_kron_sampling_noise_seeds_match_loop_oracle(seed):
 
 def test_kron_placement_does_not_depend_on_the_resistance_route(monkeypatch):
     # The Kron-reduced resistances equal the full graph's in exact
-    # arithmetic, so either route must place every edge the same way.
-    placements = []
-    for route in ("kron", "full"):
-        if route == "full":
-            monkeypatch.setattr(unires.resolution, "_kron_resistance",
-                                by_id(lambda g, retain, pairs: effective_resistance(g, pairs)))
+    # arithmetic, so every route must place every edge the same way: the
+    # Schur complement, the full graph, and the reduced network built as a
+    # graph and solved grounded.
+    routes = {
+        "full": lambda g, retain, pairs: effective_resistance(g, pairs),
+        "round trip": lambda g, retain, pairs: resistance_grounded(kron_reduce_loop(g, retain), pairs),
+    }
+    placements = [[audit(kron_sampling(*default_pair(seed))) for seed in range(300)]]
+    for route in routes.values():
+        monkeypatch.setattr(unires.resolution, "_resistances", by_id(route))
         placements.append([audit(kron_sampling(*default_pair(seed))) for seed in range(300)])
-    for seed, (kron, full) in enumerate(zip(*placements)):
-        assert kron == full, seed
+    for seed, (kron, *others) in enumerate(zip(*placements)):
+        assert all(other == kron for other in others), seed
 
 
 KERNEL_SCRIPT = """
@@ -490,7 +496,7 @@ def test_kron_convert_matches_reference_pipeline(tmp_path, monkeypatch):
     hp.write_text(serialize_hierarchy(t))
     argv = ["convert", "--graph", str(gp), "--hierarchy", str(hp), "--method", "kron", "--out"]
     assert main([*argv, str(tmp_path / "direct")]) == 0
-    monkeypatch.setattr(unires.resolution, "_kron_resistance", by_id(kron_resistance_reference))
+    monkeypatch.setattr(unires.resolution, "_resistances", by_id(kron_resistance_reference))
     assert main([*argv, str(tmp_path / "reference")]) == 0
     files = sorted(p.name for p in (tmp_path / "direct").iterdir())
     assert files == ["hierarchy.tsv", "manifest.json", "network.tsv", "provenance.tsv"]

@@ -18,7 +18,7 @@ from oracles import (
     resistance_pinv,
     symmetrized,
 )
-from conftest import kron_reduced, kron_resistances, names, random_connected_weighted, random_pair
+from conftest import kron_resistances, names, networkx_graph, random_connected_weighted, random_pair
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -90,13 +90,13 @@ def test_laplacian_structural_invariants():
 
 
 def test_kron_series_path():
-    k = kron_reduced(load_graph("a\tb\nb\tc\n"), ["a", "c"])
+    k = kron_reduce_loop(load_graph("a\tb\nb\tc\n"), ["a", "c"])
     assert set(k.weights) == {("a", "c")}
     assert k.weights[("a", "c")] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_kron_star_elimination():
-    k = kron_reduced(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
+    k = kron_reduce_loop(load_graph("s\tx\ns\ty\ns\tz\n"), ["x", "y", "z"])
     assert set(k.weights) == {("x", "y"), ("x", "z"), ("y", "z")}
     for w in k.weights.values():
         assert w == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -104,14 +104,14 @@ def test_kron_star_elimination():
 
 def test_kron_retain_all_is_symmetrized_input():
     g = load_graph("a\tb\t2\nb\ta\t1\nb\tc\t4\n")
-    k = kron_reduced(g, g.vertices)
+    k = kron_reduce_loop(g, g.vertices)
     assert k.weights == {("a", "b"): 3.0, ("b", "c"): 4.0}
     assert k.vertices == g.vertices
 
 
 def test_kron_drops_unretained_components_keeps_isolated_retained():
     g = load_graph("a\tb\nc\td\n")
-    k = kron_reduced(g, ["a", "b", "c"])
+    k = kron_reduce_loop(g, ["a", "b", "c"])
     assert k.vertices == ("a", "b", "c")
     # c's partner was eliminated, so c persists edgeless.
     assert set(k.weights) == {("a", "b")}
@@ -131,7 +131,7 @@ def test_kron_output_is_valid_laplacian():
     for _ in range(20):
         g = random_connected_weighted(rng, rng.randrange(4, 25))
         retain = rng.sample(list(g.vertices), rng.randrange(2, len(g.vertices)))
-        m = laplacian_loop(kron_reduced(g, retain))
+        m = laplacian_loop(kron_reduce_loop(g, retain))
         scale = max(1.0, np.abs(m).max())
         assert np.abs(m.sum(axis=1)).max() <= 1e-9 * scale
         assert (m[~np.eye(len(m), dtype=bool)] <= 0).all()
@@ -204,15 +204,21 @@ def test_rayleigh_monotonicity():
 
 
 def test_kron_preserves_resistance_small():
+    # Kron reduction leaves resistances between kept vertices unchanged, so
+    # the kernel must agree with the unreduced graph and with networkx,
+    # neither of which eliminates anything.
+    nx = pytest.importorskip("networkx")
     rng = random.Random(29)
     for _ in range(25):
         g = random_connected_weighted(rng, rng.randrange(3, 20))
         retain = rng.sample(list(g.vertices), rng.randrange(2, len(g.vertices)))
         pairs = [(u, v) for u in retain for v in retain if u < v]
-        before = effective_resistance(g, pairs)
-        after = effective_resistance(kron_reduced(g, retain), pairs)
-        for pair in pairs:
-            assert after[pair] == pytest.approx(before[pair], rel=1e-8)
+        got = kron_resistances(g, retain, pairs)
+        full = effective_resistance(g, pairs)
+        theirs = nx.resistance_distance(networkx_graph(nx, g), weight="weight", invert_weight=False)
+        for u, v in pairs:
+            assert got[(u, v)] == pytest.approx(full[(u, v)], rel=1e-9)
+            assert got[(u, v)] == pytest.approx(theirs[u][v], rel=1e-9)
 
 
 # --- Kron placement's resistances, without the reduced Graph ----------------
@@ -242,7 +248,6 @@ def test_kron_resistance_equals_reference_weighted():
         g = random_connected_weighted(rng, rng.randrange(3, 30))
         retain = rng.sample(list(g.vertices), rng.randrange(1, len(g.vertices)))
         pairs = [(u, v) for u in retain for v in retain]
-        assert list(kron_reduced(g, retain).weights.items()) == list(kron_reduce_loop(g, retain).weights.items())
         assert kron_resistances(g, retain, pairs) == kron_resistance_reference(g, retain, pairs)
 
 
@@ -281,27 +286,37 @@ def test_kron_resistance_two_components_with_eliminated_vertices():
     })
 
 
-def test_kron_resistance_threshold_splits_a_component():
-    # Eliminating x leaves a-b at about 1e-14, below FILL_EPS times the
-    # largest reduced entry, so a ends up alone in the reduced graph.
+def test_kron_resistance_tiny_fill_stays_finite():
+    # Eliminating x leaves a-b at about 1e-14, below 1e-12 of the largest
+    # reduced entry, so a reduced network cut at that threshold leaves a
+    # alone.  Read from the Schur complement itself, R(a, b) is the series
+    # value 1e14 + 1, up to cancellation in b's reduced diagonal.
     g = load_graph("a\tx\t1e-14\nx\tb\nb\tc\n")
-    assert set(kron_reduced(g, ["a", "b", "c"]).weights) == {("b", "c")}
-    check_against_reference(g, ["a", "b", "c"], {("a", "b"): math.inf, ("b", "c"): 1.0})
+    assert set(kron_reduce_loop(g, ["a", "b", "c"]).weights) == {("b", "c")}
+    pairs = [("a", "b"), ("b", "c")]
+    got = kron_resistances(g, ["a", "b", "c"], pairs)
+    assert got == kron_resistance_reference(g, ["a", "b", "c"], pairs)
+    assert got[("a", "b")] == pytest.approx(1e14 + 1, rel=1e-3)
+    assert got[("b", "c")] == 1.0
 
 
-# --- LU numerics: close to the Cholesky route, symmetric, exact at the ground --
+# --- LU numerics: close to the Cholesky route and to the reduced network,
+# symmetric, exact at the ground ---------------------------------------------
 
 
-def assert_close_to_cholesky(g, retain, pairs):
-    """Kron resistances within 1e-12 (relative) of those of the former
-    scipy Cholesky route, with the same zeros and infinities."""
+def assert_close_to_other_routes(g, retain, pairs):
+    """Kron resistances within 1e-12 (relative) of those of the same route
+    through scipy's Cholesky factorization, and of the former route that
+    builds the reduced network as a graph and solves it grounded, with the
+    same zeros and infinities."""
     got = kron_resistances(g, retain, pairs)
-    old = kron_resistance_reference(g, retain, pairs, cholesky_solve, cholesky_inverse)
-    for pair in pairs:
-        if old[pair] in (0.0, math.inf):
-            assert got[pair] == old[pair]
-        else:
-            assert got[pair] == pytest.approx(old[pair], rel=1e-12, abs=0.0)
+    for old in (kron_resistance_reference(g, retain, pairs, cholesky_solve, cholesky_inverse),
+                resistance_grounded(kron_reduce_loop(g, retain), pairs)):
+        for pair in pairs:
+            if old[pair] in (0.0, math.inf):
+                assert got[pair] == old[pair]
+            else:
+                assert got[pair] == pytest.approx(old[pair], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("branching", [False, True])
@@ -309,7 +324,7 @@ def test_kron_resistance_near_cholesky_route_random(branching):
     for seed in range(150):
         rng = random.Random(seed)
         g, t = random_pair(rng, rng.randrange(4, 40), branching=branching)
-        assert_close_to_cholesky(g, *kron_inputs(g, t))
+        assert_close_to_other_routes(g, *kron_inputs(g, t))
 
 
 def test_kron_resistance_near_cholesky_route_weighted():
@@ -317,7 +332,7 @@ def test_kron_resistance_near_cholesky_route_weighted():
     for _ in range(60):
         g = random_connected_weighted(rng, rng.randrange(3, 30))
         retain = rng.sample(list(g.vertices), rng.randrange(1, len(g.vertices)))
-        assert_close_to_cholesky(g, retain, [(u, v) for u in retain for v in retain])
+        assert_close_to_other_routes(g, retain, [(u, v) for u in retain for v in retain])
 
 
 def test_resistance_is_symmetric_bit_for_bit():
