@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -234,9 +235,16 @@ def cmd_resistance(args: argparse.Namespace) -> int:
     lo, hi = np.minimum(graph.src, graph.dst), np.maximum(graph.src, graph.dst)  # ids follow name order
     pairs = _pairs(graph.vertices, np.unique(lo * len(graph.vertices) + hi))
     values = effective_resistance(graph, pairs)
-    for u, v in pairs:
-        r = values[(u, v)]
-        sys.stdout.write(f"{u}\t{v}\t{'inf' if math.isinf(r) else _fmt(r)}\n")
+    text = "".join(f"{u}\t{v}\t{'inf' if math.isinf(r) else _fmt(r)}\n" for (u, v), r in values.items())
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; let that go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValidationError(f"cannot write standard output: {exc.strerror or exc}") from exc
     return 0
 
 

@@ -12,6 +12,9 @@ unit lengths.  Conventions that the literature leaves open are pinned here:
 * the directed clustering coefficient counts triangles of every
   orientation pattern, normalized per vertex by
   ``d_tot * (d_tot - 1) - 2 * d_reciprocal``, averaged where that is > 0.
+* every path quantity comes from one multi-source BFS (:func:`_distances`);
+  betweenness runs Brandes on its distance rows, equal bit for bit to a
+  FIFO-queue loop over integer path counts, and refuses counts of 2**53.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ CENTRALITY_METRICS = (
 MAX_ITERATIONS = 10_000
 POWER_TOL = 1e-12
 PATH_COUNT_LIMIT = 2.0**53  # float64 counts paths exactly below this
+GATHER_WORDS = 2**19  # frontier words one BFS level gathers, 8 bytes each
+BATCH_ARCS = 2**16  # (source, arc) candidates one Brandes batch tests
 
 
 class DegenerateFitError(NumericalError):
@@ -82,52 +87,51 @@ class DegreeFit:
 
 
 def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense 0/1 adjacency and sorted-row CSR ``(indptr, indices)`` over dense ids."""
+    """Dense 0/1 adjacency, and the arcs as CSR over heads: ``tails[indptr[v]:
+    indptr[v + 1]]`` are the in-neighbours of ``v`` in id order."""
     src, dst = g.src, g.dst
     n = len(g.vertices)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    indices = dst[np.argsort(src * n + dst)]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+    tails = src[np.argsort(dst * n + src)]
     a = np.zeros((n, n))
     a[src, dst] = 1.0
-    return a, indptr, indices
+    return a, indptr, tails
 
 
-def _bfs(indptr: np.ndarray, indices: np.ndarray, with_arcs: bool = True):
-    """Level-synchronous BFS from each vertex with an out-edge, in id order,
-    at O(n + m) array work per source.  Yields ``(source, levels, dist,
-    arcs)``: each level's vertex ids in the discovery order of a FIFO-queue
-    BFS, distances (-1 where unreached), and per level after the first the
-    shortest-path arcs ``(tails, heads)`` into it (none without
-    ``with_arcs``)."""
+def _distances(indptr: np.ndarray, tails: np.ndarray):
+    """BFS distances from every vertex with an out-edge, in id order.
+
+    Multi-source BFS (Then et al., PVLDB 8(4), 2014): each vertex holds one
+    bit per source, 64 to a ``uint64`` word, and one level is an OR over
+    each vertex's in-arcs of the frontier bits, minus the bits already
+    seen, at O(m) word operations per level and 64 sources.  Yields
+    ``(sources, dist)`` chunks of at most ``64 * max(1, GATHER_WORDS // m)``
+    sources, where ``dist[i, v]`` is the exact distance from ``sources[i]``
+    to ``v`` (-1 where unreached).
+    """
     n = len(indptr) - 1
-    has_in = np.bincount(indices, minlength=n) > 0  # the only vertices a BFS reaches
-    for source in np.flatnonzero(np.diff(indptr)).tolist():
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        levels, arcs = [np.array([source])], []
-        unreached = int(has_in.sum()) - int(has_in[source])
-        while unreached:
-            frontier = levels[-1]
-            starts = indptr[frontier]
-            degree = indptr[frontier + 1] - starts
-            ends = np.cumsum(degree)
-            # Every out-edge of the frontier, row after row, as CSR positions.
-            heads = indices[np.arange(ends[-1]) + np.repeat(starts - ends + degree, degree)]
-            # An arc into an unvisited head lies on a shortest path.
-            on_path = dist[heads] < 0
-            fresh = heads[on_path]
-            if not fresh.size:
-                break
-            # The next level in order of first appearance among the heads.
-            first = np.full(n, fresh.size)
-            np.minimum.at(first, fresh, np.arange(fresh.size))
-            level = fresh[np.sort(first[first < fresh.size])]
-            dist[level] = len(levels)
-            if with_arcs:
-                arcs.append((np.repeat(frontier, degree)[on_path], fresh))
-            levels.append(level)
-            unreached -= level.size
-        yield source, levels, dist, arcs
+    sources = np.flatnonzero(np.bincount(tails, minlength=n))
+    heads = np.flatnonzero(np.diff(indptr))  # the only vertices a BFS reaches
+    starts = indptr[heads]
+    words = max(1, GATHER_WORDS // len(tails))
+    for lo in range(0, len(sources), 64 * words):
+        chunk = sources[lo:lo + 64 * words]
+        bit = np.arange(len(chunk))
+        frontier = np.zeros((n, -(-len(chunk) // 64)), dtype=np.uint64)
+        frontier[chunk, bit // 64] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+        seen = frontier.copy()
+        dist = np.full((len(chunk), n), -1, dtype=np.int32)
+        dist[bit, chunk] = 0
+        level = 0
+        while frontier.any():
+            level += 1
+            fresh = np.bitwise_or.reduceat(frontier[tails], starts, axis=0) & ~seen[heads]
+            seen[heads] |= fresh
+            frontier[:] = 0
+            frontier[heads] = fresh
+            bits = np.unpackbits(frontier.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
+            dist[bits[:, :len(chunk)].T.view(bool)] = level
+        yield chunk, dist
 
 
 def _clustering_directed(a: np.ndarray) -> float:
@@ -153,12 +157,13 @@ def metrics_report(g: Graph) -> MetricsReport:
         raise DomainError("metrics need at least one edge")
     n = len(g.vertices)
     n_active = len(g.active_vertices())
-    a, indptr, indices = _adjacency(g)
+    a, indptr, tails = _adjacency(g)
     total = finite_pairs = diameter = 0
-    for _, levels, _, _ in _bfs(indptr, indices, with_arcs=False):
-        total += sum(d * len(level) for d, level in enumerate(levels))
-        finite_pairs += sum(map(len, levels)) - 1
-        diameter = max(diameter, len(levels) - 1)
+    for _, dist in _distances(indptr, tails):
+        total += int(np.maximum(dist, 0).sum(dtype=np.int64))
+        finite_pairs += int(np.count_nonzero(dist > 0))
+        diameter = max(diameter, int(dist.max()))
+    del dist  # the clustering's dense temporaries need not sit on top of it
     return MetricsReport(
         vertex_count=n,
         active_vertex_count=n_active,
@@ -172,27 +177,61 @@ def metrics_report(g: Graph) -> MetricsReport:
     )
 
 
-def _dependencies(levels, arcs, n: int) -> np.ndarray:
-    """Brandes (2001) dependencies on one BFS source, bit-identical to a
-    queue-based loop over integer path counts: the counts are exact below
-    ``PATH_COUNT_LIMIT`` (reaching it raises), and ``np.bincount`` adds each
-    vertex's terms in the loop's order, heads in reverse discovery order."""
-    sigma = np.zeros(n)
-    sigma[levels[0]] = 1.0
-    for tails, heads in arcs:
-        sigma += np.bincount(heads, sigma[tails], minlength=n)
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]:starts[i] + sizes[i]``, run after run."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
+
+
+def _dependencies(dist: np.ndarray, sources: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Brandes (2001) dependencies on a batch of BFS sources, one row each.
+
+    ``dist`` holds the sources' distance rows and ``heads``/``tails`` the
+    arcs sorted by head.  Each row is bit-identical to a FIFO-queue loop
+    over integer path counts: the counts are exact below
+    ``PATH_COUNT_LIMIT`` (reaching it raises), and ``np.bincount`` adds
+    each vertex's terms in the loop's order, heads in reverse discovery
+    order.  The queue meets a level's vertices in the order of their first
+    predecessor, then by id.  A row's vertices are ``row * n + vertex``.
+    """
+    b, n = dist.shape
+    m = len(tails)
+    # With unreached as n, an arc is on a shortest path iff its head lies one level past its tail.
+    depth = np.where(dist < 0, n, dist)
+    hit = np.flatnonzero(np.take(depth, tails, axis=1) + 1 == np.take(depth, heads, axis=1))
+    row, arc = np.divmod(hit, m)
+    tail, head = row * n + tails[arc], row * n + heads[arc]
+    count = np.bincount(head, minlength=b * n)  # each head's shortest-path arcs are one run
+    start = np.cumsum(count) - count
+
+    flat = dist.ravel()
+    reached = np.flatnonzero(flat > 0)
+    reached = reached[np.argsort(flat[reached], kind="stable")]
+    bounds = np.searchsorted(flat[reached], np.arange(1, flat.max() + 2))
+    roots = np.arange(b) * n + sources
+    sigma = np.zeros(b * n)
+    sigma[roots] = 1.0
+    position = np.zeros(b * n, dtype=np.int64)  # increases along each row's queue
+    position[roots] = np.arange(b)
+    levels = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        level = reached[lo:hi]
+        t = tail[_runs(start[level], count[level])]
+        first = np.cumsum(count[level]) - count[level]
+        sigma[level] = np.add.reduceat(sigma[t], first)
+        level = level[np.argsort(np.minimum.reduceat(position[t], first), kind="stable")]
+        position[level] = np.arange(b + lo, b + hi)
+        levels.append(level)
     if sigma.max() >= PATH_COUNT_LIMIT:
         raise NumericalError("a shortest-path count reaches 2**53; betweenness would be inexact")
-    position = np.empty(n, dtype=np.int64)
-    position[np.concatenate(levels)] = np.arange(sum(map(len, levels)))
-    delta = np.zeros(n)
-    for tails, heads in reversed(arcs):
-        # Equal heads come in any order: their terms go to distinct tails.
-        back = np.argsort(-position[heads])
-        tails, heads = tails[back], heads[back]
-        delta += np.bincount(tails, sigma[tails] / sigma[heads] * (1.0 + delta[heads]), minlength=n)
-    delta[levels[0]] = 0.0
-    return delta
+    delta = np.zeros(b * n)
+    for level in reversed(levels):
+        level = level[::-1]
+        arcs = _runs(start[level], count[level])
+        t, h = tail[arcs], head[arcs]
+        delta += np.bincount(t, sigma[t] / sigma[h] * (1.0 + delta[h]), minlength=b * n)
+    delta[roots] = 0.0
+    return delta.reshape(b, n)
 
 
 def _hits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,17 +288,23 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
     names = g.vertices
     n = len(names)
     n_active = len(g.active_vertices())
-    a, indptr, indices = _adjacency(g)
+    a, indptr, tails = _adjacency(g)
+    heads = np.repeat(np.arange(n), np.diff(indptr))
 
-    # One BFS per source serves closeness and betweenness alike.
+    # One multi-source BFS serves closeness and betweenness alike.
     sum_out, reach_out, sum_in, reach_in = np.zeros((4, n), dtype=np.int64)
     betweenness = np.zeros(n)
-    for source, levels, dist, arcs in _bfs(indptr, indices):
-        reached = np.maximum(dist, 0)
-        sum_out[source], reach_out[source] = reached.sum(), np.count_nonzero(reached)
-        sum_in += reached
-        reach_in += reached > 0
-        betweenness += _dependencies(levels, arcs, n)
+    batch = max(1, BATCH_ARCS // g.edge_count)
+    for sources, dist in _distances(indptr, tails):
+        for lo in range(0, len(sources), batch):
+            for row in _dependencies(dist[lo:lo + batch], sources[lo:lo + batch], heads, tails):
+                betweenness += row
+        hops = np.maximum(dist, 0)
+        sum_out[sources] = hops.sum(axis=1, dtype=np.int64)
+        reach_out[sources] = np.count_nonzero(hops, axis=1)
+        sum_in += hops.sum(axis=0, dtype=np.int64)
+        reach_in += np.count_nonzero(hops, axis=0)
+    del dist, hops  # the power iterations' dense temporaries need not sit on top of them
 
     def closeness(reach: np.ndarray, sums: np.ndarray) -> dict[str, float]:
         # On Python ints, so each score is the exact ratio rounded once.

@@ -584,6 +584,25 @@ def test_degree_fit_degenerate_exits_3(tmp_path):
     assert main(["degree-fit", "--graph", str(gp), "--out", str(tmp_path / "fit")]) == 3
 
 
+def test_resistance_into_a_closed_pipe_exits_2(tmp_path):
+    """``unires resistance ... | head -1``: the reader is gone before the
+    output, larger than a 64 KiB pipe buffer, is written."""
+    gp = tmp_path / "g.tsv"
+    labels = names(90)
+    gp.write_text("".join(f"{u}\t{v}\n" for i, u in enumerate(labels) for v in labels[i + 1:]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "unires", "resistance", "--graph", str(gp)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    # One line: no traceback, and no "Exception ignored" from the final flush.
+    assert done.stderr.startswith("error: cannot write standard output") and done.stderr.count("\n") == 1
+
+
 def test_resistance_debug_output(tmp_path, capsys):
     gp = tmp_path / "g.tsv"
     gp.write_text("a\tb\nb\tc\n")

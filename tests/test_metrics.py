@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import unires.metrics
 from unires.graph import DomainError, Graph, load_graph
 from unires.metrics import (
     DegenerateFitError,
@@ -154,11 +155,19 @@ PATH_CASES = {
     "isolated": lambda rng: random_digraph(rng, 12, 0.3).with_vertices(names(8, "iso")),
     "inherit-output": _inherit_output,
     "shuffled": _shuffled,
+    # More than 64 sources: the traversal's bit sets span several words.
+    "wide": lambda rng: random_digraph(rng, rng.randrange(65, 160), 0.03),
 }
 
 
-@pytest.mark.parametrize("seed, case", list(enumerate(PATH_CASES)))
-def test_path_metrics_equal_queue_reference_exactly(seed, case):
+@pytest.mark.parametrize("seed, case, tiny_budgets", [
+    pytest.param(seed, case, tiny, id=f"{seed}-{case}" + ("-tiny-budgets" if tiny else ""))
+    for tiny in (False, True) for seed, case in enumerate(PATH_CASES)
+])
+def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, monkeypatch):
+    if tiny_budgets:  # one word per traversal chunk, one source per Brandes batch
+        monkeypatch.setattr(unires.metrics, "GATHER_WORDS", 1)
+        monkeypatch.setattr(unires.metrics, "BATCH_ARCS", 1)
     rng = random.Random(300 + seed)
     for _ in range(6):
         g = PATH_CASES[case](rng)
@@ -218,6 +227,26 @@ def test_path_count_limit_raises(k):
     with pytest.raises(NumericalError, match=r"2\*\*53"):
         centrality_suite(g)
     assert metrics_report(g).diameter == 2 * k  # path lengths need no path counts
+
+
+def test_path_count_limit_raises_inside_a_batch():
+    """The overflowing source shares its Brandes batch with the sources of
+    a small extra component."""
+    weights = dict(diamond_chain(53).weights)
+    weights.update({("x0", "x1"): 1.0, ("x1", "x2"): 1.0, ("x2", "x0"): 1.0})
+    g = Graph.from_edges(weights)
+    assert unires.metrics.BATCH_ARCS // g.edge_count >= len(g.vertices)  # every source in one batch
+    with pytest.raises(NumericalError, match=r"2\*\*53"):
+        centrality_suite(g)
+    assert metrics_report(g).diameter == 106
+
+
+def test_path_metrics_need_no_numpy_2_api(monkeypatch):
+    """``pyproject.toml`` allows numpy 1.24, which has no ``bitwise_count``."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    g = PATH_CASES["wide"](random.Random(7))
+    assert metrics_report(g).diameter > 0
+    assert sum(centrality_suite(g).scores["betweenness"].values()) > 0
 
 
 def test_closeness_matches_distance_oracle():
