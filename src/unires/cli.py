@@ -237,8 +237,14 @@ def cmd_resistance(args: argparse.Namespace) -> int:
     values = effective_resistance(graph, pairs)
     text = "".join(f"{u}\t{v}\t{'inf' if math.isinf(r) else _fmt(r)}\n" for (u, v), r in values.items())
     try:
-        sys.stdout.write(text)
+        # Unbuffered (PYTHONUNBUFFERED), the binary stream is the raw file,
+        # whose write may take only part of the bytes when a reader leaves;
+        # sys.stdout.write would drop the rest without an error.
         sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.buffer.flush()
     except OSError as exc:
         # The interpreter flushes stdout again at exit; let that go to devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -15,6 +15,16 @@ unit lengths.  Conventions that the literature leaves open are pinned here:
 * every path quantity comes from one multi-source BFS (:func:`_distances`);
   betweenness runs Brandes on its distance rows, equal bit for bit to a
   FIFO-queue loop over integer path counts, and refuses counts of 2**53.
+  A graph with ``m >= n**2 / 4`` takes the dense kernel
+  (:func:`_dependencies_dense`), whose 0/1 in-adjacency is ``n**2 <= 4m``
+  bytes; a sparser one takes batches of sources over the arcs
+  (:func:`_dependencies`).  Both keep the loop's three orders: a level's
+  queue order, by first predecessor and then id (dense: the first ``True``
+  of a row whose columns are in queue order); each dependency summed over
+  heads in reverse queue order (dense: sequentially, row by row); and the
+  sources' rows added to the scores one at a time, in name order.  The
+  dense path counts are BLAS mat-vecs of 0/1 blocks and integers below
+  2**53, so every BLAS computes them exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +53,13 @@ POWER_TOL = 1e-12
 PATH_COUNT_LIMIT = 2.0**53  # float64 counts paths exactly below this
 GATHER_WORDS = 2**19  # frontier words one BFS level gathers, 8 bytes each
 BATCH_ARCS = 2**16  # (source, arc) candidates one Brandes batch tests
+# Brandes runs on dense level blocks once m >= DENSE_DENSITY * n**2, so their
+# 0/1 matrix takes at most 4m bytes.  With one BLAS thread on random
+# digraphs, dense blocks broke even with the batches at a density of about
+# 0.3, 0.23, 0.15 and 0.08 for n = 100, 150, 300 and 600, and took 8.4 s
+# against 1.6 s on a kron output of density 0.015 at n = 1400.  Under
+# n = 100 they lose by at most a few milliseconds, all per-source overhead.
+DENSE_DENSITY = 0.25
 
 
 class DegenerateFitError(NumericalError):
@@ -234,6 +251,44 @@ def _dependencies(dist: np.ndarray, sources: np.ndarray, heads: np.ndarray, tail
     return delta.reshape(b, n)
 
 
+def _dependencies_dense(at: np.ndarray, dist: np.ndarray, source: int) -> np.ndarray:
+    """Brandes (2001) dependencies of one source, level by level on 0/1
+    blocks ``at[level][:, prev]`` of the in-adjacency (``at[h, t]`` is the
+    arc ``t -> h``), the columns in the previous level's queue order.
+
+    Bit-identical to the FIFO-queue loop, as :func:`_dependencies` is.
+    ``argmax`` along a row finds a vertex's first predecessor in the queue,
+    and a stable sort by it gives the level's queue order.  The path counts
+    are one mat-vec per level, exact under every BLAS: each product is 0/1
+    times an integer, and no partial sum exceeds the count, so all are
+    exact while counts stay below ``PATH_COUNT_LIMIT`` (reaching it raises
+    before any dependency is summed).  The terms form a matrix with heads,
+    in reverse queue order, as rows; summing it along axis 0 adds row after
+    row, the loop's order.  NumPy would sum a single column pairwise, so
+    that case accumulates instead.
+    """
+    order = np.argsort(dist, kind="stable")  # unreached, then level by level in id order
+    ends = np.cumsum(np.bincount(dist + 1))
+    sigma = np.zeros(len(dist))
+    sigma[source] = 1.0
+    queue = [order[ends[0]:ends[1]]]
+    for lo, hi in zip(ends[1:-1], ends[2:]):
+        level = order[lo:hi]
+        block = at[level][:, queue[-1]]
+        sigma[level] = block.astype(float) @ sigma[queue[-1]]
+        queue.append(level[np.argsort(block.argmax(axis=1), kind="stable")])
+    if not sigma.max() < PATH_COUNT_LIMIT:  # NaN too: inf * 0 in the mat-vec
+        raise NumericalError("a shortest-path count reaches 2**53; betweenness would be inexact")
+    delta = np.zeros(len(dist))
+    for d in range(len(queue) - 1, 1, -1):
+        heads, prev = queue[d][::-1], queue[d - 1]
+        terms = sigma[prev] / sigma[heads, None]
+        terms *= 1.0 + delta[heads, None]
+        terms *= at[heads][:, prev].astype(float)
+        delta[prev] = terms.sum(axis=0) if len(prev) > 1 else np.add.accumulate(terms[:, 0])[-1]
+    return delta
+
+
 def _hits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     hub = np.full(n, 1.0 / math.sqrt(n))
@@ -290,15 +345,23 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
     n_active = len(g.active_vertices())
     a, indptr, tails = _adjacency(g)
     heads = np.repeat(np.arange(n), np.diff(indptr))
+    dense = g.edge_count >= DENSE_DENSITY * n * n
+    if dense:
+        at = np.zeros((n, n), dtype=bool)  # the arc t -> h at [h, t]; n**2 <= 4m bytes
+        at[g.dst, g.src] = True
 
     # One multi-source BFS serves closeness and betweenness alike.
     sum_out, reach_out, sum_in, reach_in = np.zeros((4, n), dtype=np.int64)
     betweenness = np.zeros(n)
     batch = max(1, BATCH_ARCS // g.edge_count)
     for sources, dist in _distances(indptr, tails):
-        for lo in range(0, len(sources), batch):
-            for row in _dependencies(dist[lo:lo + batch], sources[lo:lo + batch], heads, tails):
-                betweenness += row
+        if dense:
+            rows = (_dependencies_dense(at, row, source) for source, row in zip(sources, dist))
+        else:
+            rows = (row for lo in range(0, len(sources), batch)
+                    for row in _dependencies(dist[lo:lo + batch], sources[lo:lo + batch], heads, tails))
+        for row in rows:
+            betweenness += row
         hops = np.maximum(dist, 0)
         sum_out[sources] = hops.sum(axis=1, dtype=np.int64)
         reach_out[sources] = np.count_nonzero(hops, axis=1)

@@ -17,7 +17,7 @@ from unires.resolution import disinherit, inherit, kron_sampling
 from unires.spectral import _edge_arrays, _laplacian
 
 from oracles import provenance_nested_sort
-from conftest import branching_hierarchy, names, random_graph_on, random_hierarchy
+from conftest import branching_hierarchy, names, random_digraph, random_graph_on, random_hierarchy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -217,6 +217,29 @@ def test_kron_bytes_are_the_same_under_three_blas_kernels(tmp_path):
                        "--out", str(out), OPENBLAS_CORETYPE=kernel)
         assert done.returncode == 0, done.stderr
         assert_pinned(out, GOLDEN["kron"])
+
+
+def test_path_scores_are_the_same_under_every_blas_kernel(tmp_path):
+    """Betweenness reads path counts from BLAS mat-vecs on a dense graph,
+    exact under any kernel.  Hub, authority and PageRank are left out: their
+    power iterations round differently from one kernel to another."""
+    g = random_digraph(random.Random(4243), 120, 0.3)
+    assert 4 * g.edge_count >= len(g.vertices) ** 2  # on the dense Brandes kernel
+    gp = tmp_path / "g.tsv"
+    gp.write_text(serialize_graph(g))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    columns = set()
+    for kernel in (None, "Haswell", "Sandybridge", "Prescott"):
+        out = tmp_path / str(kernel)
+        done = subprocess.run([sys.executable, "-m", "unires", "centrality", "--graph", str(gp), "--out", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, "PYTHONPATH": SRC, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})})
+        assert done.returncode == 0, done.stderr
+        with open(out / "centrality.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == len(g.vertices)
+        columns.add(tuple((r["vertex"], r["betweenness"], r["in_closeness"], r["out_closeness"]) for r in rows))
+    assert len(columns) == 1
 
 
 # The analysis commands on the same instance, with the tree's container
@@ -584,23 +607,30 @@ def test_degree_fit_degenerate_exits_3(tmp_path):
     assert main(["degree-fit", "--graph", str(gp), "--out", str(tmp_path / "fit")]) == 3
 
 
-def test_resistance_into_a_closed_pipe_exits_2(tmp_path):
-    """``unires resistance ... | head -1``: the reader is gone before the
-    output, larger than a 64 KiB pipe buffer, is written."""
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_resistance_into_a_closed_pipe_exits_2(tmp_path, unbuffered):
+    """``unires resistance ... | head -1``: the reader leaves after one line
+    of an output far larger than a 64 KiB pipe buffer.  Unbuffered, the raw
+    file takes part of a write and must be given the rest."""
     gp = tmp_path / "g.tsv"
-    labels = names(90)
+    labels = names(150)
     gp.write_text("".join(f"{u}\t{v}\n" for i, u in enumerate(labels) for v in labels[i + 1:]))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    done = subprocess.Popen([sys.executable, "-m", "unires", "resistance", "--graph", str(gp)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": SRC})
     try:
-        done = subprocess.run([sys.executable, "-m", "unires", "resistance", "--graph", str(gp)],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        assert done.stdout.readline().startswith(b"n000\tn001\t")
+        done.stdout.close()
+        stderr = done.stderr.read().decode()
+        assert done.wait(timeout=120) == 2
     finally:
-        os.close(write_end)
-    assert done.returncode == 2
+        done.kill()
+        done.wait()
+        done.stderr.close()
     # One line: no traceback, and no "Exception ignored" from the final flush.
-    assert done.stderr.startswith("error: cannot write standard output") and done.stderr.count("\n") == 1
+    assert stderr.startswith("error: cannot write standard output") and stderr.count("\n") == 1
 
 
 def test_resistance_debug_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -147,6 +148,15 @@ def _shuffled(rng):
     return Graph.from_edges(dict(items))
 
 
+def _funnel(rng):
+    """A dense graph behind a stem ``stem0 -> stem1 -> stem2``: a level of
+    one vertex whose dependency sums the terms of a whole level."""
+    g = random_digraph(rng, rng.randrange(40, 80), 0.5)
+    weights = {**g.weights, ("stem0", "stem1"): 1.0, ("stem1", "stem2"): 1.0}
+    weights.update({("stem2", v): 1.0 for v in g.vertices[::2]})
+    return Graph.from_edges(weights)
+
+
 PATH_CASES = {
     "dense": lambda rng: random_digraph(rng, rng.randrange(10, 30), 0.8),
     "sparse": lambda rng: random_digraph(rng, rng.randrange(10, 50), 0.07),
@@ -157,26 +167,41 @@ PATH_CASES = {
     "shuffled": _shuffled,
     # More than 64 sources: the traversal's bit sets span several words.
     "wide": lambda rng: random_digraph(rng, rng.randrange(65, 160), 0.03),
+    # The same past the dense rule, where most vertices sum 9 or more
+    # dependency terms, enough for pairwise summation to change bits.
+    "dense-wide": lambda rng: random_digraph(rng, rng.randrange(65, 160), 0.5),
+    "funnel": _funnel,
 }
 
 
-@pytest.mark.parametrize("seed, case, tiny_budgets", [
-    pytest.param(seed, case, tiny, id=f"{seed}-{case}" + ("-tiny-budgets" if tiny else ""))
-    for tiny in (False, True) for seed, case in enumerate(PATH_CASES)
+@functools.cache
+def path_case(seed, case):
+    """Six graphs of one case with edges, and the queue loops' results on them."""
+    rng = random.Random(300 + seed)
+    graphs = [PATH_CASES[case](rng) for _ in range(6)]
+    return [(g, brandes_betweenness(g), path_sums(g)) for g in graphs if g.edge_count]
+
+
+def force_kernel(monkeypatch, kernel):
+    """Send every graph to the dense Brandes kernel, or none."""
+    monkeypatch.setattr(unires.metrics, "DENSE_DENSITY", {"dense": 0.0, "sparse": math.inf}[kernel])
+
+
+@pytest.mark.parametrize("seed, case, tiny_budgets, kernel", [
+    pytest.param(seed, case, tiny, kernel,
+                 id=f"{seed}-{case}" + ("-tiny-budgets" if tiny else "") + (f"-{kernel}-kernel" if kernel else ""))
+    for kernel in (None, "dense", "sparse") for tiny in (False, True) for seed, case in enumerate(PATH_CASES)
 ])
-def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, monkeypatch):
+def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, kernel, monkeypatch):
     if tiny_budgets:  # one word per traversal chunk, one source per Brandes batch
         monkeypatch.setattr(unires.metrics, "GATHER_WORDS", 1)
         monkeypatch.setattr(unires.metrics, "BATCH_ARCS", 1)
-    rng = random.Random(300 + seed)
-    for _ in range(6):
-        g = PATH_CASES[case](rng)
-        if g.edge_count == 0:
-            continue
-        ref = path_sums(g)
+    if kernel:
+        force_kernel(monkeypatch, kernel)
+    for g, betweenness, ref in path_case(seed, case):
         n_active = len(g.active_vertices())
         table = centrality_suite(g)
-        assert table.scores["betweenness"] == brandes_betweenness(g)
+        assert table.scores["betweenness"] == betweenness
         for side in ("in", "out"):
             reach, sums = ref[f"reach_{side}"], ref[f"sum_{side}"]
             expected = [r * r / ((n_active - 1) * s) if s else 0.0 for r, s in zip(reach, sums)]
@@ -189,8 +214,10 @@ def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, mo
 def test_betweenness_and_closeness_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(263)
-    for _ in range(12):
-        g = random_digraph(rng, rng.randrange(5, 40), rng.uniform(0.05, 0.6))
+    graphs = [random_digraph(rng, rng.randrange(5, 40), rng.uniform(0.05, 0.6)) for _ in range(12)]
+    dense = random_digraph(rng, 120, 0.4)
+    assert 4 * dense.edge_count >= len(dense.vertices) ** 2  # on the dense Brandes kernel
+    for g in graphs + [dense]:
         if g.edge_count == 0:
             continue
         theirs = nx.DiGraph(list(g.weights))  # active vertices only, as closeness counts them
@@ -220,8 +247,13 @@ def test_path_counts_just_below_limit_stay_exact():
     assert centrality_suite(g).scores["betweenness"] == brandes_betweenness(g)
 
 
-@pytest.mark.parametrize("k", [53, 54])
-def test_path_count_limit_raises(k):
+@pytest.mark.parametrize("k, kernel", [
+    pytest.param(k, kernel, id=f"{k}" + (f"-{kernel}-kernel" if kernel else ""))
+    for kernel in (None, "dense") for k in (53, 54)
+])
+def test_path_count_limit_raises(k, kernel, monkeypatch):
+    if kernel:
+        force_kernel(monkeypatch, kernel)
     g = diamond_chain(k)
     assert len(g.vertices) == 3 * k + 1
     with pytest.raises(NumericalError, match=r"2\*\*53"):
@@ -229,16 +261,27 @@ def test_path_count_limit_raises(k):
     assert metrics_report(g).diameter == 2 * k  # path lengths need no path counts
 
 
+def chain_and_triangle():
+    weights = dict(diamond_chain(53).weights)
+    weights.update({("x0", "x1"): 1.0, ("x1", "x2"): 1.0, ("x2", "x0"): 1.0})
+    return Graph.from_edges(weights)
+
+
 def test_path_count_limit_raises_inside_a_batch():
     """The overflowing source shares its Brandes batch with the sources of
     a small extra component."""
-    weights = dict(diamond_chain(53).weights)
-    weights.update({("x0", "x1"): 1.0, ("x1", "x2"): 1.0, ("x2", "x0"): 1.0})
-    g = Graph.from_edges(weights)
+    g = chain_and_triangle()
     assert unires.metrics.BATCH_ARCS // g.edge_count >= len(g.vertices)  # every source in one batch
     with pytest.raises(NumericalError, match=r"2\*\*53"):
         centrality_suite(g)
     assert metrics_report(g).diameter == 106
+
+
+def test_path_count_limit_raises_inside_a_batch_on_the_dense_kernel(monkeypatch):
+    """The same graph with every source on the dense kernel."""
+    force_kernel(monkeypatch, "dense")
+    with pytest.raises(NumericalError, match=r"2\*\*53"):
+        centrality_suite(chain_and_triangle())
 
 
 def test_path_metrics_need_no_numpy_2_api(monkeypatch):
