@@ -22,9 +22,13 @@ unit lengths.  Conventions that the literature leaves open are pinned here:
   queue order, by first predecessor and then id (dense: the first ``True``
   of a row whose columns are in queue order); each dependency summed over
   heads in reverse queue order (dense: sequentially, row by row); and the
-  sources' rows added to the scores one at a time, in name order.  The
-  dense path counts are BLAS mat-vecs of 0/1 blocks and integers below
-  2**53, so every BLAS computes them exactly.
+  sources' rows added to the scores one at a time, in name order.
+* hub, authority and PageRank iterate mat-vecs over the arcs sorted by
+  head, ``np.bincount`` summing each vertex's terms in arc order, and take
+  every norm and sum with ``math.fsum``.  The only BLAS products left are
+  exact: the dense path counts (0/1 blocks times integers below 2**53)
+  and the clustering's ``s @ s`` (integers of at most 4n).  So no output
+  depends on the BLAS build.
 """
 
 from __future__ import annotations
@@ -104,15 +108,12 @@ class DegreeFit:
 
 
 def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense 0/1 adjacency, and the arcs as CSR over heads: ``tails[indptr[v]:
-    indptr[v + 1]]`` are the in-neighbours of ``v`` in id order."""
-    src, dst = g.src, g.dst
+    """The arcs sorted by head, then tail, and their CSR over heads:
+    ``tails[indptr[v]:indptr[v + 1]]`` are the in-neighbours of ``v``."""
     n = len(g.vertices)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-    tails = src[np.argsort(dst * n + src)]
-    a = np.zeros((n, n))
-    a[src, dst] = 1.0
-    return a, indptr, tails
+    order = np.argsort(g.dst * n + g.src)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.dst, minlength=n))))
+    return g.dst[order], g.src[order], indptr
 
 
 def _distances(indptr: np.ndarray, tails: np.ndarray):
@@ -151,11 +152,14 @@ def _distances(indptr: np.ndarray, tails: np.ndarray):
         yield chunk, dist
 
 
-def _clustering_directed(a: np.ndarray) -> float:
-    s = a + a.T
+def _clustering_directed(heads: np.ndarray, tails: np.ndarray, d_tot: np.ndarray, mutual: np.ndarray) -> float:
+    # s is a + a.T, so each entry of s @ s is an integer of at most 4n, exact in any summation order.
+    n = len(d_tot)
+    s = np.zeros((n, n))
+    s[tails, heads] = 1.0
+    s[heads, tails] += 1.0
     triangles = ((s @ s) * s).sum(axis=1) / 2.0
-    d_tot = a.sum(axis=0) + a.sum(axis=1)
-    d_bi = (a * a.T).sum(axis=1)
+    d_bi = np.bincount(tails[mutual], minlength=n)
     denom = d_tot * (d_tot - 1.0) - 2.0 * d_bi
     mask = denom > 0
     if not mask.any():
@@ -173,8 +177,10 @@ def metrics_report(g: Graph) -> MetricsReport:
     if m == 0:
         raise DomainError("metrics need at least one edge")
     n = len(g.vertices)
-    n_active = len(g.active_vertices())
-    a, indptr, tails = _adjacency(g)
+    heads, tails, indptr = _adjacency(g)
+    d_tot = np.diff(indptr) + np.bincount(tails, minlength=n)
+    n_active = int(np.count_nonzero(d_tot))
+    mutual = np.isin(tails * n + heads, heads * n + tails)  # the arcs whose reverse is an arc too
     total = finite_pairs = diameter = 0
     for _, dist in _distances(indptr, tails):
         total += int(np.maximum(dist, 0).sum(dtype=np.int64))
@@ -187,10 +193,10 @@ def metrics_report(g: Graph) -> MetricsReport:
         edge_count=m,
         density=m / (n_active * (n_active - 1)),
         density_all_vertices=m / (n * (n - 1)) if n > 1 else 0.0,
-        reciprocity=int((a * a.T).sum()) / m,
+        reciprocity=int(np.count_nonzero(mutual)) / m,
         diameter=diameter,
         characteristic_path_length=total / finite_pairs,
-        mean_clustering_directed=_clustering_directed(a),
+        mean_clustering_directed=_clustering_directed(heads, tails, d_tot, mutual),
     )
 
 
@@ -289,40 +295,35 @@ def _dependencies_dense(at: np.ndarray, dist: np.ndarray, source: int) -> np.nda
     return delta
 
 
-def _hits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    hub = np.full(n, 1.0 / math.sqrt(n))
-    auth = np.full(n, 1.0 / math.sqrt(n))
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(math.fsum(x * x))
+
+
+def _hits(heads: np.ndarray, tails: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    hub = auth = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(MAX_ITERATIONS):
-        new_auth = a.T @ hub
-        norm = np.linalg.norm(new_auth)
-        if norm > 0:
-            new_auth /= norm
-        new_hub = a @ new_auth
-        norm = np.linalg.norm(new_hub)
-        if norm > 0:
-            new_hub /= norm
-        delta = max(
-            np.linalg.norm(new_auth - auth) / max(np.linalg.norm(new_auth), 1e-300),
-            np.linalg.norm(new_hub - hub) / max(np.linalg.norm(new_hub), 1e-300),
-        )
+        new_auth = np.bincount(heads, hub[tails], minlength=n)
+        new_auth /= _norm(new_auth) or 1.0
+        new_hub = np.bincount(tails, new_auth[heads], minlength=n)
+        new_hub /= _norm(new_hub) or 1.0
+        delta = max(_norm(new_auth - auth) / max(_norm(new_auth), 1e-300),
+                    _norm(new_hub - hub) / max(_norm(new_hub), 1e-300))
         hub, auth = new_hub, new_auth
         if delta <= POWER_TOL:
             return hub, auth
     raise NumericalError("hubs/authorities power iteration did not converge")
 
 
-def _pagerank(a: np.ndarray, damping: float) -> np.ndarray:
-    n = a.shape[0]
-    out_degree = a.sum(axis=1)
+def _pagerank(heads: np.ndarray, tails: np.ndarray, out_degree: np.ndarray, damping: float) -> np.ndarray:
+    n = len(out_degree)
+    share = 1.0 / out_degree[tails]  # each arc's transition probability
     dangling = out_degree == 0
-    transition = np.divide(a, out_degree[:, None], out=np.zeros_like(a), where=out_degree[:, None] > 0)
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
     for _ in range(MAX_ITERATIONS):
-        new_x = damping * (transition.T @ x) + teleport
-        new_x += damping * x[dangling].sum() / n
-        if np.abs(new_x - x).sum() <= POWER_TOL:
+        new_x = damping * np.bincount(heads, x[tails] * share, minlength=n) + teleport
+        new_x += damping * math.fsum(x[dangling]) / n
+        if math.fsum(np.abs(new_x - x)) <= POWER_TOL:
             return new_x
         x = new_x
     raise NumericalError("pagerank power iteration did not converge")
@@ -342,13 +343,13 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
         raise DomainError(f"pagerank damping must be in (0, 1), got {pagerank_damping!r}")
     names = g.vertices
     n = len(names)
-    n_active = len(g.active_vertices())
-    a, indptr, tails = _adjacency(g)
-    heads = np.repeat(np.arange(n), np.diff(indptr))
+    heads, tails, indptr = _adjacency(g)
+    in_degree, out_degree = np.diff(indptr), np.bincount(tails, minlength=n)
+    n_active = int(np.count_nonzero(in_degree + out_degree))
     dense = g.edge_count >= DENSE_DENSITY * n * n
     if dense:
         at = np.zeros((n, n), dtype=bool)  # the arc t -> h at [h, t]; n**2 <= 4m bytes
-        at[g.dst, g.src] = True
+        at[heads, tails] = True
 
     # One multi-source BFS serves closeness and betweenness alike.
     sum_out, reach_out, sum_in, reach_in = np.zeros((4, n), dtype=np.int64)
@@ -367,19 +368,18 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
         reach_out[sources] = np.count_nonzero(hops, axis=1)
         sum_in += hops.sum(axis=0, dtype=np.int64)
         reach_in += np.count_nonzero(hops, axis=0)
-    del dist, hops  # the power iterations' dense temporaries need not sit on top of them
 
     def closeness(reach: np.ndarray, sums: np.ndarray) -> dict[str, float]:
         # On Python ints, so each score is the exact ratio rounded once.
         pairs = zip(names, reach.tolist(), sums.tolist())
         return {v: r * r / ((n_active - 1) * s) if s else 0.0 for v, r, s in pairs}
 
-    hub, auth = _hits(a)
-    pagerank = _pagerank(a, pagerank_damping)
+    hub, auth = _hits(heads, tails, n)
+    pagerank = _pagerank(heads, tails, out_degree, pagerank_damping)
 
     scores = {
-        "in_degree": dict(zip(names, a.sum(axis=0).tolist())),
-        "out_degree": dict(zip(names, a.sum(axis=1).tolist())),
+        "in_degree": dict(zip(names, in_degree.astype(float).tolist())),
+        "out_degree": dict(zip(names, out_degree.astype(float).tolist())),
         "in_closeness": closeness(reach_in, sum_in),
         "out_closeness": closeness(reach_out, sum_out),
         "betweenness": dict(zip(names, betweenness.tolist())),
@@ -414,7 +414,7 @@ def degree_fit(g: Graph) -> DegreeFit:
     """
     if g.edge_count == 0:
         raise DomainError("degree fit needs at least one edge")
-    degrees = sorted(g.degree(v) for v in g.vertices)
+    degrees = np.sort(np.bincount(np.concatenate((g.src, g.dst)), minlength=len(g.vertices))).tolist()
     if len(set(degrees)) < 2:
         raise DegenerateFitError("all degrees are equal; nothing to fit")
     d_min = degrees[0]

@@ -543,3 +543,57 @@ def path_sums(g: Graph) -> dict[str, object]:
         "sum_out": sum_out, "reach_out": reach_out, "sum_in": sum_in, "reach_in": reach_in,
         "diameter": diameter, "characteristic_path_length": sum(sum_out) / pairs if pairs else None,
     }
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency as a dense float matrix, ``a[u, v] = 1`` for ``u -> v``."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    a = np.zeros((len(g.vertices), len(g.vertices)))
+    for u, v in g.weights:
+        a[idx[u], idx[v]] = 1.0
+    return a
+
+
+def hits_dense(g: Graph, tol: float = 1e-12, max_iterations: int = 10_000) -> tuple[dict, dict]:
+    """Hub and authority scores by power iteration on the dense adjacency,
+    with BLAS mat-vecs and ``np.linalg.norm``."""
+    a = dense_adjacency(g)
+    n = a.shape[0]
+    hub = np.full(n, 1.0 / math.sqrt(n))
+    auth = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(max_iterations):
+        new_auth = a.T @ hub
+        norm = np.linalg.norm(new_auth)
+        if norm > 0:
+            new_auth /= norm
+        new_hub = a @ new_auth
+        norm = np.linalg.norm(new_hub)
+        if norm > 0:
+            new_hub /= norm
+        delta = max(
+            np.linalg.norm(new_auth - auth) / max(np.linalg.norm(new_auth), 1e-300),
+            np.linalg.norm(new_hub - hub) / max(np.linalg.norm(new_hub), 1e-300),
+        )
+        hub, auth = new_hub, new_auth
+        if delta <= tol:
+            return dict(zip(g.vertices, hub.tolist())), dict(zip(g.vertices, auth.tolist()))
+    raise AssertionError("hubs/authorities power iteration did not converge")
+
+
+def pagerank_dense(g: Graph, damping: float = 0.85, tol: float = 1e-12, max_iterations: int = 10_000) -> dict:
+    """PageRank by power iteration on the dense transition matrix, dangling
+    vertices spreading their mass uniformly."""
+    a = dense_adjacency(g)
+    n = a.shape[0]
+    out_degree = a.sum(axis=1)
+    dangling = out_degree == 0
+    transition = np.divide(a, out_degree[:, None], out=np.zeros_like(a), where=out_degree[:, None] > 0)
+    x = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iterations):
+        new_x = damping * (transition.T @ x) + teleport
+        new_x += damping * x[dangling].sum() / n
+        if np.abs(new_x - x).sum() <= tol:
+            return dict(zip(g.vertices, new_x.tolist()))
+        x = new_x
+    raise AssertionError("pagerank power iteration did not converge")

@@ -17,7 +17,7 @@ from unires.metrics import (
 )
 from unires.resolution import inherit
 
-from oracles import betweenness_paths, brandes_betweenness, floyd_warshall, path_sums
+from oracles import betweenness_paths, brandes_betweenness, floyd_warshall, hits_dense, pagerank_dense, path_sums
 from conftest import branching_hierarchy, names, random_digraph, random_graph_on
 
 CYCLE3 = "a\tb\nb\tc\nc\ta\n"
@@ -339,6 +339,27 @@ def test_pagerank_sums_to_one_and_hits_unit_norm():
         for metric in ("hub", "authority"):
             norm = math.sqrt(sum(x * x for x in table.scores[metric].values()))
             assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hits_and_pagerank_match_dense_oracle():
+    rng = random.Random(251)
+    graphs = [random_digraph(rng, rng.randrange(2, 60), rng.uniform(0.02, 0.6)) for _ in range(16)]
+    dangling = _dag(rng, 40, 0.15)
+    assert {v for _, v in dangling.weights} - {u for u, _ in dangling.weights}  # arcs in, none out
+    isolated = random_digraph(rng, 30, 0.1).with_vertices(names(10, "iso"))
+    assert len(isolated.active_vertices()) < len(isolated.vertices)
+    dense = random_digraph(rng, 120, 0.4)
+    assert 4 * dense.edge_count >= len(dense.vertices) ** 2
+    for g in graphs + [dangling, isolated, dense]:
+        if g.edge_count == 0:
+            continue
+        hub, authority = hits_dense(g)
+        for damping in (0.85, 0.5):
+            table = centrality_suite(g, pagerank_damping=damping).scores
+            expected = {"hub": hub, "authority": authority, "pagerank": pagerank_dense(g, damping)}
+            for metric, values in expected.items():
+                for v in g.vertices:
+                    assert math.isclose(table[metric][v], values[v], rel_tol=1e-12), (metric, v, damping)
 
 
 def test_pagerank_invariant_under_weight_rescaling():
