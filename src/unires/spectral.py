@@ -6,7 +6,10 @@ All solves are per connected component of the input network.  Vertices
 that a Kron reduction eliminates leave through one Schur complement, and
 the component is grounded at its lowest kept id (its lexicographically
 smallest kept name), which replaces the Moore-Penrose pseudoinverse at
-lower cost.  The solves are LU factorizations from ``numpy.linalg``.
+lower cost.  Both the eliminated block and the grounded block are
+symmetric positive definite, and :func:`_spd_inverse` inverts each by
+halves on matrix products, which run through BLAS at GEMM speed; only
+blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.
 
 A network's undirected edges are index arrays ``i < j`` and weights ``w``,
 each pair once, in the order of its first appearance.  Every Laplacian is
@@ -21,6 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from .graph import DomainError, Edge, Graph, _first_sums
+
+# Rows at and below which _spd_inverse hands a block to LAPACK's LU inverse.
+SPD_BLOCK = 64
 
 
 class NumericalError(RuntimeError):
@@ -82,6 +88,33 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarra
     return lap
 
 
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of the symmetric positive-definite ``a`` by halves (block
+    inversion through the Schur complement; Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 13).  With ``x`` the inverse of
+    the leading half and ``y = x @ a12``, the trailing Schur complement
+    ``a22 - a21 @ y`` is inverted to ``z``, and the inverse is
+    ``[[x + y z yᵀ, -y z], [-(y z)ᵀ, z]]``, each block written in place
+    into the result.  Four half-size GEMMs per level make 4/3·k³ flops in
+    all; blocks of at most ``SPD_BLOCK`` rows go to ``np.linalg.inv``,
+    whose ``LinAlgError`` on a singular block passes through."""
+    k = len(a)
+    if k <= SPD_BLOCK:
+        return np.linalg.inv(a)
+    h = k // 2
+    out = np.empty_like(a)
+    out[:h, :h] = _spd_inverse(a[:h, :h])
+    y = out[:h, :h] @ a[:h, h:]
+    s = a[h:, :h] @ y
+    out[h:, h:] = _spd_inverse(np.subtract(a[h:, h:], s, out=s))
+    del s
+    yz = np.matmul(y, out[h:, h:], out=out[:h, h:])
+    out[:h, :h] += yz @ y.T
+    np.negative(yz, out=yz)
+    out[h:, :h] = yz.T
+    return out
+
+
 def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Effective resistance between ids ``a[p]`` and ``b[p]``, all set in the
     mask ``keep``, in the Kron reduction of ``g`` onto ``keep``: 0 for equal
@@ -92,9 +125,10 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     Each component with an asked pair is factorized once: its Laplacian, or
     when some of its ids are not kept the Schur complement onto the kept
     ones, is grounded at its lowest kept id, and ``R(x, y) = d[x] + d[y] -
-    (inv[x, y] + inv[y, x])`` is read from the LU inverse of the grounded
-    block, whose ground row and column are 0: a sum of commuting terms, so
-    ``R(x, y) == R(y, x)`` exactly."""
+    (inv[x, y] + inv[y, x])`` is read from :func:`_spd_inverse` of the
+    grounded block, whose ground row and column are 0: a sum of commuting
+    terms, so ``R(x, y) == R(y, x)`` exactly, although ``inv`` is not
+    exactly symmetric."""
     n = len(g.vertices)
     i, j, w = _edge_arrays(g)
     labels = _components(n, i, j)
@@ -102,32 +136,31 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     solve = np.flatnonzero((a != b) & (labels[a] == labels[b]))
     roots = np.flatnonzero(labels == np.arange(n))
     groups = zip(_group(labels, roots), _group(labels[i], roots), _group(labels[a[solve]], roots))
-    for members, edges, asked in groups:
-        if not asked.size:
-            continue
-        lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
-        kept = keep[members]
-        if not kept.all():
-            k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
-            reduced, l_ke, l_ee = lap[np.ix_(k, k)], lap[np.ix_(k, e)], lap[np.ix_(e, e)]
-            del lap
+    # Rounding, or weights far apart in scale, can leave a block that is
+    # positive definite only on paper: a base block that LAPACK finds
+    # singular raises, and an overflow fails the finiteness checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members, edges, asked in groups:
+            if not asked.size:
+                continue
+            lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
+            kept = keep[members]
             first = [g.vertices[x] for x in members[:3]]
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    reduced -= l_ke @ np.linalg.solve(l_ee, l_ke.T)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for connected components
-                raise NumericalError(f"singular elimination block in component {first}") from exc
-            if not np.isfinite(reduced).all():
-                raise NumericalError(f"non-finite Schur complement in component {first}")
-            lap, members = reduced, members[k]
-        try:
-            inv = np.linalg.inv(lap[1:, 1:])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD for connected components
-            raise NumericalError("singular grounded Laplacian block") from exc
-        asked = solve[asked]
-        x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
-        diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
-        with np.errstate(over="ignore", invalid="ignore"):
+                if not kept.all():
+                    k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
+                    reduced, l_ke, l_ee = lap[np.ix_(k, k)], lap[np.ix_(k, e)], lap[np.ix_(e, e)]
+                    del lap
+                    reduced -= l_ke @ (_spd_inverse(l_ee) @ l_ke.T)
+                    if not np.isfinite(reduced).all():
+                        raise NumericalError(f"non-finite Schur complement in component {first}")
+                    lap, members = reduced, members[k]
+                inv = _spd_inverse(lap[1:, 1:])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular positive-definite block in component {first}") from exc
+            asked = solve[asked]
+            x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
+            diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
             cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
             out[asked] = diag[x] + diag[y] - cross
     if not np.isfinite(out[solve]).all():

@@ -308,6 +308,28 @@ def cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return cholesky_solve(a, np.eye(len(a)))
 
 
+def inverse_by_halves(a: np.ndarray) -> np.ndarray:
+    """The block inverse through the Schur complement of the leading half,
+    written out block by block: ``x = a11⁻¹``, ``y = x a12``, ``z = (a22 -
+    a21 y)⁻¹`` and ``[[x + y z yᵀ, -y z], [-(y z)ᵀ, z]]``, down to LU
+    inverses of at most 64 rows.  The same products, so the same bits, as
+    the package's positive-definite inverse."""
+    if len(a) <= 64:
+        return np.linalg.inv(a)
+    h = len(a) // 2
+    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
+    x = inverse_by_halves(a11)
+    y = x @ a12
+    z = inverse_by_halves(a22 - a21 @ y)
+    yz = y @ z
+    return np.block([[x + yz @ y.T, -yz], [-yz.T, z]])
+
+
+def solve_by_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a⁻¹ b`` as the product with :func:`inverse_by_halves`."""
+    return inverse_by_halves(a) @ b
+
+
 def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
     """Kron reduction one component at a time, with the Schur complement's
     upper triangle read entry by entry; components whose vertices are all
@@ -336,8 +358,8 @@ def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
     return Graph.from_edges(out, vertices=retain)
 
 
-def kron_resistance_reference(g: Graph, retain, pairs, solve=np.linalg.solve,
-                              invert=np.linalg.inv) -> dict[tuple[str, str], float]:
+def kron_resistance_reference(g: Graph, retain, pairs, solve=solve_by_halves,
+                              invert=inverse_by_halves) -> dict[tuple[str, str], float]:
     """The resistances Kron placement must reproduce bit for bit, written the
     slow way.  Per component: its Laplacian, replaced by the Schur complement
     onto the retained names when some are eliminated, grounded at its first
@@ -378,7 +400,8 @@ def kron_resistance_reference(g: Graph, retain, pairs, solve=np.linalg.solve,
 def resistance_grounded(g: Graph, pairs, invert=np.linalg.inv) -> dict[tuple[str, str], float]:
     """Effective resistance from ``invert`` applied to each component's
     Laplacian grounded at its first member: the reference with nothing
-    eliminated."""
+    eliminated, by default through LAPACK's LU inverse, which the package
+    matches bit for bit only on blocks of at most 64 rows."""
     return kron_resistance_reference(g, g.vertices, pairs, invert=invert)
 
 

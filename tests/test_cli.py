@@ -281,8 +281,8 @@ def test_analysis_of_a_messy_input_reads_only_its_edge_set(tmp_path, command):
 
 
 # The resistance command's stdout on the same instance: every edge's
-# resistance through one LU inverse per component.
-RESISTANCE_GOLDEN = "2a09c2fe8863b80ef181e3ac4b4f9e727d4742b4410027b11d92ce40a4fb99c0"
+# resistance through one inverse by halves per component.
+RESISTANCE_GOLDEN = "d15852805493c481aa70ac0720bc1eabe8250da8960c07da136696ed69247579"
 
 
 def test_resistance_output_bytes_are_pinned(tmp_path, capsys):
@@ -659,6 +659,36 @@ def test_non_finite_linear_algebra_exits_3(tmp_path, capsys):
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("finite") == 2
+
+
+# A 201-vertex path v000-...-v200 under A (v000-v100) and B (the rest), so
+# that its grounded block recurses, and an edge A-B that makes kron read
+# resistances on the path.
+LONG_PATH = [f"v{i:03d}" for i in range(201)]
+LONG_PATH_TREE = "".join(["R\tA\nR\tB\n"] + [f"{'A' if i <= 100 else 'B'}\t{v}\n" for i, v in enumerate(LONG_PATH)])
+LONG_PATH_GRAPHS = {
+    # Subnormal weights: the inverse overflows.
+    "subnormal": "".join(f"{u}\t{v}\t1e-310\n" for u, v in zip(LONG_PATH, LONG_PATH[1:])) + "A\tB\t1e-310\n",
+    # v001's only other edge goes to the ground v000, so its diagonal and
+    # v002's round to 1e150, and the rows of v001 and v002 in the first
+    # 50-row base block are exactly [1e150, -1e150] and its negation.
+    "singular": "".join(["v000\tv001\t1e-150\nv001\tv002\t1e150\nv002\tv200\t1e-150\nA\tB\t1\n"]
+                        + [f"{u}\t{v}\t1\n" for u, v in zip(LONG_PATH[3:], LONG_PATH[4:])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_PATH_GRAPHS))
+def test_positive_definite_block_lost_to_rounding_exits_3(tmp_path, capsys, case):
+    gp, hp = write_pair(tmp_path, LONG_PATH_GRAPHS[case], LONG_PATH_TREE)
+    out = tmp_path / "o"
+    for argv in (["resistance", "--graph", gp],
+                 ["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numerical error: ") and captured.err.count("\n") == 1
+        if case == "singular":
+            assert "singular positive-definite block in component ['v000', 'v001', 'v002']" in captured.err
+    assert not out.exists()
 
 
 SUBNORMAL_PATH = "a1\tA\t1e-310\nA\tb1\t1e-310\nA\tc1\t1e-310\n"

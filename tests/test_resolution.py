@@ -20,7 +20,7 @@ from unires.resolution import (
     inherit,
     kron_sampling,
 )
-from unires.spectral import effective_resistance
+from unires.spectral import SPD_BLOCK, effective_resistance
 
 from oracles import (
     MASS_TIE_RTOL as DOCUMENTED_TIE_RTOL,
@@ -436,21 +436,29 @@ sys.path[:0] = sys.argv[1:3]
 from conftest import random_pair
 from unires.graph import serialize_graph
 from unires.resolution import kron_sampling
-for seed in map(int, sys.argv[3:]):
-    rng = random.Random(seed)
-    result = kron_sampling(*random_pair(rng, rng.randrange(4, 40), branching=seed % 2 == 0))
+for case in sys.argv[3:]:
+    seed, _, n = case.partition(":")
+    rng = random.Random(int(seed))
+    size = int(n) if n else rng.randrange(4, 40)
+    result = kron_sampling(*random_pair(rng, size, branching=int(seed) % 2 == 0))
     text = serialize_graph(result.network) + repr(sorted((e, sorted(s)) for e, s in result.provenance.items()))
-    print(seed, hashlib.sha256(text.encode()).hexdigest())
+    print(case, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
 def test_kron_placement_is_the_same_under_three_blas_kernels():
+    # The noise seeds, and a 300-vertex pair whose Kron blocks are larger
+    # than SPD_BLOCK, so that every kernel runs the GEMMs of the inverse by
+    # halves.  "seed:n" fixes the size; a bare seed draws it.
+    g, t = random_pair(random.Random(0), 300, branching=True)
+    assert sum(1 for v in t.vertices if not t.children[v] and g.degree(v)) > 3 * SPD_BLOCK
     here = Path(__file__).resolve().parent
-    argv = [sys.executable, "-c", KERNEL_SCRIPT, str(here.parent / "src"), str(here), *map(str, NOISE_SEEDS)]
+    argv = [sys.executable, "-c", KERNEL_SCRIPT, str(here.parent / "src"), str(here), *map(str, NOISE_SEEDS), "0:300"]
     outputs = set()
-    for kernel in ("Haswell", "Sandybridge", "Prescott"):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    for kernel in (None, "Haswell", "Sandybridge", "Prescott"):
         done = subprocess.run(argv, capture_output=True, text=True, timeout=300,
-                              env={**os.environ, "OPENBLAS_CORETYPE": kernel})
+                              env=env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel})
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1

@@ -6,11 +6,12 @@ import pytest
 
 from unires.graph import DomainError, Graph, ValidationError, load_graph, load_hierarchy
 from unires.resolution import inherit, kron_sampling
-from unires.spectral import _edge_arrays, _laplacian, effective_resistance
+from unires.spectral import SPD_BLOCK, _edge_arrays, _laplacian, _spd_inverse, effective_resistance
 
 from oracles import (
     cholesky_inverse,
     cholesky_solve,
+    inverse_by_halves,
     kron_reduce_loop,
     kron_resistance_reference,
     laplacian_loop,
@@ -18,7 +19,7 @@ from oracles import (
     resistance_pinv,
     symmetrized,
 )
-from conftest import kron_resistances, names, networkx_graph, random_connected_weighted, random_pair
+from conftest import kron_mask, kron_resistances, names, networkx_graph, random_connected_weighted, random_pair
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -300,8 +301,23 @@ def test_kron_resistance_tiny_fill_stays_finite():
     assert got[("b", "c")] == 1.0
 
 
-# --- LU numerics: close to the Cholesky route and to the reduced network,
+# --- Numerics: close to the Cholesky route and to the reduced network,
 # symmetric, exact at the ground ---------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 127, 128, 129, 300])
+def test_spd_inverse_matches_lu_and_cholesky(rows):
+    # Grounded Laplacians on either side of each halving; the inverse of a
+    # connected one is positive entrywise, so each entry is compared relative.
+    rng = random.Random(rows)
+    a = laplacian(random_connected_weighted(rng, rows + 1))[1:, 1:]
+    got = _spd_inverse(a)
+    assert np.array_equal(got, inverse_by_halves(a))
+    if rows <= SPD_BLOCK:
+        assert np.array_equal(got, np.linalg.inv(a))
+    for other in (np.linalg.inv(a), cholesky_inverse(a)):
+        assert (other > 0).all()
+        assert np.abs(got - other).max(initial=0.0) <= 1e-12 * other.min()
 
 
 def assert_close_to_other_routes(g, retain, pairs):
@@ -335,6 +351,19 @@ def test_kron_resistance_near_cholesky_route_weighted():
         assert_close_to_other_routes(g, retain, [(u, v) for u in retain for v in retain])
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kron_resistance_past_the_base_block(seed):
+    # A component with about 200 kept leaves and 80 eliminated vertices, so
+    # both the grounded block and the eliminated one recurse.
+    rng = random.Random(seed)
+    g, t = random_pair(rng, 300, branching=True)
+    leaves, wanted = kron_inputs(g, t)
+    kept = kron_mask(g, leaves)
+    assert kept.sum() > 3 * SPD_BLOCK and (~kept).sum() > SPD_BLOCK
+    assert kron_resistances(g, leaves, wanted) == kron_resistance_reference(g, leaves, wanted)
+    assert_close_to_other_routes(g, leaves, wanted)
+
+
 def test_resistance_is_symmetric_bit_for_bit():
     rng = random.Random(43)
     asymmetric = 0
@@ -349,6 +378,20 @@ def test_resistance_is_symmetric_bit_for_bit():
         k = kron_resistances(g, retain, [(u, v) for u in retain for v in retain])
         assert all(k[(u, v)] == k[(v, u)] for u in retain for v in retain)
     assert asymmetric >= 10  # the LU inverse is not symmetric, the read must be
+
+
+def test_resistance_is_symmetric_bit_for_bit_past_the_base_block():
+    rng = random.Random(47)
+    for n in (66, 130, 200):
+        g = random_connected_weighted(rng, n)
+        inv = _spd_inverse(laplacian(g)[1:, 1:])
+        assert not np.array_equal(inv, inv.T)
+        vs = list(g.vertices)
+        r = effective_resistance(g, [(u, v) for u in vs for v in vs])
+        assert all(r[(u, v)] == r[(v, u)] for u in vs for v in vs)
+        retain = rng.sample(vs, n - 30)
+        k = kron_resistances(g, retain, [(u, v) for u in retain for v in retain])
+        assert all(k[(u, v)] == k[(v, u)] for u in retain for v in retain)
 
 
 def test_resistance_to_the_ground_vertex():
