@@ -25,11 +25,10 @@ from .metrics import (
 from .resolution import (
     ResolutionResult,
     disinherit,
-    edge_order,
     inherit,
     kron_sampling,
 )
-from .spectral import NumericalError, effective_resistance
+from .spectral import NumericalError
 
 __version__ = "0.1.0"
 
@@ -49,8 +48,6 @@ __all__ = [
     "centrality_suite",
     "degree_fit",
     "disinherit",
-    "edge_order",
-    "effective_resistance",
     "inherit",
     "kron_sampling",
     "load_graph",

@@ -45,7 +45,7 @@ from .metrics import (
     top_k,
 )
 from .resolution import ResolutionResult, disinherit, inherit, kron_sampling
-from .spectral import effective_resistance
+from .spectral import _resistances
 
 METHODS = ("inherit", "disinherit", "kron")
 
@@ -232,10 +232,12 @@ def cmd_degree_fit(args: argparse.Namespace) -> int:
 
 def cmd_resistance(args: argparse.Namespace) -> int:
     graph = load_graph(_read(args.graph))
+    n = len(graph.vertices)
     lo, hi = np.minimum(graph.src, graph.dst), np.maximum(graph.src, graph.dst)  # ids follow name order
-    pairs = _pairs(graph.vertices, np.unique(lo * len(graph.vertices) + hi))
-    values = effective_resistance(graph, pairs)
-    text = "".join(f"{u}\t{v}\t{'inf' if math.isinf(r) else _fmt(r)}\n" for (u, v), r in values.items())
+    keys = np.unique(lo * n + hi)
+    values = _resistances(graph, np.ones(n, dtype=bool), *np.divmod(keys, n)).tolist()
+    pairs = _pairs(graph.vertices, keys)
+    text = "".join(f"{u}\t{v}\t{'inf' if math.isinf(r) else _fmt(r)}\n" for (u, v), r in zip(pairs, values))
     try:
         # Unbuffered (PYTHONUNBUFFERED), the binary stream is the raw file,
         # whose write may take only part of the bytes when a reader leaves;

@@ -69,9 +69,7 @@ class Graph:
     of a name in it is the vertex's dense integer id.  Edge ``k`` runs from
     ``src[k]`` to ``dst[k]`` with weight ``w[k]``; the constructor checks
     them and stores read-only copies.  Vertices without any incident edge
-    are allowed (hierarchy-only container vertices).  Two graphs are equal
-    when they have the same vertices and the same weight on each edge,
-    whatever the edge order; graphs are not hashable.
+    are allowed (hierarchy-only container vertices).
     """
 
     vertices: tuple[str, ...]
@@ -116,35 +114,15 @@ class Graph:
         index = {v: i for i, v in enumerate(names)}
         return cls(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.weights == other.weights
-
     @cached_property
     def weights(self) -> dict[Edge, float]:
         """The edges as a name-pair → weight map in edge order, built on
         first use; treat it as read-only."""
         return dict(zip(_pairs(self.vertices, self.src * len(self.vertices) + self.dst), self.w.tolist()))
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _degrees(self) -> list[int]:
-        return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.vertices)).tolist()
-
     @property
     def edge_count(self) -> int:
         return len(self.w)
-
-    def degree(self, v: str) -> int:
-        """Total number of edges touching ``v`` (in plus out)."""
-        return self._degrees[self.index[v]]
-
-    def active_vertices(self) -> tuple[str, ...]:
-        return tuple(compress(self.vertices, self._degrees))
 
     def with_vertices(self, extra: Iterable[str]) -> "Graph":
         """The same edges, in the same order, over a universe extended by
@@ -183,10 +161,6 @@ class Hierarchy:
         self.ids  # its preorder pass rejects cycles
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
         kids: dict[str, list[str]] = {v: [] for v in self.vertices}
         for child, par in self.parent.items():
@@ -207,7 +181,7 @@ class Hierarchy:
         has one parent: a vertex the pass misses is on a cycle and raises
         :class:`ValidationError`.
         """
-        index, n = self.index, len(self.vertices)
+        index, n = {v: i for i, v in enumerate(self.vertices)}, len(self.vertices)
         kids = [list(map(index.__getitem__, self.children[v])) for v in self.vertices]
         order, depth, stop = [], [0] * n, [0] * n  # per id: depth, and the position after its subtree
         stack = [(index[self.root], 1)]
@@ -236,10 +210,6 @@ class Hierarchy:
         if kids is None:
             raise DomainError(f"unknown vertex {v!r}")
         return not kids
-
-    def dfs_preorder(self) -> tuple[str, ...]:
-        """Depth-first preorder from the root, children in name order."""
-        return tuple(map(self.vertices.__getitem__, self.ids.order.tolist()))
 
     def restricted_to(self, keep: Iterable[str]) -> "Hierarchy":
         """Sub-hierarchy on an ancestor-closed subset containing the root."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -40,24 +39,16 @@ class ResolutionResult:
     """Converted network plus its hierarchy and an edge audit trail.
 
     ``links`` lists each ``(output edge, input edge)`` pair of the trail
-    once; ``provenance`` groups it by output edge.  ``dropped`` maps input
-    edges to the weight that could not be expressed in the output
-    (ancestor-descendant collapses onto the diagonal); for :func:`inherit`
-    an edge may appear in both when only its diagonal part was dropped.
+    once.  ``dropped`` maps input edges to the weight that could not be
+    expressed in the output (ancestor-descendant collapses onto the
+    diagonal); for :func:`inherit` an edge may appear in both when only its
+    diagonal part was dropped.
     """
 
     network: Graph
     hierarchy: Hierarchy
     links: list[tuple[Edge, Edge]]
     dropped: dict[Edge, float] = field(default_factory=dict)
-
-    @cached_property
-    def provenance(self) -> dict[Edge, frozenset[Edge]]:
-        """Each output edge and the set of input edges it represents."""
-        sources: dict[Edge, list[Edge]] = {}
-        for out_edge, in_edge in self.links:
-            sources.setdefault(out_edge, []).append(in_edge)
-        return {e: frozenset(srcs) for e, srcs in sources.items()}
 
 
 def _on_tree(g: Graph, t: Hierarchy) -> Graph:
@@ -139,7 +130,8 @@ def _anchors(g: Graph, t: Hierarchy) -> np.ndarray:
     order, end = t.ids.order, t.ids.end
     anchor = np.arange(len(order))
     covered = 0  # the end of the last anchor's subtree
-    for p in np.flatnonzero(np.array(g._degrees)[order]).tolist():
+    degrees = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(order))
+    for p in np.flatnonzero(degrees[order]).tolist():
         if p >= covered:
             anchor[order[p:end[p]]] = order[p]
             covered = end[p]
@@ -176,21 +168,14 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     return ResolutionResult(Graph(hierarchy.vertices, new_id[out // n], new_id[out % n], sums), hierarchy, links, dropped)
 
 
-def edge_order(g: Graph, t: Hierarchy, descending: bool = True) -> list[Edge]:
-    """Edges sorted by the product of endpoint tree depths.
-
-    Descending (the default) considers the deepest edges first, so plain
-    leaf-leaf edges are placed before anything at internal vertices; ties
-    break lexicographically by (source, target).  ``descending=False``
-    inverts the depth ordering for sensitivity analysis.
-    """
-    keys, _ = _edge_keys(_on_tree(g, t))
-    return _pairs(t.vertices, keys[_depth_order(keys, t, descending)])
-
-
 def _depth_order(keys: np.ndarray, t: Hierarchy, descending: bool) -> np.ndarray:
     """The positions of the ascending edge keys ``keys`` (see
-    :func:`_edge_keys`) in :func:`edge_order`'s order."""
+    :func:`_edge_keys`) sorted by the product of endpoint tree depths.
+
+    Descending considers the deepest edges first, so plain leaf-leaf edges
+    are placed before anything at internal vertices; ``descending=False``
+    inverts the depth ordering for sensitivity analysis.  The sort is
+    stable, so ties keep key order, which is name-pair order."""
     depth = t.ids.depth
     product = depth[keys // len(t.vertices)] * depth[keys % len(t.vertices)]
     return np.argsort(-product if descending else product, kind="stable")
@@ -240,7 +225,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     g = _on_tree(g, t)
     edges, weights, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
-    conn = t.ids.leaf & (np.array(g._degrees) > 0)
+    conn = t.ids.leaf & (np.bincount(np.concatenate((g.src, g.dst)), minlength=n) > 0)
     src, dst = np.divmod(pairs, n)
     both = conn[src] & conn[dst]
     resistance = np.full(len(pairs), np.inf)

@@ -19,11 +19,9 @@ entry in edge order, so a given edge order fixes every bit.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .graph import DomainError, Edge, Graph, _first_sums
+from .graph import DomainError, Graph, _first_sums
 
 # Rows at and below which _spd_inverse hands a block to LAPACK's LU inverse.
 SPD_BLOCK = 64
@@ -166,19 +164,3 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     if not np.isfinite(out[solve]).all():
         raise NumericalError("effective resistance within a component is not finite")
     return out
-
-
-def effective_resistance(g: Graph, pairs: Iterable[Edge]) -> dict[Edge, float]:
-    """Effective resistance of the symmetrized graph for each requested pair.
-
-    Identical endpoints give 0; endpoints in different components give
-    ``math.inf``.  Unknown vertices raise :class:`~unires.graph.DomainError`.
-    """
-    wanted = list(pairs)
-    for pair in wanted:
-        for v in pair:
-            if v not in g.index:
-                raise DomainError(f"unknown vertex {v!r}")
-    a = np.fromiter((g.index[u] for u, _ in wanted), dtype=np.intp, count=len(wanted))
-    b = np.fromiter((g.index[v] for _, v in wanted), dtype=np.intp, count=len(wanted))
-    return dict(zip(wanted, _resistances(g, np.ones(len(g.vertices), dtype=bool), a, b).tolist()))

@@ -127,17 +127,19 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Graph:
 
 def kron_mask(g: Graph, retain) -> np.ndarray:
     """The id mask of the names ``retain`` in ``g``."""
+    index = {v: i for i, v in enumerate(g.vertices)}
     keep = np.zeros(len(g.vertices), dtype=bool)
-    keep[[g.index[v] for v in retain]] = True
+    keep[[index[v] for v in retain]] = True
     return keep
 
 
 def kron_resistances(g: Graph, retain, pairs) -> dict[tuple[str, str], float]:
     """:func:`~unires.spectral._resistances` with the kept mask ``retain``,
-    asked by name pairs."""
+    asked by name pairs; ``retain=g.vertices`` keeps every vertex."""
+    index = {v: i for i, v in enumerate(g.vertices)}
     wanted = list(pairs)
-    a = np.array([g.index[u] for u, _ in wanted], dtype=np.int64)
-    b = np.array([g.index[v] for _, v in wanted], dtype=np.int64)
+    a = np.array([index[u] for u, _ in wanted], dtype=np.int64)
+    b = np.array([index[v] for _, v in wanted], dtype=np.int64)
     return dict(zip(wanted, _resistances(g, kron_mask(g, retain), a, b).tolist()))
 
 
@@ -154,4 +156,5 @@ def anchors_by_name(g: Graph, t: Hierarchy) -> dict[str, str]:
     """:func:`unires.resolution._anchors` by names: every vertex whose
     anchor bears connectivity, mapped to that anchor."""
     g = _on_tree(g, t)
-    return {t.vertices[v]: t.vertices[a] for v, a in enumerate(_anchors(g, t).tolist()) if g._degrees[a]}
+    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(g.vertices))
+    return {t.vertices[v]: t.vertices[a] for v, a in enumerate(_anchors(g, t).tolist()) if degree[a]}

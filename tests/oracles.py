@@ -54,6 +54,21 @@ def load_graph_loop(text: str) -> Graph:
     return Graph.from_edges(weights)
 
 
+def same_graph(g: Graph, h: Graph) -> bool:
+    """Graph equality: the same vertices and the same weight on each edge,
+    whatever the edge order."""
+    return g.vertices == h.vertices and g.weights == h.weights
+
+
+def provenance(links) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
+    """Each output edge of an audit trail's ``(output edge, input edge)``
+    links and the set of input edges it represents."""
+    sources: dict[tuple[str, str], set] = {}
+    for out_edge, in_edge in links:
+        sources.setdefault(out_edge, set()).add(in_edge)
+    return {e: frozenset(srcs) for e, srcs in sources.items()}
+
+
 def provenance_nested_sort(provenance, dropped) -> str:
     """``provenance.tsv`` as it was first written: output edges sorted, each
     one's input edges sorted, then the dropped edges, then every line."""
@@ -197,11 +212,19 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
     return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped
 
 
+def edge_order_sorted(g: Graph, t: Hierarchy, descending: bool = True) -> list[tuple[str, str]]:
+    """The edges by the product of their endpoints' depths (root at depth
+    1), deepest first unless ``descending`` is false, ties in name order."""
+    sign = -1 if descending else 1
+    return sorted(g.weights, key=lambda e: (sign * depth_walk(t, e[0]) * depth_walk(t, e[1]), e))
+
+
 def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:
     chain = [v]
     while chain[-1] != t.root:
         chain.append(t.parent[chain[-1]])
-    connected = [x for x in chain if x in g.index and g.degree(x)]
+    degree = degree_loop(g)
+    connected = [x for x in chain if degree.get(x)]
     return connected[-1]  # nearest the root
 
 
@@ -239,6 +262,12 @@ def degree_loop(g: Graph) -> dict[str, int]:
         degree[u] += 1
         degree[v] += 1
     return degree
+
+
+def active_vertices(g: Graph) -> tuple[str, ...]:
+    """The vertices with at least one edge, in name order."""
+    degree = degree_loop(g)
+    return tuple(v for v in g.vertices if degree[v])
 
 
 def components_bfs(g: Graph) -> dict[str, int]:
@@ -350,10 +379,9 @@ def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
         e = [i for i, v in enumerate(comp) if v not in retain]
         l_re = lap[np.ix_(k, e)]
         reduced = lap[np.ix_(k, k)] - l_re @ solve(lap[np.ix_(e, e)], l_re.T)
-        threshold = 1e-12 * float(np.abs(reduced).max())
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):
-                if reduced[a, b] < -threshold:
+                if reduced[a, b] < 0:
                     out[(keep[a], keep[b])] = -reduced[a, b]
     return Graph.from_edges(out, vertices=retain)
 
@@ -429,7 +457,7 @@ def floyd_warshall(g: Graph) -> dict[tuple[str, str], int]:
     n = len(names)
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    idx = g.index
+    idx = {name: i for i, name in enumerate(names)}
     for u, v in g.weights:
         dist[idx[u]][idx[v]] = 1
     for k in range(n):

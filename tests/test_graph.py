@@ -15,7 +15,16 @@ from unires.graph import (
 )
 from unires.resolution import disinherit, inherit, kron_sampling
 
-from oracles import anchor_walk, degree_loop, depth_walk, leaf_ranges_recursive, leafset_recursive, preorder_recursive
+from oracles import (
+    active_vertices,
+    anchor_walk,
+    degree_loop,
+    depth_walk,
+    leaf_ranges_recursive,
+    leafset_recursive,
+    preorder_recursive,
+    same_graph,
+)
 from conftest import anchors_by_name, branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
@@ -30,7 +39,7 @@ def four_pair():
 
 def leaves_under(t: Hierarchy, v: str) -> frozenset[str]:
     """The leaves below ``v``, read from the leaf ranges of :attr:`Hierarchy.ids`."""
-    ids, i = t.ids, t.index[v]
+    ids, i = t.ids, t.vertices.index(v)
     leaves = ids.order[ids.leaf[ids.order]]
     return frozenset(t.vertices[x] for x in leaves[ids.lo[i]:ids.hi[i]].tolist())
 
@@ -155,7 +164,7 @@ def test_leafset_examples():
 
 def test_leafset_unknown_vertex():
     _, t = four_pair()
-    assert "nope" not in t.index
+    assert "nope" not in t.vertices
     with pytest.raises(DomainError):
         t.is_leaf("nope")
 
@@ -170,7 +179,7 @@ def test_anchor_examples():
     anchors = anchors_by_name(g, t)
     assert anchors["a1"] == "A"
     assert anchors["B"] == "B"
-    for v in g.active_vertices():
+    for v in active_vertices(g):
         assert anchors[v] == anchor_walk(g, t, v)
 
 
@@ -193,7 +202,7 @@ def test_anchor_idempotent():
     for _ in range(30):
         g, t = random_pair(rng, rng.randrange(4, 25))
         anchors = anchors_by_name(g, t)
-        for v in g.active_vertices():
+        for v in active_vertices(g):
             a = anchors[v]
             assert a == anchor_walk(g, t, v)
             assert anchors[a] == a
@@ -214,7 +223,7 @@ def test_tree_queries_match_recursive_oracles(shape):
     for _ in range(60):
         t = shape(rng, names(rng.randrange(3, 60)))
         ids, name = t.ids, t.vertices.__getitem__
-        assert list(t.dfs_preorder()) == list(map(name, ids.order.tolist())) == preorder_recursive(t)
+        assert list(map(name, ids.order.tolist())) == preorder_recursive(t)
         leaves, ranges = leaf_ranges_recursive(t)
         assert tuple(map(name, ids.order[ids.leaf[ids.order]].tolist())) == leaves
         assert dict(zip(t.vertices, zip(ids.lo.tolist(), ids.hi.tolist()))) == ranges
@@ -227,16 +236,6 @@ def test_tree_queries_match_recursive_oracles(shape):
                 array[:1] = 1
         with pytest.raises(DomainError):
             t.is_leaf("nope")
-
-
-def test_degrees_match_edge_loop():
-    rng = random.Random(43)
-    for _ in range(30):
-        g, t = random_pair(rng, rng.randrange(3, 30))
-        for graph in (g, Graph.from_edges(g.weights)):
-            degree = degree_loop(graph)
-            assert {v: graph.degree(v) for v in graph.vertices} == degree
-            assert graph.active_vertices() == tuple(v for v in graph.vertices if degree[v])
 
 
 def test_leafset_members_are_leaves_and_laminar():
@@ -264,7 +263,7 @@ def test_round_trip_graph_and_hierarchy():
         t_loaded = load_hierarchy(serialize_hierarchy(t), g_loaded)
         assert t_loaded == t
         # The pair round-trips exactly once the universe is restored.
-        assert g_loaded.with_vertices(t_loaded.vertices) == g
+        assert same_graph(g_loaded.with_vertices(t_loaded.vertices), g)
 
 
 def test_graph_rejects_bad_construction():
@@ -281,17 +280,16 @@ def test_with_vertices_equals_a_full_rebuild():
     for _ in range(25):
         g, t = random_pair(rng, rng.randrange(3, 30))
         edges_only = Graph.from_edges(g.weights)
-        # Cache degrees over the smaller universe first.
+        # Cache the weights map over the smaller universe first.
         assert edges_only.edge_count == g.edge_count
-        assert edges_only.active_vertices() == g.active_vertices()
+        assert active_vertices(edges_only) == active_vertices(g)
         extended = edges_only.with_vertices(t.vertices)
-        assert extended == Graph.from_edges(g.weights, vertices=t.vertices)
+        assert same_graph(extended, Graph.from_edges(g.weights, vertices=t.vertices))
         assert extended.vertices == g.vertices
-        assert extended.index == g.index
         for mine, full in zip((extended.src, extended.dst, extended.w), (g.src, g.dst, g.w)):
             assert mine.tolist() == full.tolist()
-        assert {v: extended.degree(v) for v in g.vertices} == {v: g.degree(v) for v in g.vertices}
-        assert extended.active_vertices() == g.active_vertices()
+        assert degree_loop(extended) == degree_loop(g)
+        assert active_vertices(extended) == active_vertices(g)
         assert extended.weights is not edges_only.weights
 
 
@@ -300,7 +298,7 @@ def test_with_vertices_rejects_a_bad_extra_name():
     for bad in ("", " c", "c\td", "c\n"):
         with pytest.raises(ValidationError):
             g.with_vertices(["z", bad])
-    assert g.with_vertices(["a", "b"]) == g
+    assert same_graph(g.with_vertices(["a", "b"]), g)
 
 
 def test_package_built_graphs_have_read_only_arrays():
@@ -343,10 +341,8 @@ def test_graph_constructor_rejects(case):
 
 def test_graph_equality_ignores_edge_order():
     g = Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
-    assert g == Graph(("a", "b", "c"), [2, 0, 1], [0, 1, 2], [3.0, 1.0, 2.0])
-    assert g == Graph.from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0})
-    assert g != Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 4.0])
-    assert g != Graph(("a", "b", "c"), [0, 1], [1, 2], [1.0, 2.0])
-    assert g != g.with_vertices(["d"])
-    with pytest.raises(TypeError):
-        hash(g)
+    assert same_graph(g, Graph(("a", "b", "c"), [2, 0, 1], [0, 1, 2], [3.0, 1.0, 2.0]))
+    assert same_graph(g, Graph.from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0}))
+    assert not same_graph(g, Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 4.0]))
+    assert not same_graph(g, Graph(("a", "b", "c"), [0, 1], [1, 2], [1.0, 2.0]))
+    assert not same_graph(g, g.with_vertices(["d"]))

@@ -17,7 +17,15 @@ from unires.metrics import (
 )
 from unires.resolution import inherit
 
-from oracles import betweenness_paths, brandes_betweenness, floyd_warshall, hits_dense, pagerank_dense, path_sums
+from oracles import (
+    active_vertices,
+    betweenness_paths,
+    brandes_betweenness,
+    floyd_warshall,
+    hits_dense,
+    pagerank_dense,
+    path_sums,
+)
 from conftest import branching_hierarchy, names, random_digraph, random_graph_on
 
 CYCLE3 = "a\tb\nb\tc\nc\ta\n"
@@ -28,7 +36,7 @@ STAR = "s\tl1\ns\tl2\ns\tl3\n"
 def oracle_summary(g):
     dist = floyd_warshall(g)
     finite = list(dist.values())
-    n_active = len(g.active_vertices())
+    n_active = len(active_vertices(g))
     m = g.edge_count
     return {
         "density": m / (n_active * (n_active - 1)),
@@ -199,7 +207,7 @@ def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, ke
     if kernel:
         force_kernel(monkeypatch, kernel)
     for g, betweenness, ref in path_case(seed, case):
-        n_active = len(g.active_vertices())
+        n_active = len(active_vertices(g))
         table = centrality_suite(g)
         assert table.scores["betweenness"] == betweenness
         for side in ("in", "out"):
@@ -299,7 +307,7 @@ def test_closeness_matches_distance_oracle():
         if g.edge_count == 0:
             continue
         dist = floyd_warshall(g)
-        n_active = len(g.active_vertices())
+        n_active = len(active_vertices(g))
         table = centrality_suite(g)
         for v in g.vertices:
             r = sum(1 for (a, b) in dist if b == v)
@@ -347,7 +355,7 @@ def test_hits_and_pagerank_match_dense_oracle():
     dangling = _dag(rng, 40, 0.15)
     assert {v for _, v in dangling.weights} - {u for u, _ in dangling.weights}  # arcs in, none out
     isolated = random_digraph(rng, 30, 0.1).with_vertices(names(10, "iso"))
-    assert len(isolated.active_vertices()) < len(isolated.vertices)
+    assert len(active_vertices(isolated)) < len(isolated.vertices)
     dense = random_digraph(rng, 120, 0.4)
     assert 4 * dense.edge_count >= len(dense.vertices) ** 2
     for g in graphs + [dangling, isolated, dense]:
