@@ -103,9 +103,10 @@ def _fmt(x: float) -> str:
 
 
 def _provenance_lines(result: ResolutionResult) -> str:
-    lines = [f"{s}->{d}\t{u}->{v}" for (s, d), (u, v) in result.links]
-    lines += [f"dropped\t{u}->{v}" for u, v in result.dropped]
-    lines.sort()  # near linear on inherit's links, which come in name-pair order
+    names, links = result.vertices, result.links[np.lexsort((result.links[:, 1], result.links[:, 0]))]
+    lines = [f"{s}->{d}\t{u}->{v}" for (s, d), (u, v) in zip(_pairs(names, links[:, 0]), _pairs(names, links[:, 1]))]
+    lines += [f"dropped\t{u}->{v}" for u, v in _pairs(names, result.dropped)]
+    lines.sort()  # near linear, as the links are sorted by key, which is name-pair order
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -55,10 +55,10 @@ def _check_names(names: Iterable[str]) -> None:
             raise ValidationError(f"invalid vertex name {name!r}")
 
 
-def _pairs(names: tuple[str, ...], keys: np.ndarray) -> list[Edge]:
-    """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``."""
+def _pairs(names: tuple[str, ...], keys: np.ndarray) -> Iterator[Edge]:
+    """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``, one by one."""
     s, d = np.divmod(keys, len(names))
-    return list(zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist())))
+    return zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,12 +19,12 @@ input edge went.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .graph import DomainError, Edge, Graph, Hierarchy, _pairs, check_pair
+from .graph import DomainError, Graph, Hierarchy, _pairs, check_pair
 from .spectral import _resistances
 
 GUARD_MODES = ("any", "directed")
@@ -34,21 +34,28 @@ GUARD_MODES = ("any", "directed")
 MASS_TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionResult:
     """Converted network plus its hierarchy and an edge audit trail.
 
-    ``links`` lists each ``(output edge, input edge)`` pair of the trail
-    once.  ``dropped`` maps input edges to the weight that could not be
-    expressed in the output (ancestor-descendant collapses onto the
-    diagonal); for :func:`inherit` an edge may appear in both when only its
-    diagonal part was dropped.
+    The trail is on the ids of ``vertices``, the input tree's names, with
+    edges keyed ``id(u) * n + id(v)``.  ``links`` holds each ``(output key,
+    input key)`` link once, ``dropped`` the keys of input edges whose weight
+    ``lost`` the output cannot express (ancestor-descendant collapses onto
+    the diagonal); for :func:`inherit` an edge may be in both when only its
+    diagonal part was dropped.  Construction makes the arrays read-only.
     """
 
     network: Graph
     hierarchy: Hierarchy
-    links: list[tuple[Edge, Edge]]
-    dropped: dict[Edge, float] = field(default_factory=dict)
+    vertices: tuple[str, ...]
+    links: np.ndarray
+    dropped: np.ndarray
+    lost: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.links, self.dropped, self.lost):
+            array.flags.writeable = False
 
 
 def _on_tree(g: Graph, t: Hierarchy) -> Graph:
@@ -94,7 +101,7 @@ def _leaf_pairs(g: Graph, t: Hierarchy):
     pairs, inverse = np.unique(key, return_inverse=True)
     sums = np.bincount(inverse, weights=weights[edge], minlength=len(pairs))
     if not np.isfinite(sums).all():
-        s, d = _pairs(names, pairs[~np.isfinite(sums)])[0]
+        s, d = next(_pairs(names, pairs[~np.isfinite(sums)]))
         raise DomainError(f"summed weight of leaf pair ({s!r}, {d!r}) overflows float64")
     return edges, weights, edge, key, pairs, inverse, sums, diagonal
 
@@ -109,17 +116,14 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     logged.  The hierarchy is unchanged.  A sum that overflows float64
     raises :class:`~unires.graph.DomainError`.
     """
-    keys, weights, edge, _, pairs, inverse, sums, diagonal = _leaf_pairs(_on_tree(g, t), t)
-    edges, out_edges = _pairs(t.vertices, keys), _pairs(t.vertices, pairs)
-    by_pair = np.argsort(inverse, kind="stable")  # links by output pair, then input edge
-    links = list(zip(map(out_edges.__getitem__, inverse[by_pair].tolist()), map(edges.__getitem__, edge[by_pair].tolist())))
+    keys, weights, edge, key, pairs, inverse, sums, diagonal = _leaf_pairs(_on_tree(g, t), t)
     with np.errstate(over="ignore"):
         lost = weights * diagonal
     if not np.isfinite(lost).all():
-        u, v = edges[int(np.flatnonzero(~np.isfinite(lost))[0])]
+        u, v = next(_pairs(t.vertices, keys[~np.isfinite(lost)]))
         raise DomainError(f"dropped diagonal weight of edge ({u!r}, {v!r}) overflows float64")
-    dropped = {edges[i]: float(lost[i]) for i in np.flatnonzero(diagonal).tolist()}
-    return ResolutionResult(Graph(t.vertices, *np.divmod(pairs, len(t.vertices)), sums), t, links, dropped)
+    network = Graph(t.vertices, *np.divmod(pairs, len(t.vertices)), sums)
+    return ResolutionResult(network, t, t.vertices, np.column_stack((key, keys[edge])), keys[diagonal > 0], lost[diagonal > 0])
 
 
 def _anchors(g: Graph, t: Hierarchy) -> np.ndarray:
@@ -157,15 +161,13 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     out, inverse = np.unique(a[kept] * n + b[kept], return_inverse=True)
     sums = np.bincount(inverse, weights=weights[kept], minlength=len(out))
     if not np.isfinite(sums).all():
-        u, v = _pairs(names, out[~np.isfinite(sums)])[0]
+        u, v = next(_pairs(names, out[~np.isfinite(sums)]))
         raise DomainError(f"summed weight of edge ({u!r}, {v!r}) overflows float64")
-    edges, out_edges = _pairs(names, keys), _pairs(names, out)
-    links = list(zip(map(out_edges.__getitem__, inverse.tolist()), compress(edges, kept)))
-    dropped = dict(zip(compress(edges, ~kept), weights[~kept].tolist()))
     keep = anchor == np.arange(n)
     hierarchy = t.restricted_to(compress(names, keep))
     new_id = np.cumsum(keep) - 1  # the anchors are kept, and the kept vertices are the universe
-    return ResolutionResult(Graph(hierarchy.vertices, new_id[out // n], new_id[out % n], sums), hierarchy, links, dropped)
+    network = Graph(hierarchy.vertices, new_id[out // n], new_id[out % n], sums)
+    return ResolutionResult(network, hierarchy, names, np.column_stack((out[inverse], keys[kept])), keys[~kept], weights[~kept])
 
 
 def _depth_order(keys: np.ndarray, t: Hierarchy, descending: bool) -> np.ndarray:
@@ -206,11 +208,11 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
 
     Pipeline: eliminate all non-leaf vertices by Kron reduction onto the
     connectivity-bearing leaves, compute pairwise effective resistances
-    there, combine them with inherited report counts into a probability
-    net, then walk the input edges deepest-first.  For each edge the
-    candidate set is all ordered leaf pairs under its endpoints; if an
-    output edge already connects those leaf sets the input edge is merely
-    recorded against it, otherwise the maximum-probability candidate is
+    there, combine them with inherited report counts into masses (see
+    :func:`_masses`), then walk the input edges deepest-first.  For each
+    edge the candidate set is all ordered leaf pairs under its endpoints;
+    if an output edge already connects those leaf sets the input edge is
+    merely recorded against it, otherwise the maximum-mass candidate is
     added with weight 1; masses within ``MASS_TIE_RTOL`` of the best tie.
     Candidates with zero mass everywhere fall back to the inherited count,
     then to lexicographic order.
@@ -218,7 +220,9 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     ``guard`` controls what blocks a candidate set: ``"any"`` (default)
     blocks on an existing output edge in either direction between the leaf
     sets, ``"directed"`` only on a same-direction edge.  The hierarchy is
-    returned unchanged.  Fully deterministic: reruns are byte-identical.
+    returned unchanged, and the output edges are in key order (see
+    :func:`_edge_keys`), not in placement order.  Fully deterministic:
+    reruns are byte-identical.
     """
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
@@ -238,29 +242,24 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     heads = bounds[:-1][bounds[1:] > bounds[:-1]]
     best, by_mass = _argmax_keys(mass[inverse], key, heads, MASS_TIE_RTOL)
     _, by_count = _argmax_keys(counts[inverse], key, heads)
-    winner = np.zeros(len(edges), dtype=np.int64)
+    # An edge with both endpoints above one single leaf has no candidate off
+    # the diagonal. It wins -1, which drops it and, as keys are >= 0, blocks nothing.
+    winner = np.full(len(edges), -1)
     winner[edge[heads]] = np.where(best > 0.0, by_mass, by_count)
 
     keys, winners, bounds = key.tolist(), winner.tolist(), bounds.tolist()
     reverse = (key % n * n + key // n).tolist() if guard == "any" else None
-    placed: dict[int, list[int]] = {}  # output pair key -> input edge positions, in placement order
-    dropped: list[int] = []
+    owner = [-1] * len(edges)  # per input edge: the output pair key it is recorded against
+    placed: set[int] = set()
     for i in _depth_order(edges, t, descending).tolist():
         a, b = bounds[i], bounds[i + 1]
-        if a == b:
-            # Both endpoints sit above the same single leaf; nothing off the
-            # diagonal can represent this edge.
-            dropped.append(i)
-            continue
-        blockers = placed.keys() & keys[a:b]
+        blockers = placed.intersection(keys[a:b])
         if reverse is not None:
-            blockers |= placed.keys() & reverse[a:b]
-        if blockers:
-            placed[min(blockers)].append(i)
-        else:
-            placed[winners[i]] = [i]
-    chosen = np.array(list(placed), dtype=np.int64)
-    inputs, outputs = _pairs(names, edges), _pairs(names, chosen)
-    links = [(pair, inputs[i]) for pair, sources in zip(outputs, placed.values()) for i in sources]
-    lost = dict(zip(map(inputs.__getitem__, dropped), weights[dropped].tolist()))
-    return ResolutionResult(Graph(names, *np.divmod(chosen, n), np.ones(len(chosen))), t, links, lost)
+            blockers |= placed.intersection(reverse[a:b])
+        owner[i] = min(blockers) if blockers else winners[i]
+        placed.add(owner[i])
+    owner = np.array(owner, dtype=np.int64)
+    kept = owner >= 0
+    chosen = np.unique(owner[kept])
+    network = Graph(names, *np.divmod(chosen, n), np.ones(len(chosen)))
+    return ResolutionResult(network, t, names, np.column_stack((owner[kept], edges[kept])), edges[~kept], weights[~kept])

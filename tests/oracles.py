@@ -60,13 +60,25 @@ def same_graph(g: Graph, h: Graph) -> bool:
     return g.vertices == h.vertices and g.weights == h.weights
 
 
-def provenance(links) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
-    """Each output edge of an audit trail's ``(output edge, input edge)``
-    links and the set of input edges it represents."""
+def _named(result, key: int) -> tuple[str, str]:
+    """The name pair of a trail key ``id(u) * n + id(v)`` over ``result.vertices``."""
+    u, v = divmod(key, len(result.vertices))
+    return result.vertices[u], result.vertices[v]
+
+
+def provenance(result) -> dict[tuple[str, str], frozenset[tuple[str, str]]]:
+    """Each output edge of a conversion's audit trail and the set of input
+    edges it represents, by name."""
     sources: dict[tuple[str, str], set] = {}
-    for out_edge, in_edge in links:
-        sources.setdefault(out_edge, set()).add(in_edge)
+    for out_key, in_key in result.links.tolist():
+        sources.setdefault(_named(result, out_key), set()).add(_named(result, in_key))
     return {e: frozenset(srcs) for e, srcs in sources.items()}
+
+
+def dropped(result) -> dict[tuple[str, str], float]:
+    """Each dropped input edge of a conversion's audit trail, by name, and
+    the weight it lost."""
+    return {_named(result, key): w for key, w in zip(result.dropped.tolist(), result.lost.tolist())}
 
 
 def provenance_nested_sort(provenance, dropped) -> str:
@@ -229,14 +241,21 @@ def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:
 
 
 def disinherit_collapse(g: Graph, t: Hierarchy):
-    """Returns (edge weights, kept vertex set) of the anchor collapse."""
+    """Returns (edge weights, provenance, dropped, kept vertex set) of the
+    anchor collapse, each output weight summed over its input edges in
+    sorted order."""
     out: dict[tuple[str, str], float] = {}
+    prov: dict[tuple[str, str], set] = {}
+    dropped: dict[tuple[str, str], float] = {}
     anchors: set[str] = set()
-    for (u, v), w in g.weights.items():
+    for (u, v), w in sorted(g.weights.items()):
         a, b = anchor_walk(g, t, u), anchor_walk(g, t, v)
         anchors.update((a, b))
-        if a != b:
-            out[(a, b)] = out.get((a, b), 0.0) + w
+        if a == b:
+            dropped[(u, v)] = w
+            continue
+        out[(a, b)] = out.get((a, b), 0.0) + w
+        prov.setdefault((a, b), set()).add((u, v))
     kept = set()
     for v in t.vertices:
         chain = [v]
@@ -244,7 +263,7 @@ def disinherit_collapse(g: Graph, t: Hierarchy):
             chain.append(t.parent[chain[-1]])
         if not any(a in anchors for a in chain[1:]):  # no proper ancestor is an anchor
             kept.add(v)
-    return out, kept
+    return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped, kept
 
 
 def out_neighbours(g: Graph) -> dict[str, list[str]]:

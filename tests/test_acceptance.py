@@ -27,6 +27,7 @@ from oracles import (
     active_vertices,
     betweenness_paths,
     disinherit_collapse,
+    dropped,
     floyd_warshall,
     inherit_closure,
     leafset_recursive,
@@ -90,7 +91,7 @@ def test_criterion_2_resolution_oracles():
     for g, t in _instance_set():
         assert inherit(g, t).network.weights == inherit_closure(g, t)
         result = disinherit(g, t)
-        weights, kept = disinherit_collapse(g, t)
+        weights, _, _, kept = disinherit_collapse(g, t)
         assert result.network.weights == weights
         assert set(result.hierarchy.vertices) == kept
     elapsed = time.perf_counter() - start
@@ -108,15 +109,16 @@ def test_criterion_3_kron_sampling_invariants():
             assert u not in internal and v not in internal
         assert result.network.edge_count <= g.edge_count
         resolved: dict = {}
-        for out_edge, sources in provenance(result.links).items():
+        for out_edge, sources in provenance(result).items():
             for src in sources:
                 assert src not in resolved
                 resolved[src] = out_edge
         # Each input edge resolves to exactly one output edge, except the
         # degenerate ancestor-descendant case where both endpoints sit above
         # one and the same single leaf (no off-diagonal candidate exists).
+        lost = dropped(result)
         for edge in g.weights:
-            if edge in result.dropped:
+            if edge in lost:
                 assert edge not in resolved
                 leaves = leafset_recursive(t, edge[0])
                 assert leaves == leafset_recursive(t, edge[1]) and len(leaves) == 1
@@ -125,7 +127,7 @@ def test_criterion_3_kron_sampling_invariants():
                 assert edge in resolved
         rerun = kron_sampling(g, t)
         assert serialize_graph(rerun.network) == serialize_graph(result.network)
-        assert provenance(rerun.links) == provenance(result.links)
+        assert provenance(rerun) == provenance(result)
         checked += 1
     report(
         f"criterion 3 PASS: {checked} instances, leaf-only outputs, deterministic reruns, "

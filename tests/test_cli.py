@@ -16,7 +16,7 @@ from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 from unires.spectral import _edge_arrays, _laplacian
 
-from oracles import provenance, provenance_nested_sort
+from oracles import dropped, provenance, provenance_nested_sort
 from conftest import branching_hierarchy, names, random_digraph, random_graph_on, random_hierarchy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -307,7 +307,7 @@ def test_provenance_file_matches_the_nested_sort_writer(tmp_path):
             out = tmp_path / f"{method}{k}"
             assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
             result = convert(g, t)
-            expected = provenance_nested_sort(provenance(result.links), result.dropped)
+            expected = provenance_nested_sort(provenance(result), dropped(result))
             assert (out / "provenance.tsv").read_bytes() == expected.encode(), (k, method)
 
 

@@ -313,6 +313,16 @@ def test_package_built_graphs_have_read_only_arrays():
                     array[:1] = 1
 
 
+def test_conversion_trails_are_read_only():
+    rng = random.Random(6)
+    for g, t in (four_pair(), random_pair(rng, 12), random_pair(rng, 25)):
+        for convert in (inherit, disinherit, kron_sampling):
+            result = convert(g, t)
+            for array in (result.links, result.dropped, result.lost):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 1
+
+
 BAD_GRAPHS = {
     "parallel id pair": ((("a", "b"), [0, 0], [1, 1], [1.0, 2.0]), "parallel edges ('a', 'b')"),
     "id above the range": ((("a", "b"), [0], [2], [1.0]), "outside the 2 vertex ids"),

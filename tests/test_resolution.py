@@ -30,6 +30,7 @@ from oracles import (
     anchor_walk,
     degree_loop,
     disinherit_collapse,
+    dropped,
     edge_order_sorted,
     inherit_closure,
     inherit_loop,
@@ -63,7 +64,7 @@ def oracle_pair(seed):
 
 
 def audit(result):
-    return result.network.weights, provenance(result.links), result.dropped
+    return result.network.weights, provenance(result), dropped(result)
 
 
 def by_id(resistances):
@@ -88,7 +89,7 @@ def assert_uniresolution(result):
 
 def assert_provenance_partition(g, result):
     seen: dict = {}
-    for out_edge, sources in provenance(result.links).items():
+    for out_edge, sources in provenance(result).items():
         for src in sources:
             assert src not in seen or seen[src] == out_edge
             seen.setdefault(src, out_edge)
@@ -103,7 +104,7 @@ def test_inherit_example():
     result = inherit(g, t)
     assert result.network.weights == {("a1", "B"): 1.0, ("a2", "B"): 1.0, ("a1", "a2"): 1.0}
     assert result.hierarchy == t
-    assert not result.dropped
+    assert not dropped(result)
 
 
 def test_inherit_leaf_only_is_identity():
@@ -120,7 +121,7 @@ def test_inherit_two_internal_edges_same_leaf_pair():
     g = g.with_vertices(t.vertices)
     result = inherit(g, t)
     assert result.network.weights[("a1", "b1")] == 2.0
-    assert provenance(result.links)[("a1", "b1")] == {("A", "b1"), ("a1", "b1")}
+    assert provenance(result)[("a1", "b1")] == {("A", "b1"), ("a1", "b1")}
 
 
 def test_inherit_ancestor_descendant_keeps_off_diagonal():
@@ -129,7 +130,7 @@ def test_inherit_ancestor_descendant_keeps_off_diagonal():
     g = g.with_vertices(t.vertices)
     result = inherit(g, t)
     assert result.network.weights == {("a2", "a1"): 1.0}
-    assert result.dropped == {("A", "a1"): 1.0}
+    assert dropped(result) == {("A", "a1"): 1.0}
 
 
 def test_inherit_matches_closure_oracle():
@@ -174,7 +175,7 @@ def test_inherit_edge_count_grows_on_branching_trees():
         g, t = random_pair(rng, rng.randrange(3, 30), branching=True)
         result = inherit(g, t)
         assert result.network.edge_count >= g.edge_count - sum(
-            1 for e in g.weights if e not in {s for srcs in provenance(result.links).values() for s in srcs}
+            1 for e in g.weights if e not in {s for srcs in provenance(result).values() for s in srcs}
         )
         assert_uniresolution(result)
 
@@ -189,7 +190,7 @@ def test_disinherit_example():
     assert result.network.vertices == ("A", "B", "Br")
     assert set(result.hierarchy.vertices) == {"Br", "A", "B"}
     assert tuple(v for v in result.hierarchy.vertices if result.hierarchy.is_leaf(v)) == ("A", "B")
-    assert result.dropped == {("a1", "a2"): 1.0}
+    assert dropped(result) == {("a1", "a2"): 1.0}
 
 
 def test_disinherit_leaf_only_is_identity():
@@ -215,10 +216,17 @@ def test_disinherit_matches_collapse_oracle():
     for _ in range(60):
         g, t = random_pair(rng, rng.randrange(3, 40))
         result = disinherit(g, t)
-        weights, kept = disinherit_collapse(g, t)
+        weights, _, _, kept = disinherit_collapse(g, t)
         assert result.network.weights == weights
         assert set(result.hierarchy.vertices) == kept
         assert_uniresolution(result)
+
+
+def test_disinherit_matches_loop_oracle():
+    for seed in range(300):
+        g, t = oracle_pair(seed)
+        weights, links, lost, _ = disinherit_collapse(g, t)
+        assert audit(disinherit(g, t)) == (weights, links, lost), seed
 
 
 @pytest.mark.parametrize("branching", [False, True])
@@ -236,7 +244,7 @@ def test_disinherit_conserves_weight():
     for _ in range(40):
         g, t = random_pair(rng, rng.randrange(3, 30))
         result = disinherit(g, t)
-        total_out = sum(result.network.weights.values()) + sum(result.dropped.values())
+        total_out = sum(result.network.weights.values()) + sum(dropped(result).values())
         assert total_out == sum(g.weights.values())
         assert result.network.edge_count <= g.edge_count
 
@@ -248,7 +256,7 @@ def edge_order(g, t, descending=True):
     """The edges by name in the order kron placement walks them, checked
     against the sort of :func:`oracles.edge_order_sorted`."""
     keys, _ = _edge_keys(_on_tree(g, t))
-    order = _pairs(t.vertices, keys[_depth_order(keys, t, descending)])
+    order = list(_pairs(t.vertices, keys[_depth_order(keys, t, descending)]))
     assert order == edge_order_sorted(g, t, descending)
     return order
 
@@ -316,7 +324,7 @@ def test_kron_sampling_hand_trace():
     g, t = four_pair()
     result = kron_sampling(g, t)
     assert result.network.weights == {("a1", "a2"): 1.0, ("a1", "B"): 1.0}
-    assert provenance(result.links) == {
+    assert provenance(result) == {
         ("a1", "a2"): frozenset({("a1", "a2")}),
         ("a1", "B"): frozenset({("A", "B")}),
     }
@@ -339,7 +347,7 @@ def test_kron_sampling_guard_blocks_reverse_direction():
     g = g.with_vertices(t.vertices)
     result = kron_sampling(g, t)
     assert result.network.weights == {("a1", "b1"): 1.0}
-    assert provenance(result.links)[("a1", "b1")] == {("A", "B"), ("B", "A")}
+    assert provenance(result)[("a1", "b1")] == {("A", "B"), ("B", "A")}
     directed = kron_sampling(g, t, guard="directed")
     assert directed.network.weights == {("a1", "b1"): 1.0, ("b1", "a1"): 1.0}
 
@@ -350,7 +358,7 @@ def test_kron_sampling_degenerate_edge_dropped():
     g = g.with_vertices(t.vertices)
     result = kron_sampling(g, t)
     # A sits above the single leaf a1, so A->a1 has no off-diagonal candidates.
-    assert result.dropped == {("A", "a1"): 1.0}
+    assert dropped(result) == {("A", "a1"): 1.0}
     assert ("b2", "b1") in result.network.weights or ("b1", "b2") in result.network.weights
 
 
@@ -369,11 +377,11 @@ def test_kron_sampling_invariants_random():
         assert result.network.edge_count <= g.edge_count
         resolved = assert_provenance_partition(g, result)
         all_sources = set(resolved)
-        assert all_sources | set(result.dropped) == set(g.weights)
-        assert not all_sources & set(result.dropped)
+        assert all_sources | set(dropped(result)) == set(g.weights)
+        assert not all_sources & set(dropped(result))
         # Some provenance source of each output edge has it inside its
         # candidate rectangle; every source connects the rectangle somehow.
-        for (s, d), sources in provenance(result.links).items():
+        for (s, d), sources in provenance(result).items():
             creators = [
                 (u, v)
                 for u, v in sources
@@ -458,7 +466,7 @@ for case in sys.argv[3:]:
     rng = random.Random(int(seed))
     size = int(n) if n else rng.randrange(4, 40)
     result = kron_sampling(*random_pair(rng, size, branching=int(seed) % 2 == 0))
-    text = serialize_graph(result.network) + repr(sorted((e, sorted(s)) for e, s in provenance(result.links).items()))
+    text = serialize_graph(result.network) + repr(sorted((e, sorted(s)) for e, s in provenance(result).items()))
     print(case, hashlib.sha256(text.encode()).hexdigest())
 """
 
@@ -508,9 +516,9 @@ def test_targeted_cases_match_loop_oracles(case):
         assert audit(inherit(g, t)) == ({}, {}, {("A", "a1"): 0.3, ("R", "A"): 0.7})
         assert audit(kron_sampling(g, t)) == ({}, {}, {("A", "a1"): 0.3, ("R", "A"): 0.7})
     if case == "root":
-        weights, _, dropped = audit(inherit(g, t))
+        weights, _, lost = audit(inherit(g, t))
         assert weights == {("a2", "a1"): 0.1, ("B", "a1"): 0.2 + 0.1, ("B", "a2"): 0.2, ("a2", "B"): 0.7}
-        assert dropped == {("R", "a1"): 0.1, ("B", "R"): 0.2}
+        assert lost == {("R", "a1"): 0.1, ("B", "R"): 0.2}
 
 
 def test_kron_convert_matches_reference_pipeline(tmp_path, monkeypatch):
@@ -537,8 +545,8 @@ def test_kron_sampling_deterministic():
         first = kron_sampling(g, t)
         second = kron_sampling(g, t)
         assert serialize_graph(first.network) == serialize_graph(second.network)
-        assert provenance(first.links) == provenance(second.links)
-        assert first.dropped == second.dropped
+        assert provenance(first) == provenance(second)
+        assert dropped(first) == dropped(second)
 
 
 def test_kron_sampling_sort_direction_flag():
