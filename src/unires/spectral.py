@@ -7,14 +7,14 @@ that a Kron reduction eliminates leave through one Schur complement, and
 the component is grounded at its lowest kept id (its lexicographically
 smallest kept name), which replaces the Moore-Penrose pseudoinverse at
 lower cost.  Both the eliminated block and the grounded block are
-symmetric positive definite, and :func:`_spd_inverse` inverts each by
-halves on matrix products, which run through BLAS at GEMM speed; only
-blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.
+symmetric positive definite, and :func:`_spd_inverse` inverts each in
+place by halves on matrix products, which run through BLAS at GEMM speed;
+only blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.
 
 A network's undirected edges are index arrays ``i < j`` and weights ``w``,
-each pair once, in the order of its first appearance.  Every Laplacian is
-built from those arrays by :func:`_laplacian`, which sums each diagonal
-entry in edge order, so a given edge order fixes every bit.
+each pair once, in the order of its first appearance.  :func:`_laplacian`
+builds a component's Laplacian blocks from them, never the whole matrix,
+summing each diagonal entry in edge order, so an edge order fixes every bit.
 """
 
 from __future__ import annotations
@@ -72,45 +72,51 @@ def _group(keys: np.ndarray, roots: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.searchsorted(keys[order], roots[1:]))
 
 
-def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Laplacian of undirected edges given once each; every diagonal entry
-    is summed sequentially in edge order."""
-    lap = np.zeros((n, n))
-    lap[i, j] = -w
-    lap[j, i] = -w
-    ends = np.column_stack((i, j)).ravel()
-    diagonal = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)
+def _laplacian(kept: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """The Laplacian of undirected edges ``i < j`` given once each, in the
+    blocks of ids split by the mask ``kept``, each part in id order: the
+    eliminated-eliminated and kept-eliminated blocks dense, and the
+    kept-kept block as the entries ``(rows, cols, values)`` of its edges and
+    diagonal, each position once, so that a scatter with ``+=`` never meets
+    a repeated index.  Every diagonal entry is summed in edge order."""
+    ids = np.arange(len(kept))
+    diagonal = np.bincount(np.column_stack((i, j)).ravel(), weights=np.repeat(w, 2), minlength=len(ids))
     if not np.isfinite(diagonal).all():
         raise DomainError("summed symmetrized weight at a vertex overflows float64")
-    np.fill_diagonal(lap, diagonal)
-    return lap
+    at = np.where(kept, np.cumsum(kept), np.cumsum(~kept)) - 1  # place within its part
+    r, c, v = np.concatenate((i, j, ids)), np.concatenate((j, i, ids)), np.concatenate((-w, -w, diagonal))
+    e = np.count_nonzero(~kept)
+    l_ee, l_ke = np.zeros((e, e)), np.zeros((len(ids) - e, e))
+    for block, rows in ((l_ee, ~kept), (l_ke, kept)):
+        s = rows[r] & ~kept[c]
+        block[at[r[s]], at[c[s]]] = v[s]
+    s = kept[r] & kept[c]
+    return l_ee, l_ke, (at[r[s]], at[c[s]], v[s])
 
 
 def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of the symmetric positive-definite ``a`` by halves (block
-    inversion through the Schur complement; Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., ch. 13).  With ``x`` the inverse of
-    the leading half and ``y = x @ a12``, the trailing Schur complement
-    ``a22 - a21 @ y`` is inverted to ``z``, and the inverse is
-    ``[[x + y z yᵀ, -y z], [-(y z)ᵀ, z]]``, each block written in place
-    into the result.  Four half-size GEMMs per level make 4/3·k³ flops in
-    all; blocks of at most ``SPD_BLOCK`` rows go to ``np.linalg.inv``,
-    whose ``LinAlgError`` on a singular block passes through."""
+    """``a``, symmetric positive definite, overwritten with its inverse by
+    halves (block inversion through the Schur complement; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 13).  With ``x``
+    the leading half inverted in place and ``y = x @ a12``, the trailing
+    Schur complement ``a22 - a21 @ y`` is written over ``a22`` and inverted
+    in place to ``z``, and the inverse ``[[x + y z yᵀ, -y z], [-(y z)ᵀ, z]]``
+    over ``a``.  Four half-size GEMMs per level make 4/3·k³ flops; blocks of
+    at most ``SPD_BLOCK`` rows go to ``np.linalg.inv``, whose
+    ``LinAlgError`` on a singular block passes through."""
     k = len(a)
     if k <= SPD_BLOCK:
-        return np.linalg.inv(a)
+        a[...] = np.linalg.inv(a)
+        return a
     h = k // 2
-    out = np.empty_like(a)
-    out[:h, :h] = _spd_inverse(a[:h, :h])
-    y = out[:h, :h] @ a[:h, h:]
-    s = a[h:, :h] @ y
-    out[h:, h:] = _spd_inverse(np.subtract(a[h:, h:], s, out=s))
-    del s
-    yz = np.matmul(y, out[h:, h:], out=out[:h, h:])
-    out[:h, :h] += yz @ y.T
+    x = _spd_inverse(a[:h, :h])
+    y = x @ a[:h, h:]
+    z = _spd_inverse(np.subtract(a[h:, h:], a[h:, :h] @ y, out=a[h:, h:]))
+    yz = np.matmul(y, z, out=a[:h, h:])
+    x += yz @ y.T
     np.negative(yz, out=yz)
-    out[h:, :h] = yz.T
-    return out
+    a[h:, :h] = yz.T
+    return a
 
 
 def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,13 +126,13 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     resistance between kept ids unchanged, so the reduced network is never
     built.
 
-    Each component with an asked pair is factorized once: its Laplacian, or
-    when some of its ids are not kept the Schur complement onto the kept
-    ones, is grounded at its lowest kept id, and ``R(x, y) = d[x] + d[y] -
-    (inv[x, y] + inv[y, x])`` is read from :func:`_spd_inverse` of the
-    grounded block, whose ground row and column are 0: a sum of commuting
-    terms, so ``R(x, y) == R(y, x)`` exactly, although ``inv`` is not
-    exactly symmetric."""
+    Each component with an asked pair is factorized once: the Schur
+    complement of its Laplacian onto its kept ids (the Laplacian itself when
+    all are kept) is grounded at its lowest kept id, and ``R(x, y) = d[x] +
+    d[y] - (inv[x, y] + inv[y, x])`` is read from :func:`_spd_inverse` of
+    the grounded block, whose ground row and column are 0: a sum of
+    commuting terms, so ``R(x, y) == R(y, x)`` exactly, although ``inv`` is
+    not exactly symmetric."""
     n = len(g.vertices)
     i, j, w = _edge_arrays(g)
     labels = _components(n, i, j)
@@ -141,21 +147,24 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
         for members, edges, asked in groups:
             if not asked.size:
                 continue
-            lap = _laplacian(len(members), np.searchsorted(members, i[edges]), np.searchsorted(members, j[edges]), w[edges])
             kept = keep[members]
             first = [g.vertices[x] for x in members[:3]]
+            l_ee, l_ke, (r, c, v) = _laplacian(kept, *np.searchsorted(members, (i[edges], j[edges])), w[edges])
             try:
-                if not kept.all():
-                    k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
-                    reduced, l_ke, l_ee = lap[np.ix_(k, k)], lap[np.ix_(k, e)], lap[np.ix_(e, e)]
-                    del lap
-                    reduced -= l_ke @ (_spd_inverse(l_ee) @ l_ke.T)
-                    if not np.isfinite(reduced).all():
-                        raise NumericalError(f"non-finite Schur complement in component {first}")
-                    lap, members = reduced, members[k]
-                inv = _spd_inverse(lap[1:, 1:])
+                # l_kk - l_ke @ l_ee⁻¹ @ l_keᵀ in one k×k buffer as (0 - product) + l_kk,
+                # the same bits with signed zeros: 0 - (+0) is +0, where -(+0) is -0.
+                x = _spd_inverse(l_ee) @ l_ke.T
+                del l_ee
+                schur = l_ke @ x
+                del l_ke, x
+                np.subtract(0.0, schur, out=schur)
+                schur[r, c] += v
+                if not np.isfinite(schur).all():
+                    raise NumericalError(f"non-finite Schur complement in component {first}")
+                inv = _spd_inverse(schur[1:, 1:])
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"singular positive-definite block in component {first}") from exc
+            members = members[kept]
             asked = solve[asked]
             x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
             diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0

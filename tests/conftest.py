@@ -9,7 +9,7 @@ import numpy as np
 
 from unires.graph import Graph, Hierarchy
 from unires.resolution import _anchors, _on_tree
-from unires.spectral import _resistances
+from unires.spectral import _edge_arrays, _laplacian, _resistances
 
 
 def names(n: int, prefix: str = "n") -> list[str]:
@@ -123,6 +123,17 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Graph:
             if u != v and rng.random() < p:
                 weights[(u, v)] = 1.0
     return Graph.from_edges(weights, vertices=labels)
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """The whole Laplacian of ``g``: the kept-kept entries of the package's
+    block builder with every vertex kept, written onto zeros."""
+    n = len(g.vertices)
+    l_ee, l_ke, (r, c, v) = _laplacian(np.ones(n, dtype=bool), *_edge_arrays(g))
+    assert l_ee.shape == (0, 0) and l_ke.shape == (n, 0)
+    lap = np.zeros((n, n))
+    lap[r, c] = v
+    return lap
 
 
 def kron_mask(g: Graph, retain) -> np.ndarray:

@@ -14,10 +14,9 @@ from unires.cli import main
 from unires.graph import Graph, load_graph, serialize_graph, serialize_hierarchy
 from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
-from unires.spectral import _edge_arrays, _laplacian
 
 from oracles import dropped, provenance, provenance_nested_sort
-from conftest import branching_hierarchy, names, random_digraph, random_graph_on, random_hierarchy
+from conftest import branching_hierarchy, laplacian, names, random_digraph, random_graph_on, random_hierarchy
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -205,7 +204,7 @@ def test_laplacian_of_a_messy_input_is_pinned(tmp_path):
     # Laplacian (summed with np.bincount, no BLAS) that the input gives.
     gp, _ = write_messy_pair(tmp_path)
     g = load_graph(Path(gp).read_text())
-    lap = _laplacian(len(g.vertices), *_edge_arrays(g))
+    lap = laplacian(g)
     assert hashlib.sha256(lap.tobytes()).hexdigest() == "9f98d5a2cacfec7c669e544f5450d7807676d85cf92257e16994a93700ca9c61"
 
 

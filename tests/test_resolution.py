@@ -457,24 +457,31 @@ def test_kron_placement_does_not_depend_on_the_resistance_route(monkeypatch):
 KERNEL_SCRIPT = """
 import hashlib, random, sys
 sys.path[:0] = sys.argv[1:3]
-from conftest import random_pair
-from oracles import provenance
+from conftest import kron_resistances, random_pair
+from oracles import degree_loop, kron_resistance_reference, provenance
 from unires.graph import serialize_graph
 from unires.resolution import kron_sampling
 for case in sys.argv[3:]:
     seed, _, n = case.partition(":")
     rng = random.Random(int(seed))
     size = int(n) if n else rng.randrange(4, 40)
-    result = kron_sampling(*random_pair(rng, size, branching=int(seed) % 2 == 0))
+    g, t = random_pair(rng, size, branching=int(seed) % 2 == 0)
+    result = kron_sampling(g, t)
     text = serialize_graph(result.network) + repr(sorted((e, sorted(s)) for e, s in provenance(result).items()))
     print(case, hashlib.sha256(text.encode()).hexdigest())
+    if n:  # every leaf pair of the sized pair, against the slow reference bit for bit
+        degree = degree_loop(g)
+        leaves = [v for v in t.vertices if not t.children[v] and degree[v]]
+        pairs = [(u, v) for u in leaves for v in leaves if u < v]
+        assert kron_resistances(g, leaves, pairs) == kron_resistance_reference(g, leaves, pairs), case
 """
 
 
 def test_kron_placement_is_the_same_under_three_blas_kernels():
     # The noise seeds, and a 300-vertex pair whose Kron blocks are larger
     # than SPD_BLOCK, so that every kernel runs the GEMMs of the inverse by
-    # halves.  "seed:n" fixes the size; a bare seed draws it.
+    # halves; on that pair each kernel's resistances also equal the
+    # reference's bit for bit.  "seed:n" fixes the size; a bare seed draws it.
     g, t = random_pair(random.Random(0), 300, branching=True)
     degree = degree_loop(g)
     assert sum(1 for v in t.vertices if not t.children[v] and degree[v]) > 3 * SPD_BLOCK

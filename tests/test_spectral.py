@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import unires.spectral
 from unires.graph import Graph, ValidationError, load_graph, load_hierarchy
 from unires.resolution import inherit, kron_sampling
-from unires.spectral import SPD_BLOCK, _edge_arrays, _laplacian, _spd_inverse
+from unires.spectral import SPD_BLOCK, _components, _edge_arrays, _laplacian, _resistances, _spd_inverse
 
 from oracles import (
     cholesky_inverse,
@@ -20,12 +22,7 @@ from oracles import (
     resistance_pinv,
     symmetrized,
 )
-from conftest import kron_mask, kron_resistances, names, networkx_graph, random_connected_weighted, random_pair
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """The package's Laplacian builder applied to a whole graph."""
-    return _laplacian(len(g.vertices), *_edge_arrays(g))
+from conftest import kron_mask, kron_resistances, laplacian, names, networkx_graph, random_connected_weighted, random_pair
 
 
 def test_laplacian_single_edge():
@@ -89,6 +86,25 @@ def test_laplacian_structural_invariants():
         assert (np.abs(m.sum(axis=1)) <= 1e-12 * np.maximum(row_scale, 1.0)).all()
         assert (m[~np.eye(len(m), dtype=bool)] <= 0).all()
         assert np.linalg.eigvalsh(m).min() >= -1e-9
+
+
+def test_laplacian_blocks_match_the_whole_laplacian_exactly():
+    # The block builder against index gathers of the edge-by-edge
+    # Laplacian: the dense blocks byte for byte, and the kept-kept entries,
+    # each position once, written onto zeros.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 30, 140):
+        g = random_connected_weighted(random.Random(n), n)
+        lap = laplacian_loop(g)
+        for kept in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), rng.random(n) < 0.6):
+            k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
+            l_ee, l_ke, (r, c, v) = _laplacian(kept, *_edge_arrays(g))
+            assert l_ee.tobytes() == lap[np.ix_(e, e)].tobytes() and l_ee.shape == (len(e), len(e))
+            assert l_ke.tobytes() == lap[np.ix_(k, e)].tobytes() and l_ke.shape == (len(k), len(e))
+            assert len(np.unique(r * n + c)) == len(r)
+            kk = np.zeros((len(k), len(k)))
+            kk[r, c] = v
+            assert kk.tobytes() == lap[np.ix_(k, k)].tobytes()
 
 
 def test_kron_series_path():
@@ -311,13 +327,93 @@ def test_spd_inverse_matches_lu_and_cholesky(rows):
     # connected one is positive entrywise, so each entry is compared relative.
     rng = random.Random(rows)
     a = laplacian(random_connected_weighted(rng, rows + 1))[1:, 1:]
-    got = _spd_inverse(a)
+    got = _spd_inverse(a.copy())
     assert np.array_equal(got, inverse_by_halves(a))
     if rows <= SPD_BLOCK:
         assert np.array_equal(got, np.linalg.inv(a))
     for other in (np.linalg.inv(a), cholesky_inverse(a)):
         assert (other > 0).all()
         assert np.abs(got - other).max(initial=0.0) <= 1e-12 * other.min()
+
+
+@pytest.mark.parametrize("rows", [1, 64, 65, 129, 300])
+def test_spd_inverse_overwrites_its_argument(rows):
+    # The result is the argument itself, holding the bytes of the oracle's
+    # inverse of the original; on a strided view of a grounded Laplacian the
+    # ground row and column are left as they were.
+    rng = random.Random(rows)
+    a = laplacian(random_connected_weighted(rng, rows + 1))[1:, 1:].copy()
+    expected = inverse_by_halves(a)
+    assert _spd_inverse(a) is a
+    assert a.tobytes() == expected.tobytes()
+    lap = laplacian(random_connected_weighted(rng, rows + 1))
+    before, view = lap.copy(), lap[1:, 1:]
+    expected = inverse_by_halves(view)
+    assert _spd_inverse(view) is view
+    assert view.tobytes() == expected.tobytes()
+    assert lap[0].tobytes() == before[0].tobytes() and lap[:, 0].tobytes() == before[:, 0].tobytes()
+
+
+def test_schur_complement_bytes_match_the_gathered_blocks(monkeypatch):
+    # The complement, seen as the base of the grounded block handed to the
+    # inverse, against lkk - lke @ x from index gathers of the whole
+    # Laplacian.  Vertex 0 and all its neighbours are kept, so its row of
+    # lke is zero and its row of the product +0, where the complement must
+    # hold +0 (0 - (+0)) and not -0 (-(+0)).
+    g = random_connected_weighted(random.Random(5), 200)
+    lap = laplacian(g)
+    rng = np.random.default_rng(5)
+    kept = (rng.random(200) < 0.6) | (lap[0] != 0)
+    k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
+    assert len(k) > SPD_BLOCK and len(e) > SPD_BLOCK
+    l_ke = lap[np.ix_(k, e)]
+    product = l_ke @ (inverse_by_halves(lap[np.ix_(e, e)]) @ l_ke.T)
+    expected = lap[np.ix_(k, k)] - product
+    assert ((product == 0) & ~np.signbit(product) & (expected == 0)).any()
+    seen = []
+
+    def spy(a):
+        if a.base is not None and len(a) + 1 == len(a.base):  # the grounded block
+            seen.append(a.base.copy())
+        return inverse(a)
+
+    inverse = unires.spectral._spd_inverse
+    monkeypatch.setattr(unires.spectral, "_spd_inverse", spy)
+    _resistances(g, kept, k[:1], k[-1:])
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+
+
+def traced_peak(f, *args) -> int:
+    """The most bytes that ``f(*args)`` holds at once, as numpy reports its
+    allocations to tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resistances_peak_memory_is_one_component_matrix():
+    # One component of k kept and e eliminated vertices, both past
+    # 2·SPD_BLOCK: the blocks, the product and the complement never hold
+    # more than the component's (k + e)² Laplacian would.  With every vertex
+    # kept the grounded inverse holds one n × n buffer and, at the top level
+    # of the halving, two products of at most half size.  The slack covers
+    # numpy's ufunc buffers and the arrays over the edges and pairs.
+    g, t = random_pair(random.Random(3), 500, branching=True)
+    i, j, _ = _edge_arrays(g)
+    labels = _components(len(g.vertices), i, j)
+    component = labels == np.bincount(labels).argmax()
+    keep = component & np.array([not t.children[v] for v in g.vertices])
+    k, e = int(keep.sum()), int((component & ~keep).sum())
+    assert k > 2 * SPD_BLOCK and e > 2 * SPD_BLOCK
+    slack = 384 * 1024
+    ids = np.flatnonzero(keep)
+    assert traced_peak(_resistances, g, keep, ids[:-1], ids[1:]) <= 8 * (k * k + 2 * k * e + e * e) + slack
+    n, ids = k + e, np.flatnonzero(component)
+    every = np.ones(len(g.vertices), dtype=bool)
+    assert traced_peak(_resistances, g, every, ids[:-1], ids[1:]) <= 8 * (n * n + 2 * ((n + 1) // 2) ** 2) + slack
 
 
 def assert_close_to_other_routes(g, retain, pairs):
