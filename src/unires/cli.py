@@ -3,8 +3,9 @@
 Subcommands: ``convert``, ``metrics``, ``centrality``, ``spyplot``,
 ``degree-fit``, and the debug helper ``resistance``.  Exit codes: 0 on
 success, 2 for input/validation/usage problems, 3 for numerical failures.
-Every output file is UTF-8 with LF endings and canonically sorted, so two
-runs with identical inputs and flags are byte-identical.
+Every output file is UTF-8 with LF endings in a fixed order (``network.tsv``
+by name pairs, ``provenance.tsv`` as text), so two runs with identical
+inputs and flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .graph import (
+    BLOCK,
     DomainError,
     Graph,
     Hierarchy,
@@ -90,10 +93,10 @@ def _prepare_outdir(out: str, inputs: list[str | None], filenames: list[str]) ->
     return outdir
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str | Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -102,12 +105,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _provenance_lines(result: ResolutionResult) -> str:
-    names, links = result.vertices, result.links[np.lexsort((result.links[:, 1], result.links[:, 0]))]
-    lines = [f"{s}->{d}\t{u}->{v}" for (s, d), (u, v) in zip(_pairs(names, links[:, 0]), _pairs(names, links[:, 1]))]
-    lines += [f"dropped\t{u}->{v}" for u, v in _pairs(names, result.dropped)]
-    lines.sort()  # near linear, as the links are sorted by key, which is name-pair order
-    return "\n".join(lines) + ("\n" if lines else "")
+def _provenance_lines(result: ResolutionResult) -> Iterator[str]:
+    """The text of ``provenance.tsv`` in blocks of about ``BLOCK // 8`` lines.
+    A line is a head (``s->d`` or ``dropped``, then its only tab) and a tail
+    ``u->v``, so the rows go by rank of head (equal strings rank equal, as
+    names with ``->`` print some pairs alike); a block of whole heads is sorted."""
+    out, head = np.unique(result.links[:, 0], return_inverse=True)
+    text = np.array([f"{s}->{d}\t" for s, d in _pairs(result.vertices, out)] + ["dropped\t"], dtype=object)
+    order = np.argsort(text, kind="stable")  # timsort, as the heads come nearly sorted
+    rank = np.cumsum(np.concatenate(([0], text[order][1:] != text[order][:-1])))[np.argsort(order)]
+    head = np.concatenate((head, np.full(len(result.dropped), len(out))))
+    rows = np.argsort(rank[head], kind="stable")
+    starts = np.flatnonzero(np.diff(rank[head[rows]])) + 1  # where a head rank's rows begin
+    tails = np.concatenate((result.links[:, 1], result.dropped))
+    for part in np.split(rows, starts[np.diff(starts // (BLOCK // 8), prepend=0) > 0]):
+        lines = sorted([f"{h}{u}->{v}" for h, (u, v) in zip(text[head[part]].tolist(), _pairs(result.vertices, tails[part]))])
+        yield "\n".join([*lines, ""])
 
 
 def cmd_convert(args: argparse.Namespace) -> int:

@@ -26,6 +26,10 @@ import numpy as np
 
 Edge = tuple[str, str]
 
+# Edge lists are parsed in blocks of about BLOCK characters cut at line ends, and
+# written BLOCK // 8 rows at a time, so that no step holds an object per line.
+BLOCK = 1 << 16
+
 
 class ParseError(ValueError):
     """A malformed input document; remembers the offending line number."""
@@ -44,9 +48,9 @@ class DomainError(ValueError):
 
 
 def _valid_name(token: str) -> bool:
-    """Non-empty, unpadded, without tab or newline, and not starting with
-    ``#``: such a name would turn its output lines into comments."""
-    return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token and token[0] != "#"
+    """Non-empty, unpadded, without tab, LF or CR (read as LF), and not
+    starting with ``#``: such a name would turn its lines into comments."""
+    return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
 
 
 def _check_names(names: Iterable[str]) -> None:
@@ -57,8 +61,10 @@ def _check_names(names: Iterable[str]) -> None:
 
 def _pairs(names: tuple[str, ...], keys: np.ndarray) -> Iterator[Edge]:
     """The name pairs ``(s, d)`` of keys ``id(s) * n + id(d)``, one by one."""
-    s, d = np.divmod(keys, len(names))
-    return zip(map(names.__getitem__, s.tolist()), map(names.__getitem__, d.tolist()))
+    table = np.array(names, dtype=object)  # indexing it makes no int per id
+    for part in np.split(keys, range(BLOCK // 8, len(keys), BLOCK // 8)):
+        s, d = np.divmod(part, len(names))
+        yield from zip(table[s].tolist(), table[d].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,30 +255,41 @@ def load_graph(text: str) -> Graph:
     self-loop, or duplicate edges whose summed weight overflows float64.
     Weights of duplicate edges are summed, in line order.
 
-    The whole document is parsed at once into name ids and weight arrays;
-    on any problem the line-by-line parse below runs instead, so that it
-    alone words every error and names its line.
+    The text is cut at line ends into blocks of about :data:`BLOCK`
+    characters; each block's lines are split into fields at once, names
+    mapped to first-seen ids and weights to floats.  On any problem the
+    line-by-line parse below reruns on the whole text, to word the error.
     """
-    lines = [raw for raw in text.split("\n") if raw and raw[0] != "#"]
-    m = len(lines)
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=m)
-    if not m or not np.isin(tabs, (1, 2)).all():
+    index: dict[str, int] = {}  # name -> first-seen id
+    ids, w, start = [], [], 0
+    while start < len(text):
+        end = text.find("\n", start + BLOCK)
+        end = len(text) if end < 0 else end
+        lines = [raw for raw in text[start:end].split("\n") if raw and raw[0] != "#"]
+        start, m = end + 1, len(lines)
+        tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=m)
+        if not ((tabs == 1) | (tabs == 2)).all():
+            return _load_graph_lines(text)
+        if not m:
+            continue
+        if tabs.min() < tabs.max():  # give the 2-field lines their weight 1
+            lines = [raw if k == 2 else raw + "\t1" for raw, k in zip(lines, tabs.tolist())]
+        k = int(tabs.max()) + 1
+        fields = "\t".join(lines).split("\t")
+        del lines  # lower the peak: the lines' strings are not needed beside their fields
+        ends = fields[0::k] + fields[1::k]
+        index.update({v: len(index) + i for i, v in enumerate(set(ends).difference(index))})
+        ids.append(np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=2 * m).reshape(2, m))
+        try:
+            w.append(np.fromiter(map(float, fields[2::3]), dtype=float, count=m) if k == 3 else np.ones(m))
+        except ValueError:
+            return _load_graph_lines(text)
+        if not (w[-1] > 0).all():  # before summing, which could hide a bad weight
+            return _load_graph_lines(text)
+    if not w:
         return _load_graph_lines(text)
-    if tabs.min() < tabs.max():  # give the 2-field lines their weight 1
-        lines = [raw if k == 2 else raw + "\t1" for raw, k in zip(lines, tabs.tolist())]
-    k = int(tabs.max()) + 1
-    fields = "\t".join(lines).split("\t")
-    del lines  # lower the peak: the lines' strings are not needed beside their fields
-    src, dst = fields[0::k], fields[1::k]
-    names = sorted(set(src).union(dst))
-    index = {v: i for i, v in enumerate(names)}
-    s, d = (np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=m) for ends in (src, dst))
-    try:
-        w = np.fromiter(map(float, fields[2::3]), dtype=float, count=m) if k == 3 else np.ones(m)
-    except ValueError:
-        return _load_graph_lines(text)
-    if not (w > 0).all():  # before summing, which could hide a bad weight
-        return _load_graph_lines(text)
+    names, w = sorted(index), np.concatenate(w)  # rebinding frees the blocks' arrays as they are joined
+    s, d = ids = np.argsort(np.fromiter(map(index.__getitem__, names), dtype=np.int64))[np.concatenate(ids, axis=1)]
     first, w = _first_sums(s * len(names) + d, w)  # duplicate lines summed in line order
     try:  # names, self-loops, and sums that overflow
         return Graph(tuple(names), s[first], d[first], w)
@@ -342,12 +359,12 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Canonical edge-list text: sorted lines, explicit weights."""
-    src, dst, w = g.src, g.dst, g.w
-    order = np.argsort(src * len(g.vertices) + dst)  # ids follow name order, so this is name-pair order
-    names, edges = g.vertices, zip(src[order].tolist(), dst[order].tolist(), w[order].tolist())
-    lines = [f"{names[u]}\t{names[v]}\t{x!r}" for u, v, x in edges]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Canonical edge-list text: one line per edge in name-pair order, with
+    explicit weights.  The lines are made ``BLOCK // 8`` at a time."""
+    order = np.argsort(g.src * len(g.vertices) + g.dst)  # ids follow name order, so this is name-pair order
+    names, cut = np.array(g.vertices, dtype=object), range(BLOCK // 8, len(order), BLOCK // 8)
+    blocks = (zip(names[g.src[p]].tolist(), names[g.dst[p]].tolist(), g.w[p].tolist()) for p in np.split(order, cut))
+    return "".join("".join([f"{u}\t{v}\t{x!r}\n" for u, v, x in rows]) for rows in blocks)
 
 
 def serialize_hierarchy(h: Hierarchy) -> str:

@@ -4,12 +4,36 @@ seeded per test."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 
+import unires.cli
+import unires.graph
 from unires.graph import Graph, Hierarchy
 from unires.resolution import _anchors, _on_tree
 from unires.spectral import _edge_arrays, _laplacian, _resistances
+
+
+def traced_peak(f, *args) -> int:
+    """The most bytes that ``f(*args)`` holds at once, as tracemalloc sees
+    Python's allocations and those numpy reports to it."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_sizes(monkeypatch):
+    """Set the block size of the edge-list parse and writers to the
+    package's own, then to sizes of a few characters, which cut the text at
+    nearly every line end and name rows one or two at a time."""
+    for size in (unires.graph.BLOCK, 8, 13):
+        monkeypatch.setattr(unires.graph, "BLOCK", size)
+        monkeypatch.setattr(unires.cli, "BLOCK", size)
+        yield size
 
 
 def names(n: int, prefix: str = "n") -> list[str]:

@@ -24,7 +24,7 @@ def load_graph_loop(text: str) -> Graph:
     it parsed whole documents: same checks, same messages, same order."""
 
     def valid(token: str) -> bool:
-        return bool(token) and token == token.strip() and "\t" not in token and "\n" not in token and token[0] != "#"
+        return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
 
     weights: dict[tuple[str, str], float] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):

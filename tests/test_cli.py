@@ -16,7 +16,9 @@ from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 
 from oracles import dropped, provenance, provenance_nested_sort
-from conftest import branching_hierarchy, laplacian, names, random_digraph, random_graph_on, random_hierarchy
+from conftest import (
+    block_sizes, branching_hierarchy, laplacian, names, random_digraph, random_graph_on, random_hierarchy, traced_peak,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -292,22 +294,41 @@ def test_resistance_output_bytes_are_pinned(tmp_path, capsys):
 
 # Names whose "u->v" labels sort unlike the name pairs ("a" < "a-", but
 # "a-->x" < "a->x"), and whose labels collide: ("a->", "b") and ("a", "->b")
-# both read "a->->b".
-ADVERSARIAL_NAMES = ["a", "a-", "a-!", "a->b", "b->", "a->", "->", "-", "b", "->b"]
+# both read "a->->b".  "a\x01" holds a character below the tab, so that
+# "s->a\x01<TAB>" sorts before "s->a<TAB>", and "é" and "é->" sort above every
+# ASCII name.
+ADVERSARIAL_NAMES = ["a", "a-", "a-!", "a->b", "b->", "a->", "->", "-", "b", "->b", "a\x01", "é", "é->"]
 
 
-def test_provenance_file_matches_the_nested_sort_writer(tmp_path):
-    rng = random.Random(71)
-    for k in range(30):
-        t = random_hierarchy(rng, ADVERSARIAL_NAMES)
-        g = random_graph_on(rng, t, edge_budget=rng.randrange(1, 40))
-        gp, hp = write_pair(tmp_path, serialize_graph(g), serialize_hierarchy(t))
-        for method, convert in (("inherit", inherit), ("disinherit", disinherit), ("kron", kron_sampling)):
-            out = tmp_path / f"{method}{k}"
-            assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
-            result = convert(g, t)
-            expected = provenance_nested_sort(provenance(result), dropped(result))
-            assert (out / "provenance.tsv").read_bytes() == expected.encode(), (k, method)
+def test_writers_peak_memory_is_blocks_of_lines(tmp_path):
+    # Inherit on a deep tree: 31,700 output edges and 87,885 provenance
+    # rows, about 2.8 per distinct head "s->d<TAB>".  Writing a whole line
+    # list held about 160 bytes an edge or a row; in blocks, the edge list
+    # holds about 56 bytes an edge (its arrays) and the provenance writer
+    # about 85 a row (the head strings and the arrays that rank them).
+    rng = random.Random(3)
+    t = random_hierarchy(rng, names(400))
+    result = inherit(random_graph_on(rng, t, edge_budget=8000), t)
+    edges, rows = result.network.edge_count, len(result.links) + len(result.dropped)
+    assert (edges, rows) == (31_700, 87_885)
+    assert traced_peak(serialize_graph, result.network) <= 100 * edges
+    path = tmp_path / "provenance.tsv"
+    assert traced_peak(lambda: unires.cli._write(path, unires.cli._provenance_lines(result))) <= 120 * rows
+
+
+def test_provenance_file_matches_the_nested_sort_writer(tmp_path, monkeypatch):
+    for size in block_sizes(monkeypatch):
+        rng = random.Random(71)
+        for k in range(30):
+            t = random_hierarchy(rng, ADVERSARIAL_NAMES)
+            g = random_graph_on(rng, t, edge_budget=rng.randrange(1, 40))
+            gp, hp = write_pair(tmp_path, serialize_graph(g), serialize_hierarchy(t))
+            for method, convert in (("inherit", inherit), ("disinherit", disinherit), ("kron", kron_sampling)):
+                out = tmp_path / f"{method}{k}-{size}"
+                assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+                result = convert(g, t)
+                expected = provenance_nested_sort(provenance(result), dropped(result))
+                assert (out / "provenance.tsv").read_bytes() == expected.encode(), (size, k, method)
 
 
 def test_convert_refuses_to_overwrite_inputs(tmp_path):
@@ -577,6 +598,14 @@ def test_spyplot_empty_graph(tmp_path):
     assert main(["spyplot", "--graph", str(gp), "--hierarchy", hp.as_posix(), "--out", str(out)]) == 0
     assert (out / "spy.tsv").read_text() == ""
     assert len((out / "ordering.txt").read_text().splitlines()) == 5
+
+
+def test_convert_edgeless_graph_writes_empty_edge_files(tmp_path):
+    gp, hp = write_pair(tmp_path, "# no edges\n")
+    for method in ("inherit", "disinherit", "kron"):
+        out = tmp_path / method
+        assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+        assert (out / "network.tsv").read_text() == (out / "provenance.tsv").read_text() == ""
 
 
 def test_degree_fit_command(tmp_path):

@@ -335,6 +335,7 @@ BAD_GRAPHS = {
     "negative weight": ((("a", "b"), [0], [1], [-1.0]), "non-positive weight -1.0"),
     "infinite weight": ((("a", "b"), [0], [1], [float("inf")]), "non-positive weight inf"),
     "invalid name": ((("a", "b "), [0], [1], [1.0]), "invalid vertex name 'b '"),
+    "name with an inner CR": ((("a\rb", "c"), [0], [1], [1.0]), "invalid vertex name 'a\\rb'"),
     "fractional id": ((("a", "b"), [0.5], [1], [1.0]), "src holds float64"),
     "string weight": ((("a", "b"), [0], [1], ["2"]), "w holds <U1"),
     "arrays of two lengths": ((("a", "b"), [0, 1], [1], [1.0, 1.0]), "of one length"),

@@ -1,4 +1,4 @@
-"""The whole-document edge-list parse against the line-by-line loop, and the
+"""The block-by-block edge-list parse against the line-by-line loop, and the
 graphs the package builds against rebuilds from their name-keyed weights."""
 
 import random
@@ -10,7 +10,7 @@ from unires.graph import Graph, ParseError, load_graph, serialize_graph
 from unires.resolution import disinherit, inherit, kron_sampling
 
 from oracles import load_graph_loop, same_graph
-from conftest import random_pair
+from conftest import block_sizes, names, random_pair, traced_peak
 
 # Names with inner spaces, non-ASCII letters, an arrow, digits and an inner '#'.
 NAMES = ("a", "b", "c d", "Äb", "é1", "x->y", "->", "24", "V4", "n#1", "zz")
@@ -47,18 +47,43 @@ def must_not_fall_back(text):
 
 def test_whole_document_parse_matches_the_loop(monkeypatch):
     monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
-    rng = random.Random(61)
-    for _ in range(400):
-        text = random_document(rng)
-        assert_same_graph(load_graph(text), load_graph_loop(text))
+    for _ in block_sizes(monkeypatch):
+        rng = random.Random(61)
+        for _ in range(400):
+            text = random_document(rng)
+            assert_same_graph(load_graph(text), load_graph_loop(text))
 
 
 @pytest.mark.parametrize("text", [
     "a\tb\n", "a\tb", "a\tb\t2\n", "a\tb\nb\ta\t1_0\n", "# only a comment\na\tb\n\n\nb\tc\t 2.5 \n",
-    "a\tb\t0.1\na\tb\t0.2\nb\ta\na\tb\t0.7\n",
+    "a\tb\t0.1\na\tb\t0.2\nb\ta\na\tb\t0.7\n", "\n\n# a\n#\tb\na\tb\n\n#\nb\tc\t2\n#\n",
 ])
-def test_small_documents_match_the_loop(text):
-    assert_same_graph(load_graph(text), load_graph_loop(text))
+def test_small_documents_match_the_loop(text, monkeypatch):
+    for _ in block_sizes(monkeypatch):
+        assert_same_graph(load_graph(text), load_graph_loop(text))
+
+
+def test_duplicate_lines_in_different_blocks_sum_in_line_order(monkeypatch):
+    # Lines of one edge at the start, the middle and the end of a document
+    # of three blocks, with names first seen in every block.
+    monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
+    filler = [f"{u}\t{v}\t2" for u, v in zip(names(12_000), names(12_000)[1:])]
+    lines = ["a\tb\t0.1", *filler[:6000], "a\tb\t0.2", *filler[6000:], "a\tb\t0.7"]
+    text = "\n".join(lines)
+    assert len(text) > 2 * unires.graph.BLOCK and text.index("a\tb\t0.2") > unires.graph.BLOCK
+    graph = load_graph(text)
+    assert_same_graph(graph, load_graph_loop(text))
+    assert graph.weights[("a", "b")] == 0.0 + 0.1 + 0.2 + 0.7 != 0.1 + (0.2 + 0.7)
+
+
+def test_load_graph_peak_memory_is_one_block_of_strings():
+    # 50,000 lines over 700 names: the whole-document parse held about 260
+    # bytes a line (the lines, then their fields); the blocks hold about 100,
+    # mostly in the arrays over all lines that sum the duplicates.
+    rng = random.Random(7)
+    labels = names(700)
+    text = "".join(f"{u}\t{v}\t{rng.choice(('1', '2.5', '3'))}\n" for u, v in (rng.sample(labels, 2) for _ in range(50_000)))
+    assert traced_peak(load_graph, text) <= 150 * 50_000
 
 
 def test_documents_without_edges_match_the_loop():
@@ -86,25 +111,28 @@ BAD_LINES = {
     "inf": "a\tb\tinf",
     "unparsable": "a\tb\tzero",
     "empty weight": "a\tb\t",
+    "name with an inner CR": "a\rb\tc",
     "overflowing duplicate": "a\tb\t1e308\nb\ta\t1e308\na\tb\t1e308",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LINES))
-def test_bad_documents_raise_what_the_loop_raises(case):
+def test_bad_documents_raise_what_the_loop_raises(case, monkeypatch):
     bad = BAD_LINES[case]
-    for text in (bad, f"# header\nx\ty\t2\n\n{bad}\nz\tx\n", f"x\ty\n{bad}\n{BAD_LINES['self-loop']}\n"):
-        assert raised(load_graph, text) == raised(load_graph_loop, text)
+    for _ in block_sizes(monkeypatch):
+        for text in (bad, f"# header\nx\ty\t2\n\n{bad}\nz\tx\n", f"x\ty\n{bad}\n{BAD_LINES['self-loop']}\n"):
+            assert raised(load_graph, text) == raised(load_graph_loop, text)
 
 
-def test_bad_lines_anywhere_raise_what_the_loop_raises():
-    rng = random.Random(67)
-    for _ in range(300):
-        lines = random_document(rng).split("\n")
-        for bad in rng.sample(sorted(BAD_LINES.values()), rng.randrange(1, 3)):
-            lines.insert(rng.randrange(len(lines) + 1), bad)
-        text = "\n".join(lines)
-        assert raised(load_graph, text) == raised(load_graph_loop, text)
+def test_bad_lines_anywhere_raise_what_the_loop_raises(monkeypatch):
+    for _ in block_sizes(monkeypatch):
+        rng = random.Random(67)
+        for _ in range(300):
+            lines = random_document(rng).split("\n")
+            for bad in rng.sample(sorted(BAD_LINES.values()), rng.randrange(1, 3)):
+                lines.insert(rng.randrange(len(lines) + 1), bad)
+            text = "\n".join(lines)
+            assert raised(load_graph, text) == raised(load_graph_loop, text)
 
 
 def test_package_built_graphs_equal_validated_rebuilds():

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,9 @@ from oracles import (
     resistance_pinv,
     symmetrized,
 )
-from conftest import kron_mask, kron_resistances, laplacian, names, networkx_graph, random_connected_weighted, random_pair
+from conftest import (
+    kron_mask, kron_resistances, laplacian, names, networkx_graph, random_connected_weighted, random_pair, traced_peak,
+)
 
 
 def test_laplacian_single_edge():
@@ -381,17 +382,6 @@ def test_schur_complement_bytes_match_the_gathered_blocks(monkeypatch):
     monkeypatch.setattr(unires.spectral, "_spd_inverse", spy)
     _resistances(g, kept, k[:1], k[-1:])
     assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
-
-
-def traced_peak(f, *args) -> int:
-    """The most bytes that ``f(*args)`` holds at once, as numpy reports its
-    allocations to tracemalloc."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_resistances_peak_memory_is_one_component_matrix():
