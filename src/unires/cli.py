@@ -14,7 +14,6 @@ import argparse
 import codecs
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -33,10 +32,10 @@ from .graph import (
     Hierarchy,
     ParseError,
     ValidationError,
+    _graph_blocks,
     _pairs,
     load_graph,
     load_hierarchy,
-    serialize_graph,
     serialize_hierarchy,
 )
 from .metrics import (
@@ -77,6 +76,7 @@ def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # here, not at the top: it maps OpenSSL, which only convert needs
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -108,19 +108,26 @@ def _fmt(x: float) -> str:
 def _provenance_lines(result: ResolutionResult) -> Iterator[str]:
     """The text of ``provenance.tsv`` in blocks of about ``BLOCK // 8`` lines.
     A line is a head (``s->d`` or ``dropped``, then its only tab) and a tail
-    ``u->v``, so the rows go by rank of head (equal strings rank equal, as
-    names with ``->`` print some pairs alike); a block of whole heads is sorted."""
-    out, head = np.unique(result.links[:, 0], return_inverse=True)
-    text = np.array([f"{s}->{d}\t" for s, d in _pairs(result.vertices, out)] + ["dropped\t"], dtype=object)
-    order = np.argsort(text, kind="stable")  # timsort, as the heads come nearly sorted
-    rank = np.cumsum(np.concatenate(([0], text[order][1:] != text[order][:-1])))[np.argsort(order)]
+    ``u->v``; a block of whole heads is sorted.  Heads are ranked (equal ones
+    equal, as names with ``->`` print some pairs alike) in one array of their
+    UTF-8 bytes: byte order is text order, and a tab, not a NUL, ends each."""
+    n, out, head = len(result.vertices), *np.unique(result.links[:, 0], return_inverse=True)
+    name = np.array([v.encode() for v in result.vertices], dtype=object)
+    arrow, tab, size = name + b"->", name + b"\t", np.fromiter(map(len, name), dtype=np.int64, count=n)
+    heads = np.full(len(out) + 1, b"dropped\t", dtype=f"S{max(8, int((size[out // n] + size[out % n]).max(initial=0)) + 3)}")
+    for p in range(0, len(out), BLOCK // 8):
+        s, d = np.divmod(out[p:p + BLOCK // 8], n)
+        heads[p:p + len(s)] = arrow[s] + tab[d]
+    order = np.argsort(heads, kind="stable")  # timsort, as the heads come nearly sorted
+    rank = np.cumsum(np.concatenate(([0], heads[order][1:] != heads[order][:-1])))[np.argsort(order)]
     head = np.concatenate((head, np.full(len(result.dropped), len(out))))
     rows = np.argsort(rank[head], kind="stable")
     starts = np.flatnonzero(np.diff(rank[head[rows]])) + 1  # where a head rank's rows begin
     tails = np.concatenate((result.links[:, 1], result.dropped))
     for part in np.split(rows, starts[np.diff(starts // (BLOCK // 8), prepend=0) > 0]):
-        lines = sorted([f"{h}{u}->{v}" for h, (u, v) in zip(text[head[part]].tolist(), _pairs(result.vertices, tails[part]))])
-        yield "\n".join([*lines, ""])
+        u, v = np.divmod(tails[part], n)
+        lines = sorted(map(bytes.__add__, heads[head[part]].tolist(), (arrow[u] + name[v]).tolist()))
+        yield b"\n".join([*lines, b""]).decode()
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -131,17 +138,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
     elif args.method == "disinherit":
         result = disinherit(graph, hierarchy)
     else:
-        result = kron_sampling(
-            graph,
-            hierarchy,
-            descending=args.sort_direction == "desc",
-            guard=args.guard_mode,
-        )
+        result = kron_sampling(graph, hierarchy, descending=args.sort_direction == "desc", guard=args.guard_mode)
     names = ["network.tsv", "hierarchy.tsv", "provenance.tsv", "manifest.json"]
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], names)
-    _write(outdir / "network.tsv", serialize_graph(result.network))
+    _write(outdir / "network.tsv", _graph_blocks(result.network))
     _write(outdir / "hierarchy.tsv", serialize_hierarchy(result.hierarchy))
     _write(outdir / "provenance.tsv", _provenance_lines(result))
+    del graph, hierarchy, result  # first, so that OpenSSL, mapped to hash the inputs, adds to a smaller heap
     manifest = {
         "tool": "unires",
         "version": __version__,

@@ -50,7 +50,8 @@ class DomainError(ValueError):
 def _valid_name(token: str) -> bool:
     """Non-empty, unpadded, without tab, LF or CR (read as LF), and not
     starting with ``#``: such a name would turn its lines into comments."""
-    return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
+    return (bool(token) and token == token.strip() and token[0] != "#"
+            and "\t" not in token and "\n" not in token and "\r" not in token)
 
 
 def _check_names(names: Iterable[str]) -> None:
@@ -233,11 +234,12 @@ class Hierarchy:
 
 
 def _first_sums(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions where the distinct ``keys`` first appear, ascending, and
-    per distinct key its weights ``0.0 + w[k1] + w[k2] + ...`` in input order."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.bincount(np.argsort(order)[inverse], weights=w, minlength=len(order))
+    """The distinct ``keys`` in the order they first appear, and per distinct
+    key its weights ``0.0 + w[k1] + w[k2] + ...`` in input order."""
+    order = np.argsort(keys, kind="stable")  # each key's positions stay in input order
+    new = np.diff(keys[order], prepend=-1) != 0  # where a key's positions begin, as keys are >= 0
+    by_first = np.argsort(order[new])  # np.bincount adds a bin's weights in turn, here in input order
+    return keys[order[new][by_first]], np.bincount(np.cumsum(new), weights=w[order])[1:][by_first]
 
 
 def _iter_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -289,10 +291,11 @@ def load_graph(text: str) -> Graph:
     if not w:
         return _load_graph_lines(text)
     names, w = sorted(index), np.concatenate(w)  # rebinding frees the blocks' arrays as they are joined
-    s, d = ids = np.argsort(np.fromiter(map(index.__getitem__, names), dtype=np.int64))[np.concatenate(ids, axis=1)]
-    first, w = _first_sums(s * len(names) + d, w)  # duplicate lines summed in line order
+    ids = np.argsort(np.fromiter(map(index.__getitem__, names), dtype=np.int64))[np.concatenate(ids, axis=1)]
+    ids = ids[0] * len(names) + ids[1]  # one key id(s) * n + id(d) a line; rebinding frees the pairs
+    ids, w = _first_sums(ids, w)  # duplicate lines summed in line order
     try:  # names, self-loops, and sums that overflow
-        return Graph(tuple(names), s[first], d[first], w)
+        return Graph(tuple(names), *np.divmod(ids, len(names)), w)
     except ValidationError:
         return _load_graph_lines(text)
 
@@ -358,13 +361,18 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
     return Hierarchy(tuple(sorted(universe)), parent, roots[0])
 
 
-def serialize_graph(g: Graph) -> str:
-    """Canonical edge-list text: one line per edge in name-pair order, with
-    explicit weights.  The lines are made ``BLOCK // 8`` at a time."""
+def _graph_blocks(g: Graph) -> Iterator[str]:
+    """The text of :func:`serialize_graph`, ``BLOCK // 8`` lines at a time."""
     order = np.argsort(g.src * len(g.vertices) + g.dst)  # ids follow name order, so this is name-pair order
-    names, cut = np.array(g.vertices, dtype=object), range(BLOCK // 8, len(order), BLOCK // 8)
-    blocks = (zip(names[g.src[p]].tolist(), names[g.dst[p]].tolist(), g.w[p].tolist()) for p in np.split(order, cut))
-    return "".join("".join([f"{u}\t{v}\t{x!r}\n" for u, v, x in rows]) for rows in blocks)
+    names = np.array(g.vertices, dtype=object)
+    for p in np.split(order, range(BLOCK // 8, len(order), BLOCK // 8)):
+        rows = zip(names[g.src[p]].tolist(), names[g.dst[p]].tolist(), g.w[p].tolist())
+        yield "".join([f"{u}\t{v}\t{x!r}\n" for u, v, x in rows])
+
+
+def serialize_graph(g: Graph) -> str:
+    """Canonical edge-list text: one line per edge in name-pair order, with explicit weights."""
+    return "".join(_graph_blocks(g))
 
 
 def serialize_hierarchy(h: Hierarchy) -> str:

@@ -37,8 +37,8 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order in which it first appears among ``g``'s edges.  A sum that
     overflows float64 raises :class:`~unires.graph.DomainError`."""
     lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
-    first, sums = _first_sums(lo * len(g.vertices) + hi, g.w)
-    i, j = lo[first], hi[first]
+    keys, sums = _first_sums(lo * len(g.vertices) + hi, g.w)
+    i, j = np.divmod(keys, len(g.vertices))
     if not np.isfinite(sums).all():
         k = int(np.flatnonzero(~np.isfinite(sums))[0])
         u, v = g.vertices[i[k]], g.vertices[j[k]]

@@ -19,13 +19,14 @@ from unires.graph import Graph, Hierarchy, ParseError
 MASS_TIE_RTOL = 1e-9
 
 
+def valid(token: str) -> bool:
+    """Whether ``token`` may name a vertex, as the line-by-line parse checks it."""
+    return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
+
+
 def load_graph_loop(text: str) -> Graph:
     """The edge-list parse one line at a time, as ``load_graph`` did before
     it parsed whole documents: same checks, same messages, same order."""
-
-    def valid(token: str) -> bool:
-        return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
-
     weights: dict[tuple[str, str], float] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw or raw.startswith("#"):

@@ -11,7 +11,7 @@ import pytest
 
 import unires.cli
 from unires.cli import main
-from unires.graph import Graph, load_graph, serialize_graph, serialize_hierarchy
+from unires.graph import Graph, _graph_blocks, load_graph, serialize_graph, serialize_hierarchy
 from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 
@@ -296,24 +296,29 @@ def test_resistance_output_bytes_are_pinned(tmp_path, capsys):
 # "a-->x" < "a->x"), and whose labels collide: ("a->", "b") and ("a", "->b")
 # both read "a->->b".  "a\x01" holds a character below the tab, so that
 # "s->a\x01<TAB>" sorts before "s->a<TAB>", and "é" and "é->" sort above every
-# ASCII name.
-ADVERSARIAL_NAMES = ["a", "a-", "a-!", "a->b", "b->", "a->", "->", "-", "b", "->b", "a\x01", "é", "é->"]
+# ASCII name.  "a\x00" ends in a NUL, which numpy's fixed-width bytes drop
+# at the end of a value, and "a\x00->" collides like "a->", with a NUL inside.
+ADVERSARIAL_NAMES = ["a", "a-", "a-!", "a->b", "b->", "a->", "->", "-", "b", "->b", "a\x01", "é", "é->", "a\x00", "a\x00->"]
 
 
 def test_writers_peak_memory_is_blocks_of_lines(tmp_path):
     # Inherit on a deep tree: 31,700 output edges and 87,885 provenance
     # rows, about 2.8 per distinct head "s->d<TAB>".  Writing a whole line
-    # list held about 160 bytes an edge or a row; in blocks, the edge list
-    # holds about 56 bytes an edge (its arrays) and the provenance writer
-    # about 85 a row (the head strings and the arrays that rank them).
+    # list held about 160 bytes an edge or a row.  In blocks, the edge list
+    # as one string holds about 48 bytes an edge, and written block by block
+    # about 41.  The provenance writer held about 79 a row with a Python
+    # string per head, and 64 with the heads in one array of bytes.
     rng = random.Random(3)
     t = random_hierarchy(rng, names(400))
     result = inherit(random_graph_on(rng, t, edge_budget=8000), t)
     edges, rows = result.network.edge_count, len(result.links) + len(result.dropped)
     assert (edges, rows) == (31_700, 87_885)
     assert traced_peak(serialize_graph, result.network) <= 100 * edges
+    path = tmp_path / "network.tsv"
+    assert traced_peak(lambda: unires.cli._write(path, _graph_blocks(result.network))) <= 44 * edges
+    assert path.read_text() == serialize_graph(result.network)
     path = tmp_path / "provenance.tsv"
-    assert traced_peak(lambda: unires.cli._write(path, unires.cli._provenance_lines(result))) <= 120 * rows
+    assert traced_peak(lambda: unires.cli._write(path, unires.cli._provenance_lines(result))) <= 72 * rows
 
 
 def test_provenance_file_matches_the_nested_sort_writer(tmp_path, monkeypatch):
@@ -475,6 +480,26 @@ def test_kron_convert_and_resistance_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0] []"
     assert (tmp_path / "kron" / "network.tsv").read_text()
+
+
+def test_only_convert_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL (its _hashlib module), some MB of resident memory
+    # that only convert's manifest digests need.
+    gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
+    script = (
+        "import sys; from unires.cli import main\n"
+        "g, h, out = sys.argv[1:]\n"
+        "codes = [main([c, '--graph', g, '--hierarchy', h, '--out', out + '/' + c])"
+        " for c in ('metrics', 'centrality', 'degree-fit', 'spyplot')]\n"
+        "print(codes, '_hashlib' in sys.modules)\n"
+        "print(main(['convert', '--graph', g, '--hierarchy', h, '--method', 'inherit', '--out', out + '/convert']))\n"
+    )
+    done = _python("-c", script, gp, hp, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[0, 0, 0, 0] False", "0"]
+    manifest = json.loads((tmp_path / "convert" / "manifest.json").read_text())
+    for key, path in (("graph", gp), ("hierarchy", hp)):
+        assert manifest["inputs"][key]["sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_metrics_command(tmp_path):

@@ -6,10 +6,10 @@ import random
 import pytest
 
 import unires.graph
-from unires.graph import Graph, ParseError, load_graph, serialize_graph
+from unires.graph import Graph, ParseError, _valid_name, load_graph, serialize_graph
 from unires.resolution import disinherit, inherit, kron_sampling
 
-from oracles import load_graph_loop, same_graph
+from oracles import load_graph_loop, same_graph, valid
 from conftest import block_sizes, names, random_pair, traced_peak
 
 # Names with inner spaces, non-ASCII letters, an arrow, digits and an inner '#'.
@@ -78,12 +78,32 @@ def test_duplicate_lines_in_different_blocks_sum_in_line_order(monkeypatch):
 
 def test_load_graph_peak_memory_is_one_block_of_strings():
     # 50,000 lines over 700 names: the whole-document parse held about 260
-    # bytes a line (the lines, then their fields); the blocks hold about 100,
-    # mostly in the arrays over all lines that sum the duplicates.
+    # bytes a line (the lines, then their fields); the blocks held about 102,
+    # mostly in np.unique's arrays that summed the duplicates.  One stable
+    # argsort of the keys, and keys in place of id pairs, hold about 82.
     rng = random.Random(7)
     labels = names(700)
     text = "".join(f"{u}\t{v}\t{rng.choice(('1', '2.5', '3'))}\n" for u, v in (rng.sample(labels, 2) for _ in range(50_000)))
-    assert traced_peak(load_graph, text) <= 150 * 50_000
+    assert traced_peak(load_graph, text) <= 90 * 50_000
+
+
+def test_an_edge_on_many_lines_sums_in_line_order(monkeypatch):
+    # One edge on twelve lines, among others: 1.0 added to 1e16 rounds away,
+    # so its sum tells the order in which the weights were added.
+    monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
+    weights = ["1", "", "1e16", "1", "2.5", "", "1", "0.1", "1", "", "3", "1"]
+    sums = set()
+    for _ in block_sizes(monkeypatch):
+        rng = random.Random(11)
+        for _ in range(30):
+            lines = [f"a\tb\t{x}" if x else "a\tb" for x in rng.sample(weights, len(weights))]
+            lines += [f"{u}\t{v}\t{rng.choice(WEIGHTS[2:])}" for u, v in (rng.sample(NAMES, 2) for _ in range(40))]
+            rng.shuffle(lines)
+            text = "\n".join(lines)
+            graph = load_graph(text)
+            assert_same_graph(graph, load_graph_loop(text))
+            sums.add(graph.weights[("a", "b")])
+    assert len(sums) > 1
 
 
 def test_documents_without_edges_match_the_loop():
@@ -122,6 +142,17 @@ def test_bad_documents_raise_what_the_loop_raises(case, monkeypatch):
     for _ in block_sizes(monkeypatch):
         for text in (bad, f"# header\nx\ty\t2\n\n{bad}\nz\tx\n", f"x\ty\n{bad}\n{BAD_LINES['self-loop']}\n"):
             assert raised(load_graph, text) == raised(load_graph_loop, text)
+
+
+def test_name_check_matches_the_loop():
+    from test_cli import ADVERSARIAL_NAMES
+
+    tokens = [*ADVERSARIAL_NAMES, *NAMES, *(f for bad in BAD_LINES.values() for line in bad.split("\n") for f in line.split("\t"))]
+    rng = random.Random(13)
+    tokens += ["".join(rng.choices("\t\n\r #\x00éa", k=rng.randrange(6))) for _ in range(3000)]
+    assert {valid(token) for token in tokens} == {True, False}
+    for token in tokens:
+        assert _valid_name(token) == valid(token), repr(token)
 
 
 def test_bad_lines_anywhere_raise_what_the_loop_raises(monkeypatch):
