@@ -76,8 +76,16 @@ def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
 
 
 def _sha256(text: str) -> str:
-    import hashlib  # here, not at the top: it maps OpenSSL, which only convert needs
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # CPython's built-in SHA-256, as random.py takes its sha512: hashlib would
+    # map OpenSSL, some 3.5 MB of resident memory, for two digests.
+    try:
+        from _sha2 import sha256  # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _prepare_outdir(out: str, inputs: list[str | None], filenames: list[str]) -> Path:
@@ -132,7 +140,9 @@ def _provenance_lines(result: ResolutionResult) -> Iterator[str]:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     graph_text, hierarchy_text = _read(args.graph), _read(args.hierarchy)
+    digests = _sha256(graph_text), _sha256(hierarchy_text)
     graph, hierarchy = _load_pair(graph_text, hierarchy_text)
+    del graph_text, hierarchy_text
     if args.method == "inherit":
         result = inherit(graph, hierarchy)
     elif args.method == "disinherit":
@@ -144,7 +154,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
     _write(outdir / "network.tsv", _graph_blocks(result.network))
     _write(outdir / "hierarchy.tsv", serialize_hierarchy(result.hierarchy))
     _write(outdir / "provenance.tsv", _provenance_lines(result))
-    del graph, hierarchy, result  # first, so that OpenSSL, mapped to hash the inputs, adds to a smaller heap
     manifest = {
         "tool": "unires",
         "version": __version__,
@@ -155,8 +164,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
             "guard_mode": args.guard_mode,
         },
         "inputs": {
-            "graph": {"path": args.graph, "sha256": _sha256(graph_text)},
-            "hierarchy": {"path": args.hierarchy, "sha256": _sha256(hierarchy_text)},
+            "graph": {"path": args.graph, "sha256": digests[0]},
+            "hierarchy": {"path": args.hierarchy, "sha256": digests[1]},
         },
         "outputs": names[:3],
     }

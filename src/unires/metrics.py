@@ -15,14 +15,15 @@ unit lengths.  Conventions that the literature leaves open are pinned here:
 * every path quantity comes from one multi-source BFS (:func:`_distances`);
   betweenness runs Brandes on its distance rows, equal bit for bit to a
   FIFO-queue loop over integer path counts, and refuses counts of 2**53.
-  A graph with ``m >= n**2 / 4`` takes the dense kernel
-  (:func:`_dependencies_dense`), whose 0/1 in-adjacency is ``n**2 <= 4m``
-  bytes; a sparser one takes batches of sources over the arcs
-  (:func:`_dependencies`).  Both keep the loop's three orders: a level's
-  queue order, by first predecessor and then id (dense: the first ``True``
-  of a row whose columns are in queue order); each dependency summed over
-  heads in reverse queue order (dense: sequentially, row by row); and the
-  sources' rows added to the scores one at a time, in name order.
+  A graph with ``m >= n_active**2 / 4`` takes the dense kernel
+  (:func:`_dependencies_dense`), whose 0/1 in-adjacency over the active
+  vertices is ``n_active**2 <= 4m`` bytes; a sparser one takes batches of
+  sources over the arcs (:func:`_dependencies`).  Both keep the loop's
+  three orders: a level's queue order, by first predecessor and then id
+  (dense: the first ``True`` of a row whose columns are in queue order);
+  each dependency summed over heads in reverse queue order (dense:
+  sequentially, row by row); and the sources' rows added to the scores
+  one at a time, in name order.
 * hub, authority and PageRank iterate mat-vecs over the arcs sorted by
   head, ``np.bincount`` summing each vertex's terms in arc order, and take
   every norm and sum with ``math.fsum``.  The only BLAS products left are
@@ -57,8 +58,9 @@ POWER_TOL = 1e-12
 PATH_COUNT_LIMIT = 2.0**53  # float64 counts paths exactly below this
 GATHER_WORDS = 2**19  # frontier words one BFS level gathers, 8 bytes each
 BATCH_ARCS = 2**16  # (source, arc) candidates one Brandes batch tests
-# Brandes runs on dense level blocks once m >= DENSE_DENSITY * n**2, so their
-# 0/1 matrix takes at most 4m bytes.  With one BLAS thread on random
+# Brandes runs on dense level blocks once m >= DENSE_DENSITY * n_active**2,
+# with n_active the vertices that touch an arc, so their 0/1 matrix over
+# those vertices takes at most 4m bytes.  With one BLAS thread on random
 # digraphs, dense blocks broke even with the batches at a density of about
 # 0.3, 0.23, 0.15 and 0.08 for n = 100, 150, 300 and 600, and took 8.4 s
 # against 1.6 s on a kron output of density 0.015 at n = 1400.  Under
@@ -345,29 +347,34 @@ def centrality_suite(g: Graph, pagerank_damping: float = 0.85) -> CentralityTabl
     n = len(names)
     heads, tails, indptr = _adjacency(g)
     in_degree, out_degree = np.diff(indptr), np.bincount(tails, minlength=n)
-    n_active = int(np.count_nonzero(in_degree + out_degree))
-    dense = g.edge_count >= DENSE_DENSITY * n * n
-    if dense:
-        at = np.zeros((n, n), dtype=bool)  # the arc t -> h at [h, t]; n**2 <= 4m bytes
-        at[heads, tails] = True
+    active = np.flatnonzero(in_degree + out_degree)
+    n_active = len(active)
+    dense = g.edge_count >= DENSE_DENSITY * n_active * n_active
+    if dense:  # on the active vertices' ids alone: an edge-free vertex scores 0.0
+        at = np.zeros((n_active, n_active), dtype=bool)  # the arc t -> h at [h, t]; n_active**2 <= 4m bytes
+        at[np.searchsorted(active, heads), np.searchsorted(active, tails)] = True
 
     # One multi-source BFS serves closeness and betweenness alike.
     sum_out, reach_out, sum_in, reach_in = np.zeros((4, n), dtype=np.int64)
     betweenness = np.zeros(n)
+    total = np.zeros(n_active) if dense else betweenness  # where a kernel's rows add up
     batch = max(1, BATCH_ARCS // g.edge_count)
     for sources, dist in _distances(indptr, tails):
         if dense:
-            rows = (_dependencies_dense(at, row, source) for source, row in zip(sources, dist))
+            rows = (_dependencies_dense(at, row, place)
+                    for row, place in zip(dist[:, active], np.searchsorted(active, sources)))
         else:
             rows = (row for lo in range(0, len(sources), batch)
                     for row in _dependencies(dist[lo:lo + batch], sources[lo:lo + batch], heads, tails))
         for row in rows:
-            betweenness += row
+            total += row
         hops = np.maximum(dist, 0)
         sum_out[sources] = hops.sum(axis=1, dtype=np.int64)
         reach_out[sources] = np.count_nonzero(hops, axis=1)
         sum_in += hops.sum(axis=0, dtype=np.int64)
         reach_in += np.count_nonzero(hops, axis=0)
+    if dense:
+        betweenness[active] = total
 
     def closeness(reach: np.ndarray, sums: np.ndarray) -> dict[str, float]:
         # On Python ints, so each score is the exact ratio rounded once.

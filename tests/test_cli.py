@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -395,7 +396,7 @@ def test_manifest_reconstructs_run(tmp_path):
     assert manifest["version"]
 
 
-def test_byte_order_mark_is_not_part_of_a_name(tmp_path):
+def test_byte_order_mark_is_not_part_of_a_name(tmp_path, monkeypatch):
     plain_g, plain_h = write_pair(tmp_path)
     bom_g, bom_h = tmp_path / "bom_graph.tsv", tmp_path / "bom_tree.tsv"
     bom_g.write_bytes(b"\xef\xbb\xbf" + FOUR_GRAPH.encode())
@@ -409,6 +410,36 @@ def test_byte_order_mark_is_not_part_of_a_name(tmp_path):
     for key in ("graph", "hierarchy"):
         assert manifests[0]["inputs"][key]["sha256"] == manifests[1]["inputs"][key]["sha256"]
     assert manifests[0]["inputs"]["graph"]["sha256"] == hashlib.sha256(FOUR_GRAPH.encode()).hexdigest()
+    # With a BOM, CRLF line ends and a non-ASCII name at once, each digest is
+    # of the parsed text, from the built-in SHA-256 and from hashlib's alike.
+    texts = {"graph": FOUR_GRAPH.replace("a1", "ä1"), "hierarchy": FOUR_TREE.replace("a1", "ä1")}
+    paths = {key: tmp_path / f"mixed_{key}.tsv" for key in texts}
+    for key, text in texts.items():
+        paths[key].write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    calls, sha256 = [], hashlib.sha256
+    builtin = any(importlib.util.find_spec(module) for module in ("_sha2", "_sha256"))
+
+    def spy(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    outs = []
+    for route in ("built-in", "hashlib"):
+        out = tmp_path / route
+        calls.clear()
+        with monkeypatch.context() as patch:
+            if route == "hashlib":
+                for module in ("_sha2", "_sha256"):
+                    patch.setitem(sys.modules, module, None)
+            assert main(["convert", "--graph", str(paths["graph"]), "--hierarchy", str(paths["hierarchy"]),
+                         "--method", "inherit", "--out", str(out)]) == 0
+        assert len(calls) == (0 if route == "built-in" and builtin else 2)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key, text in texts.items():
+            assert manifest["inputs"][key]["sha256"] == sha256(text.encode()).hexdigest()
+        outs.append(out)
+    assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
 
 
 def test_crlf_line_ends_read_as_lf(tmp_path):
@@ -482,24 +513,28 @@ def test_kron_convert_and_resistance_load_no_scipy(tmp_path):
     assert (tmp_path / "kron" / "network.tsv").read_text()
 
 
-def test_only_convert_loads_openssl(tmp_path):
-    # hashlib maps OpenSSL (its _hashlib module), some MB of resident memory
-    # that only convert's manifest digests need.
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL (its _hashlib module and libcrypto), some MB of
+    # resident memory; convert takes its manifest digests without it.
     gp, hp = write_pair(tmp_path, RICH_GRAPH, RICH_TREE)
     script = (
-        "import sys; from unires.cli import main\n"
+        "import os, sys; from unires.cli import main\n"
         "g, h, out = sys.argv[1:]\n"
         "codes = [main([c, '--graph', g, '--hierarchy', h, '--out', out + '/' + c])"
         " for c in ('metrics', 'centrality', 'degree-fit', 'spyplot')]\n"
-        "print(codes, '_hashlib' in sys.modules)\n"
-        "print(main(['convert', '--graph', g, '--hierarchy', h, '--method', 'inherit', '--out', out + '/convert']))\n"
+        "codes += [main(['convert', '--graph', g, '--hierarchy', h, '--method', m, '--out', out + '/' + m])"
+        " for m in ('inherit', 'disinherit', 'kron')]\n"
+        "codes.append(main(['resistance', '--graph', g]))\n"
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+        "print(codes, '_hashlib' in sys.modules, 'libcrypto' in maps)\n"
     )
     done = _python("-c", script, gp, hp, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[0, 0, 0, 0] False", "0"]
-    manifest = json.loads((tmp_path / "convert" / "manifest.json").read_text())
-    for key, path in (("graph", gp), ("hierarchy", hp)):
-        assert manifest["inputs"][key]["sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] False False"
+    for method in ("inherit", "disinherit", "kron"):
+        manifest = json.loads((tmp_path / method / "manifest.json").read_text())
+        for key, path in (("graph", gp), ("hierarchy", hp)):
+            assert manifest["inputs"][key]["sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_metrics_command(tmp_path):

@@ -219,6 +219,25 @@ def test_path_metrics_equal_queue_reference_exactly(seed, case, tiny_budgets, ke
         assert report.characteristic_path_length == ref["characteristic_path_length"]
 
 
+def test_dense_rule_counts_active_vertices(monkeypatch):
+    # Edge-free vertices, between and after the active ones in name order,
+    # leave the dense kernel's choice and every active score as they were.
+    g = random_digraph(random.Random(269), 30, 0.8)
+    padded = g.with_vertices([*g.vertices, *(v + "x" for v in g.vertices), *names(10, "z")])
+    n = len(padded.vertices)
+    assert len(active_vertices(g)) == len(g.vertices) and 4 * g.edge_count >= len(g.vertices) ** 2
+    assert 4 * padded.edge_count < n * n  # dense on the active vertices only
+    calls = []
+    dense = unires.metrics._dependencies_dense
+    monkeypatch.setattr(unires.metrics, "_dependencies_dense", lambda *args: calls.append(args) or dense(*args))
+    ours = centrality_suite(padded).scores["betweenness"]
+    assert len(calls) == len(g.vertices)
+    assert all(at.shape == (len(g.vertices),) * 2 for at, _, _ in calls)
+    unpadded = centrality_suite(g).scores["betweenness"]
+    assert {v: ours[v] for v in g.vertices} == unpadded
+    assert all(ours[v] == 0.0 for v in padded.vertices if v not in unpadded)
+
+
 def test_betweenness_and_closeness_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(263)
