@@ -15,12 +15,11 @@ File formats (byte-exact CLI contracts):
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from typing import Iterable, Iterator, Mapping
+from itertools import compress, filterfalse, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,14 +111,6 @@ class Graph:
         if len(repeated):
             u, v = divmod(int(keys[repeated[0]]), n)
             raise ValidationError(f"parallel edges ({names[u]!r}, {names[v]!r})")
-
-    @classmethod
-    def from_edges(cls, weights: Mapping[Edge, float], vertices: Iterable[str] = ()) -> "Graph":
-        """Build a graph from a weight map, with edges in its order; the
-        universe is the union of the given vertices and all edge endpoints."""
-        names = tuple(sorted(set(vertices).union(*weights)))
-        index = {v: i for i, v in enumerate(names)}
-        return cls(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
 
     @cached_property
     def weights(self) -> dict[Edge, float]:
@@ -226,9 +217,9 @@ class Hierarchy:
             raise ValidationError(f"restriction names {min(unknown)!r}, which is not in the hierarchy")
         if self.root not in kept:
             raise ValidationError("restriction must keep the root")
-        for v in kept:
-            if v != self.root and self.parent[v] not in kept:
-                raise ValidationError(f"restriction is not ancestor-closed at {v!r}")
+        orphans = {v for v in kept if v != self.root and self.parent[v] not in kept}
+        if orphans:
+            raise ValidationError(f"restriction is not ancestor-closed at {min(orphans)!r}")
         parent = {v: p for v, p in self.parent.items() if v in kept}
         return Hierarchy(tuple(sorted(kept)), parent, self.root)
 
@@ -242,36 +233,60 @@ def _first_sums(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys[order[new][by_first]], np.bincount(np.cumsum(new), weights=w[order])[1:][by_first]
 
 
-def _iter_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw or raw.startswith("#"):
-            continue
-        yield lineno, raw
+def _first_fault(fields: list[str], k: int, pair: np.ndarray, new: set[str]) -> tuple[int, str]:
+    """The place of a block's first bad line among its lines, and its error.
+
+    ``fields`` holds the block's lines split at tabs, ``k`` to a line, and
+    ``pair`` their ids; ``new`` the names the block brings.  Names and
+    self-loops are checked by masks; as a line's weight is checked after
+    them, only the weights of the lines before the first they fail are
+    scanned.
+    """
+    m, bad = pair.shape[1], set(filterfalse(_valid_name, new))
+    masks = [np.fromiter(map(bad.__contains__, fields[f::k]), dtype=bool, count=m) for f in (0, 1)]
+    first = [int(mask.argmax()) if mask.any() else m for mask in (*masks, pair[0] == pair[1])]
+    p = min(first)
+    for q, token in enumerate(fields[2:3 * p:3] if k == 3 else ()):
+        try:
+            x = float(token)
+        except ValueError:
+            return q, f"unparsable weight {token!r}"
+        if not 0 < x < np.inf:
+            return q, f"weight must be positive and finite, got {token!r}"
+    f = first.index(p)  # source name, target name, self-loop: their order within a line
+    return p, f"self-loop at {fields[k * p]!r}" if f == 2 else f"invalid vertex name {fields[k * p + f]!r}"
 
 
 def load_graph(text: str) -> Graph:
     """Parse an edge-list document.
 
-    Raises :class:`ParseError` (with the line number) on a wrong field
-    count, an invalid vertex name, a non-positive or unparsable weight, a
-    self-loop, or duplicate edges whose summed weight overflows float64.
-    Weights of duplicate edges are summed, in line order.
+    Raises :class:`ParseError` for the first bad line, with its number: a
+    wrong field count, an invalid vertex name, a self-loop, an unparsable
+    or non-positive weight (checked in that order within a line), or a
+    duplicate line whose running weight sum overflows float64.  Weights of
+    duplicate edges are summed, in line order.
 
     The text is cut at line ends into blocks of about :data:`BLOCK`
     characters; each block's lines are split into fields at once, names
-    mapped to first-seen ids and weights to floats.  On any problem the
-    line-by-line parse below reruns on the whole text, to word the error.
+    mapped to first-seen ids and weights to floats, and checked as arrays.
+    A block that fails keeps only its lines before the first bad one and
+    ends the parse; the duplicate sums of the lines kept may still find an
+    overflow on an earlier line.
     """
     index: dict[str, int] = {}  # name -> first-seen id
-    ids, w, start = [], [], 0
-    while start < len(text):
+    ids, w = [np.zeros((2, 0), dtype=np.int64)], [np.zeros(0)]
+    blocks, fault, start, lines_before = [], None, 0, 0
+    while start < len(text) and fault is None:
         end = text.find("\n", start + BLOCK)
         end = len(text) if end < 0 else end
         lines = [raw for raw in text[start:end].split("\n") if raw and raw[0] != "#"]
-        start, m = end + 1, len(lines)
+        span, start, m = (start, end), end + 1, len(lines)
         tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=m)
-        if not ((tabs == 1) | (tabs == 2)).all():
-            return _load_graph_lines(text)
+        counted = (tabs == 1) | (tabs == 2)
+        if not counted.all():  # keep the lines before the first with a wrong field count
+            m = int(counted.argmin())
+            fault = span, m, f"expected 2 or 3 tab-separated fields, got {tabs[m] + 1}"
+            lines, tabs = lines[:m], tabs[:m]
         if not m:
             continue
         if tabs.min() < tabs.max():  # give the 2-field lines their weight 1
@@ -280,52 +295,39 @@ def load_graph(text: str) -> Graph:
         fields = "\t".join(lines).split("\t")
         del lines  # lower the peak: the lines' strings are not needed beside their fields
         ends = fields[0::k] + fields[1::k]
-        index.update({v: len(index) + i for i, v in enumerate(set(ends).difference(index))})
+        new = set(ends).difference(index)
+        index.update({v: len(index) + i for i, v in enumerate(new)})
         ids.append(np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=2 * m).reshape(2, m))
         try:
             w.append(np.fromiter(map(float, fields[2::3]), dtype=float, count=m) if k == 3 else np.ones(m))
-        except ValueError:
-            return _load_graph_lines(text)
-        if not (w[-1] > 0).all():  # before summing, which could hide a bad weight
-            return _load_graph_lines(text)
-    if not w:
-        return _load_graph_lines(text)
+        except ValueError:  # as NaN, for _first_fault to find
+            w.append(np.full(m, np.nan))
+        if not (np.isfinite(w[-1]) & (w[-1] > 0)).all() or (ids[-1][0] == ids[-1][1]).any() or not all(map(_valid_name, new)):
+            m, message = _first_fault(fields, k, ids[-1], new)  # keep the lines before the first bad one
+            fault = span, m, message
+            ids[-1] = ids[-1][:, :m]
+            w[-1] = np.fromiter(map(float, fields[2:3 * m:3]), dtype=float, count=m) if k == 3 else np.ones(m)
+        blocks.append((*span, lines_before))
+        lines_before += m
     names, w = sorted(index), np.concatenate(w)  # rebinding frees the blocks' arrays as they are joined
     ids = np.argsort(np.fromiter(map(index.__getitem__, names), dtype=np.int64))[np.concatenate(ids, axis=1)]
     ids = ids[0] * len(names) + ids[1]  # one key id(s) * n + id(d) a line; rebinding frees the pairs
-    ids, w = _first_sums(ids, w)  # duplicate lines summed in line order
-    try:  # names, self-loops, and sums that overflow
-        return Graph(tuple(names), *np.divmod(ids, len(names)), w)
-    except ValidationError:
-        return _load_graph_lines(text)
-
-
-def _load_graph_lines(text: str) -> Graph:
-    """:func:`load_graph` one line at a time, raising at the first bad line."""
-    weights: dict[Edge, float] = {}
-    for lineno, raw in _iter_lines(text):
-        fields = raw.split("\t")
-        if len(fields) not in (2, 3):
-            raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(fields)}", lineno)
-        src, dst = fields[0], fields[1]
-        for token in (src, dst):
-            if not _valid_name(token):
-                raise ParseError(f"invalid vertex name {token!r}", lineno)
-        if src == dst:
-            raise ParseError(f"self-loop at {src!r}", lineno)
-        weight = 1.0
-        if len(fields) == 3:
-            try:
-                weight = float(fields[2])
-            except ValueError:
-                raise ParseError(f"unparsable weight {fields[2]!r}", lineno) from None
-            if not (math.isfinite(weight) and weight > 0):
-                raise ParseError(f"weight must be positive and finite, got {fields[2]!r}", lineno)
-        total = weights.get((src, dst), 0.0) + weight
-        if math.isinf(total):
-            raise ParseError(f"summed weight of duplicate edge ({src!r}, {dst!r}) overflows float64", lineno)
-        weights[(src, dst)] = total
-    return Graph.from_edges(weights)
+    edges, sums = _first_sums(ids, w)  # duplicate lines summed in line order
+    if np.isinf(sums.max(initial=0.0)):  # kept lines come before any bad one, so an overflow among them comes first
+        over = np.flatnonzero(np.isin(ids, edges[np.isinf(sums)]))
+        over = over[np.argsort(ids[over], kind="stable")]  # each edge's lines in line order
+        with np.errstate(over="ignore"):
+            g = min(int(part[np.isinf(np.cumsum(w[part])).argmax()])
+                    for part in np.split(over, np.flatnonzero(np.diff(ids[over])) + 1))
+        *span, first = blocks[int(np.searchsorted([b[2] for b in blocks], g, side="right")) - 1]
+        u, v = divmod(int(ids[g]), len(names))
+        fault = span, g - first, f"summed weight of duplicate edge ({names[u]!r}, {names[v]!r}) overflows float64"
+    if fault:  # the line number: the block's first line's, plus the bad line's place among the block's lines
+        (start, end), p, message = fault
+        places = [i for i, raw in enumerate(text[start:end].split("\n")) if raw and raw[0] != "#"]
+        raise ParseError(message, text.count("\n", 0, start) + 1 + places[p])
+    del ids, w  # lower the peak: the graph needs only the sums
+    return Graph(tuple(names), *np.divmod(edges, len(names)), sums)
 
 
 def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
@@ -337,7 +339,9 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
     """
     parent: dict[str, str] = {}
     universe: set[str] = set()
-    for lineno, raw in _iter_lines(text):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not raw or raw[0] == "#":
+            continue
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}", lineno)

@@ -421,19 +421,14 @@ def degree_fit(g: Graph) -> DegreeFit:
     """
     if g.edge_count == 0:
         raise DomainError("degree fit needs at least one edge")
-    degrees = np.sort(np.bincount(np.concatenate((g.src, g.dst)), minlength=len(g.vertices))).tolist()
-    if len(set(degrees)) < 2:
+    degrees = np.sort(np.bincount(np.concatenate((g.src, g.dst)), minlength=len(g.vertices)))
+    distinct, n = np.unique(degrees), len(degrees)
+    if len(distinct) < 2:
         raise DegenerateFitError("all degrees are equal; nothing to fit")
+    at_least = (n - np.searchsorted(degrees, distinct)).tolist()  # Python ints, for at_least / n
+    degrees = degrees.tolist()
     d_min = degrees[0]
-    mean = sum(degrees) / len(degrees)
+    mean = sum(degrees) / n
     lam = 1.0 / (mean - d_min)
-    n = len(degrees)
-    points = []
-    at_least = n
-    i = 0
-    for d in sorted(set(degrees)):
-        while i < n and degrees[i] < d:
-            i += 1
-            at_least -= 1
-        points.append((d, at_least / n, math.exp(-lam * (d - d_min))))
+    points = [(d, a / n, math.exp(-lam * (d - d_min))) for d, a in zip(distinct.tolist(), at_least)]
     return DegreeFit(tuple(degrees), lam, d_min, mean, tuple(points))

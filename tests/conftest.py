@@ -14,6 +14,8 @@ from unires.graph import Graph, Hierarchy
 from unires.resolution import _anchors, _on_tree
 from unires.spectral import _edge_arrays, _laplacian, _resistances
 
+from oracles import from_edges
+
 
 def traced_peak(f, *args) -> int:
     """The most bytes that ``f(*args)`` holds at once, as tracemalloc sees
@@ -106,7 +108,7 @@ def random_graph_on(
         if u == v:
             continue
         weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice(weights_from)
-    return Graph.from_edges(weights, vertices=t.vertices)
+    return from_edges(weights, vertices=t.vertices)
 
 
 def random_pair(
@@ -136,7 +138,7 @@ def random_connected_weighted(rng: random.Random, n: int, extra_edges: int | Non
         u, v = rng.sample(labels, 2)
         if (u, v) not in weights and (v, u) not in weights:
             weights[(u, v)] = rng.uniform(0.1, 10.0)
-    return Graph.from_edges(weights, vertices=labels)
+    return from_edges(weights, vertices=labels)
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Graph:
@@ -146,7 +148,7 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Graph:
         for v in labels:
             if u != v and rng.random() < p:
                 weights[(u, v)] = 1.0
-    return Graph.from_edges(weights, vertices=labels)
+    return from_edges(weights, vertices=labels)
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -24,6 +24,14 @@ def valid(token: str) -> bool:
     return bool(token) and token == token.strip() and not any(c in token for c in "\t\n\r") and token[0] != "#"
 
 
+def from_edges(weights: dict[tuple[str, str], float], vertices=()) -> Graph:
+    """A graph from a name-pair → weight map, with edges in its order; the
+    universe is the union of the given vertices and all edge endpoints."""
+    names = tuple(sorted(set(vertices).union(*weights)))
+    index = {v: i for i, v in enumerate(names)}
+    return Graph(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
+
+
 def load_graph_loop(text: str) -> Graph:
     """The edge-list parse one line at a time, as ``load_graph`` did before
     it parsed whole documents: same checks, same messages, same order."""
@@ -52,7 +60,7 @@ def load_graph_loop(text: str) -> Graph:
         if math.isinf(total):
             raise ParseError(f"summed weight of duplicate edge ({src!r}, {dst!r}) overflows float64", lineno)
         weights[(src, dst)] = total
-    return Graph.from_edges(weights)
+    return from_edges(weights)
 
 
 def same_graph(g: Graph, h: Graph) -> bool:
@@ -403,7 +411,7 @@ def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
             for b in range(a + 1, len(keep)):
                 if reduced[a, b] < 0:
                     out[(keep[a], keep[b])] = -reduced[a, b]
-    return Graph.from_edges(out, vertices=retain)
+    return from_edges(out, vertices=retain)
 
 
 def kron_resistance_reference(g: Graph, retain, pairs, solve=solve_by_halves,

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from unires.cli import main
-from unires.graph import Graph, load_graph, load_hierarchy, serialize_graph
+from unires.graph import load_graph, load_hierarchy, serialize_graph
 from unires.metrics import centrality_suite, degree_fit, metrics_report, top_k
 from unires.resolution import disinherit, inherit, kron_sampling
 
@@ -29,6 +29,7 @@ from oracles import (
     disinherit_collapse,
     dropped,
     floyd_warshall,
+    from_edges,
     inherit_closure,
     leafset_recursive,
     provenance,
@@ -193,7 +194,7 @@ def test_criterion_5_degree_fit():
     for a, b in zip(stubs[::2], stubs[1::2]):
         if a != b:
             weights[(labels[a], labels[b])] = 1.0
-    g = Graph.from_edges(weights, vertices=labels)
+    g = from_edges(weights, vertices=labels)
     fit = degree_fit(g)
     # Rounding to the nearest integer keeps the matched-mean estimator
     # nearly unbiased, so 5 percent is comfortable at this sample size.

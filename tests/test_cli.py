@@ -12,11 +12,11 @@ import pytest
 
 import unires.cli
 from unires.cli import main
-from unires.graph import Graph, _graph_blocks, load_graph, serialize_graph, serialize_hierarchy
+from unires.graph import _graph_blocks, load_graph, serialize_graph, serialize_hierarchy
 from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 
-from oracles import dropped, provenance, provenance_nested_sort
+from oracles import dropped, from_edges, provenance, provenance_nested_sort
 from conftest import (
     block_sizes, branching_hierarchy, laplacian, names, random_digraph, random_graph_on, random_hierarchy, traced_peak,
 )
@@ -160,7 +160,7 @@ def write_pinned_pair(tmp_path):
     for _ in range(3000):
         u, v = rng.sample(pool, 2)
         weights[(u, v)] = weights.get((u, v), 0.0) + rng.choice((0.1, 0.2, 0.3, 0.7))
-    return write_pair(tmp_path, serialize_graph(Graph.from_edges(weights, vertices=t.vertices)),
+    return write_pair(tmp_path, serialize_graph(from_edges(weights, vertices=t.vertices)),
                       serialize_hierarchy(t))
 
 

@@ -9,7 +9,7 @@ import unires.graph
 from unires.graph import Graph, ParseError, _valid_name, load_graph, serialize_graph
 from unires.resolution import disinherit, inherit, kron_sampling
 
-from oracles import load_graph_loop, same_graph, valid
+from oracles import from_edges, load_graph_loop, same_graph, valid
 from conftest import block_sizes, names, random_pair, traced_peak
 
 # Names with inner spaces, non-ASCII letters, an arrow, digits and an inner '#'.
@@ -41,12 +41,7 @@ def assert_same_graph(graph: Graph, reference: Graph) -> None:
         assert mine.tolist() == full.tolist()
 
 
-def must_not_fall_back(text):
-    raise AssertionError("a valid document fell back to the line-by-line parse")
-
-
 def test_whole_document_parse_matches_the_loop(monkeypatch):
-    monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
     for _ in block_sizes(monkeypatch):
         rng = random.Random(61)
         for _ in range(400):
@@ -63,10 +58,9 @@ def test_small_documents_match_the_loop(text, monkeypatch):
         assert_same_graph(load_graph(text), load_graph_loop(text))
 
 
-def test_duplicate_lines_in_different_blocks_sum_in_line_order(monkeypatch):
+def test_duplicate_lines_in_different_blocks_sum_in_line_order():
     # Lines of one edge at the start, the middle and the end of a document
     # of three blocks, with names first seen in every block.
-    monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
     filler = [f"{u}\t{v}\t2" for u, v in zip(names(12_000), names(12_000)[1:])]
     lines = ["a\tb\t0.1", *filler[:6000], "a\tb\t0.2", *filler[6000:], "a\tb\t0.7"]
     text = "\n".join(lines)
@@ -85,12 +79,15 @@ def test_load_graph_peak_memory_is_one_block_of_strings():
     labels = names(700)
     text = "".join(f"{u}\t{v}\t{rng.choice(('1', '2.5', '3'))}\n" for u, v in (rng.sample(labels, 2) for _ in range(50_000)))
     assert traced_peak(load_graph, text) <= 90 * 50_000
+    # A bad last line raises in the same memory: no second parse of the document.
+    for bad in ("a\ta\t1\n", "a\n", "a\tb\tzero\n", "a\tb\t1e308\na\tb\t1e308\n"):
+        assert traced_peak(raised, load_graph, text + bad) <= 90 * 50_000
+        assert raised(load_graph, text + bad)[2] == 50_000 + bad.count("\n")
 
 
 def test_an_edge_on_many_lines_sums_in_line_order(monkeypatch):
     # One edge on twelve lines, among others: 1.0 added to 1e16 rounds away,
     # so its sum tells the order in which the weights were added.
-    monkeypatch.setattr(unires.graph, "_load_graph_lines", must_not_fall_back)
     weights = ["1", "", "1e16", "1", "2.5", "", "1", "0.1", "1", "", "3", "1"]
     sums = set()
     for _ in block_sizes(monkeypatch):
@@ -125,6 +122,8 @@ BAD_LINES = {
     "name with a trailing space": "a\tb \t1",
     "target starting with #": "a\t#b",
     "self-loop": "a\ta\t1",
+    "two bad names": " a\tb \t0",
+    "a bad name on a self-loop": " a\t a\t1",
     "zero": "a\tb\t0",
     "negative": "a\tb\t-1",
     "nan": "a\tb\tnan",
@@ -176,5 +175,31 @@ def test_package_built_graphs_equal_validated_rebuilds():
         built = [loaded, loaded.with_vertices(t.vertices), inherit(g, t).network,
                  disinherit(g, t).network, kron_sampling(g, t).network]
         for graph in built:
-            assert_same_graph(graph, Graph.from_edges(graph.weights, vertices=graph.vertices))
+            assert_same_graph(graph, from_edges(graph.weights, vertices=graph.vertices))
         assert same_graph(built[1], g)
+
+
+def test_the_first_bad_line_wins_across_blocks(monkeypatch):
+    # One edge on lines of 1e308, whose running sum overflows on the second,
+    # and a bad line before or after that one, among stretches of comments
+    # and blank lines that fill whole blocks: the overflow is found after
+    # the last block, and a bad line can follow a block without data lines.
+    per_line = sorted(bad for case, bad in BAD_LINES.items() if case != "overflowing duplicate")
+    for size in block_sizes(monkeypatch):
+        rng = random.Random(71)
+        overflows = 0
+        for _ in range(60):
+            lines = random_document(rng).split("\n")
+            u, v = rng.sample(NAMES, 2)
+            for _ in range(rng.randrange(2, 5)):
+                lines.insert(rng.randrange(len(lines) + 1), f"{u}\t{v}\t1e308")
+            second = [p for p, line in enumerate(lines) if line.endswith("\t1e308")][1]
+            before = rng.random() < 0.5
+            lines.insert(rng.randrange(second + 1) if before else rng.randrange(second + 1, len(lines) + 1), rng.choice(per_line))
+            for _ in range(rng.randrange(1, 4)):
+                lines[rng.randrange(len(lines) + 1):0] = ["", "# a comment"] * (size // 5 + 2)
+            text = "\n".join(lines)
+            error = raised(load_graph, text)
+            assert error == raised(load_graph_loop, text)
+            overflows += "overflows float64" in error[1]
+        assert 0 < overflows < 60
