@@ -9,6 +9,7 @@ from .graph import (
     ValidationError,
     load_graph,
     load_hierarchy,
+    on_tree,
     serialize_graph,
     serialize_hierarchy,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "load_graph",
     "load_hierarchy",
     "metrics_report",
+    "on_tree",
     "serialize_graph",
     "serialize_hierarchy",
     "top_k",

@@ -36,6 +36,7 @@ from .graph import (
     _pairs,
     load_graph,
     load_hierarchy,
+    on_tree,
     serialize_hierarchy,
 )
 from .metrics import (
@@ -72,7 +73,7 @@ def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
     graph = load_graph(graph_text)
     hierarchy = load_hierarchy(hierarchy_text, graph)
     # Work over the full tree universe so container vertices are counted.
-    return graph.with_vertices(hierarchy.vertices), hierarchy
+    return on_tree(graph, hierarchy), hierarchy
 
 
 def _sha256(text: str) -> str:

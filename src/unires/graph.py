@@ -15,6 +15,7 @@ File formats (byte-exact CLI contracts):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,10 +54,22 @@ def _valid_name(token: str) -> bool:
             and "\t" not in token and "\n" not in token and "\r" not in token)
 
 
-def _check_names(names: Iterable[str]) -> None:
+def _check_names(names: tuple[str, ...]) -> None:
     for name in names:
         if not _valid_name(name):
             raise ValidationError(f"invalid vertex name {name!r}")
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise ValidationError("vertices must be sorted and distinct")
+
+
+def _intake(name: str, given, dtype) -> np.ndarray:
+    """``given`` as a read-only ``dtype`` copy; another kind (a float id) raises."""
+    given = np.asarray(given)
+    if given.size and not np.can_cast(given.dtype, dtype, "same_kind"):
+        raise ValidationError(f"{name} holds {given.dtype}, not {np.dtype(dtype)}")
+    array = given.astype(dtype)
+    array.flags.writeable = False
+    return array
 
 
 def _pairs(names: tuple[str, ...], keys: np.ndarray) -> Iterator[Edge]:
@@ -86,17 +99,11 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         for name, dtype in (("src", np.int64), ("dst", np.int64), ("w", np.float64)):
-            given = np.asarray(getattr(self, name))
-            if given.size and not np.can_cast(given.dtype, dtype, "same_kind"):
-                raise ValidationError(f"{name} holds {given.dtype}, not {np.dtype(dtype)}")
-            object.__setattr__(self, name, given.astype(dtype))
-            getattr(self, name).flags.writeable = False
+            object.__setattr__(self, name, _intake(name, getattr(self, name), dtype))
         names, src, dst, w, n = self.vertices, self.src, self.dst, self.w, len(self.vertices)
         if not (w.ndim == 1 and src.shape == dst.shape == w.shape):
             raise ValidationError("src, dst and w must be 1-D arrays of one length")
         _check_names(names)
-        if any(a >= b for a, b in zip(names, names[1:])):
-            raise ValidationError("vertices must be sorted and distinct")
         if not ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all():
             raise ValidationError(f"edge id outside the {n} vertex ids")
         loops = np.flatnonzero(src == dst)
@@ -122,54 +129,37 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.w)
 
-    def with_vertices(self, extra: Iterable[str]) -> "Graph":
-        """The same edges, in the same order, over a universe extended by
-        ``extra`` names."""
-        vertices = tuple(sorted(set(self.vertices).union(extra)))
-        index = {v: i for i, v in enumerate(vertices)}
-        new_id = np.fromiter(map(index.__getitem__, self.vertices), dtype=np.int64, count=len(self.vertices))
-        return Graph(vertices, new_id[self.src], new_id[self.dst], self.w)
-
 
 # A Hierarchy on its dense vertex ids: see Hierarchy.ids.
 TreeIds = namedtuple("TreeIds", "order end depth leaf lo hi")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """A rooted tree: every vertex except the root has exactly one parent."""
+    """A rooted tree on sorted, distinct vertex names: ``parent[i]`` is the
+    id (position in ``vertices``) of vertex ``i``'s parent, -1 at the root
+    alone; the constructor checks it and stores a read-only int64 copy."""
 
     vertices: tuple[str, ...]
-    parent: dict[str, str]
-    root: str
+    parent: np.ndarray
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", ordered)
-        _check_names(ordered)
-        universe = set(ordered)
-        if self.root not in universe:
-            raise ValidationError(f"root {self.root!r} not among the vertices")
-        if set(self.parent) != universe - {self.root}:
-            missing = sorted((universe - {self.root}) ^ set(self.parent))
-            raise ValidationError(f"parent map must cover every non-root vertex; mismatch at {missing[:3]}")
-        for child, par in self.parent.items():
-            if par not in universe:
-                raise ValidationError(f"parent {par!r} of {child!r} not among the vertices")
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "parent", _intake("parent", self.parent, np.int64))
+        parent, n = self.parent, len(self.vertices)
+        _check_names(self.vertices)
+        if parent.shape != (n,) or not ((parent >= -1) & (parent < n)).all():
+            raise ValidationError(f"parent must be {n} ids in [-1, {n})")
+        roots = np.count_nonzero(parent < 0)
+        if roots != 1:
+            raise ValidationError(f"a tree has one root, not {roots}")
         self.ids  # its preorder pass rejects cycles
-
-    @cached_property
-    def children(self) -> dict[str, tuple[str, ...]]:
-        kids: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for child, par in self.parent.items():
-            kids[par].append(child)
-        return {v: tuple(sorted(cs)) for v, cs in kids.items()}
 
     @cached_property
     def ids(self) -> TreeIds:
         """The tree on its dense vertex ids (positions in ``vertices``) as
         read-only arrays, from one depth-first pass from the root with
-        children in name order.
+        each vertex's subtrees in name order.
 
         ``order`` is the preorder and ``order[p:end[p]]`` the subtree at
         position ``p``.  Per id: ``depth`` (the root's is 1), ``leaf``, and
@@ -179,10 +169,11 @@ class Hierarchy:
         has one parent: a vertex the pass misses is on a cycle and raises
         :class:`ValidationError`.
         """
-        index, n = {v: i for i, v in enumerate(self.vertices)}, len(self.vertices)
-        kids = [list(map(index.__getitem__, self.children[v])) for v in self.vertices]
+        n = len(self.vertices)
+        kids = np.argsort(self.parent, kind="stable").tolist()  # the root, then the ids under each parent id in turn
+        first = np.cumsum(np.bincount(self.parent + 1, minlength=n + 1)).tolist()  # those under v: kids[first[v]:first[v + 1]]
         order, depth, stop = [], [0] * n, [0] * n  # per id: depth, and the position after its subtree
-        stack = [(index[self.root], 1)]
+        stack = [(kids[0], 1)]
         while stack:
             v, d = stack.pop()
             if v < 0:  # the subtree of ~v is listed
@@ -191,11 +182,11 @@ class Hierarchy:
             order.append(v)
             depth[v] = d
             stack.append((~v, 0))
-            stack.extend((c, d + 1) for c in reversed(kids[v]))
+            stack.extend((c, d + 1) for c in reversed(kids[first[v]:first[v + 1]]))
         if len(order) != n:
             stranded = list(compress(self.vertices, [not d for d in depth]))
-            raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.root!r}")
-        preorder, stop, leaf = np.array(order), np.array(stop), np.array([not k for k in kids], dtype=bool)
+            raise ValidationError(f"cycle: vertices {stranded[:3]} unreachable from root {self.vertices[kids[0]]!r}")
+        preorder, stop, leaf = np.array(order), np.array(stop), np.diff(first) == 0
         before = np.concatenate(([0], np.cumsum(leaf[preorder])))  # leaves ahead of each position
         lo, hi = before[np.argsort(preorder)], before[stop]
         view = TreeIds(preorder, stop[preorder], np.array(depth), leaf, lo, hi)
@@ -204,24 +195,10 @@ class Hierarchy:
         return view
 
     def is_leaf(self, v: str) -> bool:
-        kids = self.children.get(v)
-        if kids is None:
+        i = bisect_left(self.vertices, v)
+        if self.vertices[i:i + 1] != (v,):
             raise DomainError(f"unknown vertex {v!r}")
-        return not kids
-
-    def restricted_to(self, keep: Iterable[str]) -> "Hierarchy":
-        """Sub-hierarchy on an ancestor-closed subset containing the root."""
-        kept = set(keep)
-        unknown = kept.difference(self.children)
-        if unknown:
-            raise ValidationError(f"restriction names {min(unknown)!r}, which is not in the hierarchy")
-        if self.root not in kept:
-            raise ValidationError("restriction must keep the root")
-        orphans = {v for v in kept if v != self.root and self.parent[v] not in kept}
-        if orphans:
-            raise ValidationError(f"restriction is not ancestor-closed at {min(orphans)!r}")
-        parent = {v: p for v, p in self.parent.items() if v in kept}
-        return Hierarchy(tuple(sorted(kept)), parent, self.root)
+        return bool(self.ids.leaf[i])
 
 
 def _first_sums(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,14 +308,12 @@ def load_graph(text: str) -> Graph:
 
 
 def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
-    """Parse a parent-child document and check it covers ``graph``.
-
-    Raises :class:`ParseError` for malformed lines and
-    :class:`ValidationError` for a child with two parents, multiple roots,
-    cycles, or a graph vertex missing from the tree (named in the message).
-    """
+    """Parse a parent-child document into parent ids over the sorted names
+    it holds, and check that the tree covers ``graph``.  Raises
+    :class:`ParseError` for malformed lines and :class:`ValidationError`
+    for a child with two parents, multiple roots, cycles, or a graph vertex
+    missing from the tree (named in the message)."""
     parent: dict[str, str] = {}
-    universe: set[str] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw or raw[0] == "#":
             continue
@@ -352,8 +327,7 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
         if child in parent and parent[child] != par:
             raise ValidationError(f"vertex {child!r} has two parents: {parent[child]!r} and {par!r}")
         parent[child] = par
-        universe.add(par)
-        universe.add(child)
+    universe = set(parent).union(parent.values())
     roots = sorted(universe - set(parent))
     if not universe:
         raise ValidationError("hierarchy document contains no tree edges")
@@ -362,7 +336,9 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
     if len(roots) > 1:
         raise ValidationError(f"multiple roots: {roots}")
     check_pair(graph, universe)
-    return Hierarchy(tuple(sorted(universe)), parent, roots[0])
+    vertices = tuple(sorted(universe))
+    index = {v: i for i, v in enumerate(vertices)}
+    return Hierarchy(vertices, [index[parent[v]] if v in parent else -1 for v in vertices])
 
 
 def _graph_blocks(g: Graph) -> Iterator[str]:
@@ -380,9 +356,9 @@ def serialize_graph(g: Graph) -> str:
 
 
 def serialize_hierarchy(h: Hierarchy) -> str:
-    """Canonical parent-child text: one line per tree edge, sorted."""
-    lines = [f"{p}\t{c}" for c, p in sorted(h.parent.items(), key=lambda it: (it[1], it[0]))]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Canonical parent-child text: one line per tree edge, sorted by names."""
+    child = np.argsort(h.parent, kind="stable")[1:]  # all but the root, by parent id and then id, which is name order
+    return "".join([f"{h.vertices[p]}\t{h.vertices[c]}\n" for p, c in zip(h.parent[child].tolist(), child.tolist())])
 
 
 def check_pair(g: Graph, tree: Iterable[str]) -> None:
@@ -390,3 +366,14 @@ def check_pair(g: Graph, tree: Iterable[str]) -> None:
     missing = set(g.vertices).difference(tree)
     if missing:
         raise ValidationError(f"graph vertex {min(missing)!r} missing from the hierarchy")
+
+
+def on_tree(g: Graph, t: Hierarchy) -> Graph:
+    """``g`` on the vertex ids of ``t``, which must hold all its vertices:
+    the same edges in the same order, and ``g`` itself when already there."""
+    if g.vertices == t.vertices:
+        return g
+    check_pair(g, t.vertices)
+    index = {v: i for i, v in enumerate(t.vertices)}  # Python names: numpy strings drop trailing NULs
+    new_id = np.fromiter(map(index.__getitem__, g.vertices), dtype=np.int64, count=len(g.vertices))
+    return Graph(t.vertices, new_id[g.src], new_id[g.dst], g.w)

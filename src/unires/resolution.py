@@ -24,7 +24,7 @@ from itertools import compress
 
 import numpy as np
 
-from .graph import DomainError, Graph, Hierarchy, _pairs, check_pair
+from .graph import DomainError, Graph, Hierarchy, _pairs, on_tree
 from .spectral import _resistances
 
 GUARD_MODES = ("any", "directed")
@@ -56,12 +56,6 @@ class ResolutionResult:
     def __post_init__(self):
         for array in (self.links, self.dropped, self.lost):
             array.flags.writeable = False
-
-
-def _on_tree(g: Graph, t: Hierarchy) -> Graph:
-    """``g`` on the vertex ids of ``t``, which must hold all its vertices."""
-    check_pair(g, t.vertices)
-    return g if g.vertices == t.vertices else g.with_vertices(t.vertices)
 
 
 def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +110,7 @@ def inherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     logged.  The hierarchy is unchanged.  A sum that overflows float64
     raises :class:`~unires.graph.DomainError`.
     """
-    keys, weights, edge, key, pairs, inverse, sums, diagonal = _leaf_pairs(_on_tree(g, t), t)
+    keys, weights, edge, key, pairs, inverse, sums, diagonal = _leaf_pairs(on_tree(g, t), t)
     with np.errstate(over="ignore"):
         lost = weights * diagonal
     if not np.isfinite(lost).all():
@@ -152,7 +146,7 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     anchor, so anchors become leaves; untouched silent vertices keep the
     tree connected.
     """
-    g = _on_tree(g, t)
+    g = on_tree(g, t)
     keys, weights = _edge_keys(g)
     names, n = t.vertices, len(t.vertices)
     anchor = _anchors(g, t)
@@ -163,9 +157,9 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     if not np.isfinite(sums).all():
         u, v = next(_pairs(names, out[~np.isfinite(sums)]))
         raise DomainError(f"summed weight of edge ({u!r}, {v!r}) overflows float64")
-    keep = anchor == np.arange(n)
-    hierarchy = t.restricted_to(compress(names, keep))
-    new_id = np.cumsum(keep) - 1  # the anchors are kept, and the kept vertices are the universe
+    keep = anchor == np.arange(n)  # the vertices with no anchor above them, and so their parents too
+    new_id, parent = np.cumsum(keep) - 1, t.parent[keep]  # the anchors are kept, and the kept vertices are the universe
+    hierarchy = Hierarchy(tuple(compress(names, keep)), np.where(parent >= 0, new_id[parent], -1))  # new_id[-1] is no root
     network = Graph(hierarchy.vertices, new_id[out // n], new_id[out % n], sums)
     return ResolutionResult(network, hierarchy, names, np.column_stack((out[inverse], keys[kept])), keys[~kept], weights[~kept])
 
@@ -226,7 +220,7 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     """
     if guard not in GUARD_MODES:
         raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
-    g = _on_tree(g, t)
+    g = on_tree(g, t)
     edges, weights, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
     conn = t.ids.leaf & (np.bincount(np.concatenate((g.src, g.dst)), minlength=n) > 0)

@@ -10,11 +10,11 @@ import numpy as np
 
 import unires.cli
 import unires.graph
-from unires.graph import Graph, Hierarchy
-from unires.resolution import _anchors, _on_tree
+from unires.graph import Graph, Hierarchy, on_tree
+from unires.resolution import _anchors
 from unires.spectral import _edge_arrays, _laplacian, _resistances
 
-from oracles import from_edges
+from oracles import children, from_edges, tree
 
 
 def traced_peak(f, *args) -> int:
@@ -49,7 +49,7 @@ def random_hierarchy(rng: random.Random, labels: list[str]) -> Hierarchy:
     parent = {}
     for i, v in enumerate(order[1:], start=1):
         parent[v] = order[rng.randrange(i)]
-    return Hierarchy(tuple(order), parent, order[0])
+    return tree(parent, order[0])
 
 
 def branching_hierarchy(rng: random.Random, labels: list[str]) -> Hierarchy:
@@ -88,7 +88,7 @@ def branching_hierarchy(rng: random.Random, labels: list[str]) -> Hierarchy:
             build(head, part[1:])
 
     build(order[0], order[1:])
-    return Hierarchy(tuple(order), parent, order[0])
+    return tree(parent, order[0])
 
 
 def random_graph_on(
@@ -100,7 +100,7 @@ def random_graph_on(
 ) -> Graph:
     """Random directed graph over the tree universe, each drawn edge adding
     a weight chosen from ``weights_from`` (small integers by default)."""
-    pool = [v for v in t.vertices if not t.children[v]] if leaf_only else list(t.vertices)
+    pool = [v for v in t.vertices if not children(t)[v]] if leaf_only else list(t.vertices)
     weights: dict[tuple[str, str], float] = {}
     for _ in range(edge_budget):
         u = rng.choice(pool)
@@ -192,6 +192,6 @@ def networkx_graph(nx, g: Graph):
 def anchors_by_name(g: Graph, t: Hierarchy) -> dict[str, str]:
     """:func:`unires.resolution._anchors` by names: every vertex whose
     anchor bears connectivity, mapped to that anchor."""
-    g = _on_tree(g, t)
+    g = on_tree(g, t)
     degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(g.vertices))
     return {t.vertices[v]: t.vertices[a] for v, a in enumerate(_anchors(g, t).tolist()) if degree[a]}

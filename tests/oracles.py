@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,50 @@ def from_edges(weights: dict[tuple[str, str], float], vertices=()) -> Graph:
     names = tuple(sorted(set(vertices).union(*weights)))
     index = {v: i for i, v in enumerate(names)}
     return Graph(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
+
+
+def with_vertices(g: Graph, extra) -> Graph:
+    """The same edges, in the same order, over the universe of ``g``
+    extended by the names ``extra``."""
+    names = tuple(sorted(set(g.vertices).union(extra)))
+    index = {v: i for i, v in enumerate(names)}
+    new_id = [index[v] for v in g.vertices]
+    return Graph(names, [new_id[s] for s in g.src.tolist()], [new_id[d] for d in g.dst.tolist()], g.w)
+
+
+def tree(parent_map: dict[str, str], root: str) -> Hierarchy:
+    """A hierarchy from a child → parent name map; its vertices are every
+    name in the map and ``root``, and a name that is no child has parent -1."""
+    names = tuple(sorted(set(parent_map).union(parent_map.values(), [root])))
+    index = {v: i for i, v in enumerate(names)}
+    return Hierarchy(names, [index[parent_map[v]] if v in parent_map else -1 for v in names])
+
+
+@lru_cache(maxsize=64)
+def parents(t: Hierarchy) -> dict[str, str]:
+    """Each vertex but the root, mapped to its parent's name."""
+    return {v: t.vertices[p] for v, p in zip(t.vertices, t.parent.tolist()) if p >= 0}
+
+
+@lru_cache(maxsize=64)
+def children(t: Hierarchy) -> dict[str, tuple[str, ...]]:
+    """Each vertex's children, in name order."""
+    kids: dict[str, list[str]] = {v: [] for v in t.vertices}
+    for child, par in parents(t).items():
+        kids[par].append(child)
+    return {v: tuple(sorted(cs)) for v, cs in kids.items()}
+
+
+@lru_cache(maxsize=64)
+def root(t: Hierarchy) -> str:
+    """The one vertex without a parent."""
+    (only,) = set(t.vertices).difference(parents(t))
+    return only
+
+
+def same_tree(t: Hierarchy, u: Hierarchy) -> bool:
+    """Tree equality: the same vertices, each with the same parent."""
+    return t.vertices == u.vertices and parents(t) == parents(u)
 
 
 def load_graph_loop(text: str) -> Graph:
@@ -106,30 +151,30 @@ def provenance_nested_sort(provenance, dropped) -> str:
 def preorder_recursive(t: Hierarchy, v: str | None = None) -> list[str]:
     """Depth-first preorder of the subtree at ``v`` (default: the root),
     children in name order."""
-    v = t.root if v is None else v
+    v = root(t) if v is None else v
     order = [v]
-    for c in sorted(t.children[v]):
+    for c in children(t)[v]:
         order += preorder_recursive(t, c)
     return order
 
 
 def depth_walk(t: Hierarchy, v: str) -> int:
     """Number of vertices on the path from ``v`` up to the root."""
-    return 1 if v == t.root else 1 + depth_walk(t, t.parent[v])
+    return 1 if v == root(t) else 1 + depth_walk(t, parents(t)[v])
 
 
 def leaf_ranges_recursive(t: Hierarchy) -> tuple[tuple[str, ...], dict[str, tuple[int, int]]]:
     """Leaves in preorder, and each vertex's leaves as positions in them."""
-    leaves = tuple(v for v in preorder_recursive(t) if not t.children[v])
+    leaves = tuple(v for v in preorder_recursive(t) if not children(t)[v])
     ranges = {}
     for v in t.vertices:
-        below = [leaves.index(x) for x in preorder_recursive(t, v) if not t.children[x]]
+        below = [leaves.index(x) for x in preorder_recursive(t, v) if not children(t)[x]]
         ranges[v] = (min(below), max(below) + 1)
     return leaves, ranges
 
 
 def leafset_recursive(t: Hierarchy, v: str) -> frozenset[str]:
-    kids = t.children[v]
+    kids = children(t)[v]
     if not kids:
         return frozenset((v,))
     out: set[str] = set()
@@ -193,10 +238,10 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
     """
 
     def depth(v: str) -> int:
-        return 1 if v == t.root else 1 + depth(t.parent[v])
+        return 1 if v == root(t) else 1 + depth(parents(t)[v])
 
     counts, _, _ = inherit_loop(g, t)
-    active = {v for v in t.vertices if not t.children[v] and v in g.vertices
+    active = {v for v in t.vertices if not children(t)[v] and v in g.vertices
               and any(v in e for e in g.weights)}
     wanted = sorted({(min(s, d), max(s, d)) for s, d in counts if s in active and d in active})
     resist = kron_resistance_reference(g, active, wanted)
@@ -242,8 +287,8 @@ def edge_order_sorted(g: Graph, t: Hierarchy, descending: bool = True) -> list[t
 
 def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:
     chain = [v]
-    while chain[-1] != t.root:
-        chain.append(t.parent[chain[-1]])
+    while chain[-1] != root(t):
+        chain.append(parents(t)[chain[-1]])
     degree = degree_loop(g)
     connected = [x for x in chain if degree.get(x)]
     return connected[-1]  # nearest the root
@@ -268,8 +313,8 @@ def disinherit_collapse(g: Graph, t: Hierarchy):
     kept = set()
     for v in t.vertices:
         chain = [v]
-        while chain[-1] != t.root:
-            chain.append(t.parent[chain[-1]])
+        while chain[-1] != root(t):
+            chain.append(parents(t)[chain[-1]])
         if not any(a in anchors for a in chain[1:]):  # no proper ancestor is an anchor
             kept.add(v)
     return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped, kept

@@ -16,7 +16,7 @@ from unires.graph import _graph_blocks, load_graph, serialize_graph, serialize_h
 from unires.metrics import centrality_suite, degree_fit, metrics_report
 from unires.resolution import disinherit, inherit, kron_sampling
 
-from oracles import dropped, from_edges, provenance, provenance_nested_sort
+from oracles import dropped, from_edges, provenance, provenance_nested_sort, root
 from conftest import (
     block_sizes, branching_hierarchy, laplacian, names, random_digraph, random_graph_on, random_hierarchy, traced_peak,
 )
@@ -155,7 +155,7 @@ MESSY_GOLDEN = {
 def write_pinned_pair(tmp_path):
     rng = random.Random(4242)
     t = branching_hierarchy(rng, names(200))
-    pool = [v for v in t.vertices if v != t.root]  # a root edge leaves disinherit nothing to write
+    pool = [v for v in t.vertices if v != root(t)]  # a root edge leaves disinherit nothing to write
     weights = {}
     for _ in range(3000):
         u, v = rng.sample(pool, 2)

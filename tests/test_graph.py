@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from unires.graph import (
@@ -10,6 +11,7 @@ from unires.graph import (
     ValidationError,
     load_graph,
     load_hierarchy,
+    on_tree,
     serialize_graph,
     serialize_hierarchy,
 )
@@ -18,13 +20,18 @@ from unires.resolution import disinherit, inherit, kron_sampling
 from oracles import (
     active_vertices,
     anchor_walk,
+    children,
     degree_loop,
     depth_walk,
     from_edges,
     leaf_ranges_recursive,
     leafset_recursive,
     preorder_recursive,
+    root,
     same_graph,
+    same_tree,
+    tree,
+    with_vertices,
 )
 from conftest import anchors_by_name, branching_hierarchy, names, random_graph_on, random_hierarchy, random_pair
 
@@ -35,7 +42,7 @@ FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
 def four_pair():
     g = load_graph(FOUR_GRAPH)
     t = load_hierarchy(FOUR_TREE, g)
-    return g.with_vertices(t.vertices), t
+    return with_vertices(g, t.vertices), t
 
 
 def leaves_under(t: Hierarchy, v: str) -> frozenset[str]:
@@ -103,8 +110,8 @@ def test_load_graph_comments_and_blank_lines():
 
 def test_load_hierarchy_well_formed():
     g, t = four_pair()
-    assert t.root == "Br"
-    assert t.children["A"] == ("a1", "a2")
+    assert root(t) == "Br"
+    assert children(t)["A"] == ("a1", "a2")
     assert set(g.vertices) == set(t.vertices)
 
 
@@ -116,11 +123,46 @@ def test_load_hierarchy_cycle():
 
 def test_hierarchy_cycle_away_from_the_root():
     # The root reaches r and a; b and c point at each other.
-    parent = {"a": "r", "b": "c", "c": "b"}
     with pytest.raises(ValidationError, match=r"cycle: vertices \['b', 'c'\] unreachable from root 'r'"):
-        Hierarchy(("a", "b", "c", "r"), parent, "r")
+        tree({"a": "r", "b": "c", "c": "b"}, "r")
     with pytest.raises(ValidationError, match="unreachable from root"):
-        Hierarchy(("a", "b", "r"), {"a": "b", "b": "a"}, "r")
+        tree({"a": "b", "b": "a"}, "r")
+
+
+BAD_TREES = {
+    "no root": ((("a", "b"), [1, 0]), "a tree has one root, not 0"),
+    "two roots": ((("a", "b", "c"), [-1, -1, 0]), "a tree has one root, not 2"),
+    "parent id above the range": ((("a", "b"), [-1, 2]), "parent must be 2 ids in [-1, 2)"),
+    "parent id below -1": ((("a", "b"), [-1, -2]), "parent must be 2 ids in [-1, 2)"),
+    "too few parent ids": ((("a", "b"), [-1]), "parent must be 2 ids in [-1, 2)"),
+    "parent ids in a column": ((("a", "b"), [[-1], [0]]), "parent must be 2 ids in [-1, 2)"),
+    "fractional parent": ((("a", "b", "c"), [-1, 0, 1.7]), "parent holds float64, not int64"),
+    "string parent": ((("a", "b"), ["-1", "0"]), "parent holds <U2, not int64"),
+    "unsorted names": ((("b", "a"), [-1, 0]), "vertices must be sorted and distinct"),
+    "repeated name": ((("a", "a", "b"), [-1, 0, 0]), "vertices must be sorted and distinct"),
+    "invalid name": ((("a", "b "), [-1, 0]), "invalid vertex name 'b '"),
+    "own parent": ((("a", "b", "r"), [2, 1, -1]), "cycle: vertices ['b'] unreachable from root 'r'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREES))
+def test_hierarchy_constructor_rejects(case):
+    args, message = BAD_TREES[case]
+    with pytest.raises(ValidationError) as err:
+        Hierarchy(*args)
+    assert message in str(err.value)
+
+
+def test_hierarchy_parent_is_a_read_only_copy():
+    given = [2, 2, -1]
+    t = Hierarchy(["a", "b", "r"], given)
+    assert t.vertices == ("a", "b", "r") and t.parent.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        t.parent[:1] = 1
+    ids = np.array(given)
+    t = Hierarchy(("a", "b", "r"), ids)
+    ids[0] = 1
+    assert t.parent.tolist() == given
 
 
 def test_load_hierarchy_two_parents():
@@ -147,30 +189,6 @@ def test_load_hierarchy_missing_vertex_error_comes_after_the_root_checks_and_bef
         load_hierarchy("r\ta\nq\tb\n", g)
     with pytest.raises(ValidationError, match="graph vertex 'z' missing from the hierarchy"):
         load_hierarchy("r\ta\nx\ty\ny\tx\n", g)
-
-
-def test_restriction_refuses_a_name_outside_the_tree():
-    _, t = four_pair()
-    with pytest.raises(ValidationError, match="restriction names 'zy', which is not in the hierarchy"):
-        t.restricted_to(["Br", "zz", "zy", "A"])
-    assert t.restricted_to(["Br", "A", "a1"]).vertices == ("A", "Br", "a1")
-
-
-def test_restriction_names_the_smallest_vertex_whose_parent_it_drops():
-    # The kept set's iteration order follows the hash seed; the message must not.
-    from test_cli import _python
-
-    script = "\n".join([
-        "from unires.graph import Hierarchy, ValidationError",
-        "parent = {'A': 'R', 'B': 'R', 'a1': 'A', 'a2': 'A', 'b1': 'B', 'b2': 'B'}",
-        "try:",
-        "    Hierarchy((*parent, 'R'), parent, 'R').restricted_to(['R', 'a1', 'a2', 'b1', 'b2'])",
-        "except ValidationError as err:",
-        "    print(err)",
-    ])
-    for seed in range(1, 7):
-        done = _python("-c", script, PYTHONHASHSEED=str(seed))
-        assert (done.returncode, done.stdout) == (0, "restriction is not ancestor-closed at 'a1'\n"), seed
 
 
 def test_leafset_examples():
@@ -204,7 +222,7 @@ def test_anchor_examples():
 def test_anchor_topmost_wins_when_nested():
     g = load_graph("A\tB\nA1\tB\na1\tB\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\tA1\nA1\ta1\n", g)
-    anchors = anchors_by_name(g.with_vertices(t.vertices), t)
+    anchors = anchors_by_name(with_vertices(g, t.vertices), t)
     assert anchors["a1"] == "A"
     assert anchors["A1"] == "A"
 
@@ -279,9 +297,9 @@ def test_round_trip_graph_and_hierarchy():
         g_loaded = load_graph(serialize_graph(g))
         assert g_loaded.weights == g.weights
         t_loaded = load_hierarchy(serialize_hierarchy(t), g_loaded)
-        assert t_loaded == t
+        assert same_tree(t_loaded, t)
         # The pair round-trips exactly once the universe is restored.
-        assert same_graph(g_loaded.with_vertices(t_loaded.vertices), g)
+        assert same_graph(on_tree(g_loaded, t_loaded), g)
 
 
 def test_graph_rejects_bad_construction():
@@ -293,7 +311,7 @@ def test_graph_rejects_bad_construction():
         Graph(("a",), [0], [1], [1.0])
 
 
-def test_with_vertices_equals_a_full_rebuild():
+def test_on_tree_equals_a_full_rebuild():
     rng = random.Random(53)
     for _ in range(25):
         g, t = random_pair(rng, rng.randrange(3, 30))
@@ -301,29 +319,46 @@ def test_with_vertices_equals_a_full_rebuild():
         # Cache the weights map over the smaller universe first.
         assert edges_only.edge_count == g.edge_count
         assert active_vertices(edges_only) == active_vertices(g)
-        extended = edges_only.with_vertices(t.vertices)
+        extended = on_tree(edges_only, t)
         assert same_graph(extended, from_edges(g.weights, vertices=t.vertices))
         assert extended.vertices == g.vertices
         for mine, full in zip((extended.src, extended.dst, extended.w), (g.src, g.dst, g.w)):
             assert mine.tolist() == full.tolist()
         assert degree_loop(extended) == degree_loop(g)
         assert active_vertices(extended) == active_vertices(g)
-        assert extended.weights is not edges_only.weights
+        if edges_only.vertices == t.vertices:  # already on the tree's ids
+            assert extended is edges_only
+        else:
+            assert extended.weights is not edges_only.weights
 
 
-def test_with_vertices_rejects_a_bad_extra_name():
-    g = load_graph("a\tb\n")
-    for bad in ("", " c", "c\td", "c\n"):
-        with pytest.raises(ValidationError):
-            g.with_vertices(["z", bad])
-    assert same_graph(g.with_vertices(["a", "b"]), g)
+def test_on_tree_keeps_every_name_apart():
+    # The adversarial names hold "a" and "a\x00", which numpy's fixed-width
+    # strings would read as one name.
+    from test_cli import ADVERSARIAL_NAMES
+
+    rng = random.Random(59)
+    pairs = [random_pair(rng, rng.randrange(3, 30), branching=k % 2 == 0) for k in range(30)]
+    for _ in range(30):
+        t = random_hierarchy(rng, ADVERSARIAL_NAMES)
+        pairs.append((random_graph_on(rng, t, edge_budget=rng.randrange(1, 40)), t))
+    for g, t in pairs:
+        assert on_tree(g, t) is g
+        small = from_edges(g.weights)
+        mine, theirs = on_tree(small, t), with_vertices(small, t.vertices)
+        assert mine.vertices == theirs.vertices == t.vertices
+        for a, b in zip((mine.src, mine.dst, mine.w), (theirs.src, theirs.dst, theirs.w)):
+            assert a.tolist() == b.tolist()
+    g = load_graph("a\tb\nb\tx\n")
+    with pytest.raises(ValidationError, match="graph vertex 'x' missing from the hierarchy"):
+        on_tree(g, tree({"a": "r", "b": "r"}, "r"))
 
 
 def test_package_built_graphs_have_read_only_arrays():
     rng = random.Random(5)
     for g, t in (four_pair(), random_pair(rng, 12), random_pair(rng, 25)):
         loaded = load_graph(serialize_graph(g))
-        built = [loaded, loaded.with_vertices(t.vertices)]
+        built = [loaded, on_tree(loaded, t)]
         built += [convert(g, t).network for convert in (inherit, disinherit, kron_sampling)]
         for graph in built:
             for array in (graph.src, graph.dst, graph.w):
@@ -374,4 +409,4 @@ def test_graph_equality_ignores_edge_order():
     assert same_graph(g, from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0}))
     assert not same_graph(g, Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 4.0]))
     assert not same_graph(g, Graph(("a", "b", "c"), [0, 1], [1, 2], [1.0, 2.0]))
-    assert not same_graph(g, g.with_vertices(["d"]))
+    assert not same_graph(g, with_vertices(g, ["d"]))

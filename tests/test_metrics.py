@@ -26,6 +26,7 @@ from oracles import (
     hits_dense,
     pagerank_dense,
     path_sums,
+    with_vertices,
 )
 from conftest import branching_hierarchy, names, random_digraph, random_graph_on
 
@@ -78,7 +79,7 @@ def test_metrics_edgeless_rejected():
 
 
 def test_metrics_universe_vs_active_density():
-    g = load_graph("a\tb\n").with_vertices(["ghost"])
+    g = with_vertices(load_graph("a\tb\n"), ["ghost"])
     report = metrics_report(g)
     assert report.vertex_count == 3
     assert report.active_vertex_count == 2
@@ -171,7 +172,7 @@ PATH_CASES = {
     "sparse": lambda rng: random_digraph(rng, rng.randrange(10, 50), 0.07),
     "dag": lambda rng: _dag(rng, rng.randrange(5, 30), 0.3),
     "disconnected": _disconnected,
-    "isolated": lambda rng: random_digraph(rng, 12, 0.3).with_vertices(names(8, "iso")),
+    "isolated": lambda rng: with_vertices(random_digraph(rng, 12, 0.3), names(8, "iso")),
     "inherit-output": _inherit_output,
     "shuffled": _shuffled,
     # More than 64 sources: the traversal's bit sets span several words.
@@ -224,7 +225,7 @@ def test_dense_rule_counts_active_vertices(monkeypatch):
     # Edge-free vertices, between and after the active ones in name order,
     # leave the dense kernel's choice and every active score as they were.
     g = random_digraph(random.Random(269), 30, 0.8)
-    padded = g.with_vertices([*g.vertices, *(v + "x" for v in g.vertices), *names(10, "z")])
+    padded = with_vertices(g, [*g.vertices, *(v + "x" for v in g.vertices), *names(10, "z")])
     n = len(padded.vertices)
     assert len(active_vertices(g)) == len(g.vertices) and 4 * g.edge_count >= len(g.vertices) ** 2
     assert 4 * padded.edge_count < n * n  # dense on the active vertices only
@@ -374,7 +375,7 @@ def test_hits_and_pagerank_match_dense_oracle():
     graphs = [random_digraph(rng, rng.randrange(2, 60), rng.uniform(0.02, 0.6)) for _ in range(16)]
     dangling = _dag(rng, 40, 0.15)
     assert {v for _, v in dangling.weights} - {u for u, _ in dangling.weights}  # arcs in, none out
-    isolated = random_digraph(rng, 30, 0.1).with_vertices(names(10, "iso"))
+    isolated = with_vertices(random_digraph(rng, 30, 0.1), names(10, "iso"))
     assert len(active_vertices(isolated)) < len(isolated.vertices)
     dense = random_digraph(rng, 120, 0.4)
     assert 4 * dense.edge_count >= len(dense.vertices) ** 2

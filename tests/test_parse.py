@@ -6,7 +6,7 @@ import random
 import pytest
 
 import unires.graph
-from unires.graph import Graph, ParseError, _valid_name, load_graph, serialize_graph
+from unires.graph import Graph, ParseError, _valid_name, load_graph, on_tree, serialize_graph
 from unires.resolution import disinherit, inherit, kron_sampling
 
 from oracles import from_edges, load_graph_loop, same_graph, valid
@@ -172,7 +172,7 @@ def test_package_built_graphs_equal_validated_rebuilds():
         lines = serialize_graph(g).splitlines()
         rng.shuffle(lines)
         loaded = load_graph("\n".join(lines))
-        built = [loaded, loaded.with_vertices(t.vertices), inherit(g, t).network,
+        built = [loaded, on_tree(loaded, t), inherit(g, t).network,
                  disinherit(g, t).network, kron_sampling(g, t).network]
         for graph in built:
             assert_same_graph(graph, from_edges(graph.weights, vertices=graph.vertices))

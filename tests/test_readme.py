@@ -1,9 +1,11 @@
 """The README's library section: its code runs, and it names every export."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import unires
+from unires.graph import Graph, Hierarchy
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +31,20 @@ def test_library_section_names_every_export():
     section = library_section()
     missing = [name for name in unires.__all__ if not re.search(rf"\b{name}\b", section)]
     assert not missing
+
+
+def members_named(paragraph: str) -> set[str]:
+    """The member names in the backticked spans of ``paragraph``: the last
+    dotted part, without a call's arguments, other than the class names."""
+    spans = re.findall(r"`([^`]+)`", paragraph)
+    return {re.sub(r"\(.*\)$", "", span).rpartition(".")[2] for span in spans} - {"Graph", "Hierarchy"}
+
+
+def test_library_section_names_the_members_of_graph_and_hierarchy():
+    paragraph = next(p for p in library_section().split("\n\n") if p.startswith("A `Graph` is its"))
+    members = set()
+    for cls in (Graph, Hierarchy):
+        members |= {f.name for f in dataclasses.fields(cls)} | {m for m in vars(cls) if not m.startswith("_")}
+    named = members_named(paragraph)
+    assert named <= members, sorted(named - members)
+    assert members <= named, sorted(members - named)

@@ -10,14 +10,13 @@ import pytest
 
 import unires.resolution
 from unires.cli import main
-from unires.graph import DomainError, _pairs, load_graph, load_hierarchy, serialize_graph, serialize_hierarchy
+from unires.graph import DomainError, _pairs, load_graph, load_hierarchy, on_tree, serialize_graph, serialize_hierarchy
 from unires.resolution import (
     GUARD_MODES,
     MASS_TIE_RTOL,
     _masses,
     _depth_order,
     _edge_keys,
-    _on_tree,
     disinherit,
     inherit,
     kron_sampling,
@@ -27,6 +26,7 @@ from unires.spectral import SPD_BLOCK
 from oracles import (
     active_vertices,
     anchor_walk,
+    children,
     degree_loop,
     disinherit_collapse,
     dropped,
@@ -39,9 +39,13 @@ from oracles import (
     kron_sampling_loop,
     leafset_recursive,
     MASS_TIE_RTOL as DOCUMENTED_TIE_RTOL,
+    parents,
     provenance,
     resistance_grounded,
+    root,
     same_graph,
+    same_tree,
+    with_vertices,
 )
 from conftest import anchors_by_name, branching_hierarchy, kron_resistances, names, random_graph_on, random_pair
 
@@ -52,7 +56,7 @@ FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
 def four_pair():
     g = load_graph(FOUR_GRAPH)
     t = load_hierarchy(FOUR_TREE, g)
-    return g.with_vertices(t.vertices), t
+    return with_vertices(g, t.vertices), t
 
 
 # Non-integer weights: any summation order other than the loop's shows.
@@ -83,7 +87,7 @@ def by_id(resistances):
 
 
 def assert_uniresolution(result):
-    internal = {v for v, kids in result.hierarchy.children.items() if kids}
+    internal = {v for v, kids in children(result.hierarchy).items() if kids}
     for u, v in result.network.weights:
         assert u not in internal and v not in internal
 
@@ -111,7 +115,7 @@ def test_inherit_example():
 def test_inherit_leaf_only_is_identity():
     g = load_graph("a1\ta2\t2.5\n")
     t = load_hierarchy(FOUR_TREE, g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     assert same_graph(inherit(g, t).network, g)
 
 
@@ -119,7 +123,7 @@ def test_inherit_two_internal_edges_same_leaf_pair():
     # A->b1 at two resolutions: the internal report and the leaf report.
     g = load_graph("A\tb1\na1\tb1\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\ta1\nB\tb1\nB\tb2\n", g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = inherit(g, t)
     assert result.network.weights[("a1", "b1")] == 2.0
     assert provenance(result)[("a1", "b1")] == {("A", "b1"), ("a1", "b1")}
@@ -128,7 +132,7 @@ def test_inherit_two_internal_edges_same_leaf_pair():
 def test_inherit_ancestor_descendant_keeps_off_diagonal():
     g = load_graph("A\ta1\n")
     t = load_hierarchy(FOUR_TREE, g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = inherit(g, t)
     assert result.network.weights == {("a2", "a1"): 1.0}
     assert dropped(result) == {("A", "a1"): 1.0}
@@ -153,7 +157,7 @@ def test_inherit_dropped_diagonal_overflow_rejected():
     g = load_graph("A\tR\t1e308\n")
     t = load_hierarchy("R\tA\nR\tB\nA\ta1\nA\ta2\n", g)
     with pytest.raises(DomainError, match="overflows float64"):
-        inherit(g.with_vertices(t.vertices), t)
+        inherit(with_vertices(g, t.vertices), t)
 
 
 def test_inherit_weight_identity_without_ancestor_edges():
@@ -197,16 +201,16 @@ def test_disinherit_example():
 def test_disinherit_leaf_only_is_identity():
     g = load_graph("a1\ta2\nB\ta1\n")
     t = load_hierarchy(FOUR_TREE, g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = disinherit(g, t)
     assert same_graph(result.network, g)
-    assert result.hierarchy == t
+    assert same_tree(result.hierarchy, t)
 
 
 def test_disinherit_nested_collapses_to_topmost():
     g = load_graph("A\tB\nA1\tB\na1\tB\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\tA1\nA1\ta1\n", g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = disinherit(g, t)
     assert result.network.weights == {("A", "B"): 3.0}
     assert set(result.hierarchy.vertices) == {"Br", "A", "B"}
@@ -240,6 +244,18 @@ def test_anchor_pass_matches_anchor(branching):
             assert anchors[v] == anchor_walk(g, t, v)
 
 
+@pytest.mark.parametrize("branching", [False, True])
+def test_disinherit_keeps_each_kept_vertex_parent(branching):
+    # The output tree is built from parent ids, where the root's -1 must
+    # not be read as the last id.
+    for seed in range(100):
+        rng = random.Random(seed)
+        g, t = random_pair(rng, rng.randrange(3, 40), branching=branching)
+        kept = disinherit(g, t).hierarchy
+        assert root(kept) == root(t), seed
+        assert parents(kept) == {v: parents(t)[v] for v in kept.vertices if v != root(t)}, seed
+
+
 def test_disinherit_conserves_weight():
     rng = random.Random(113)
     for _ in range(40):
@@ -256,7 +272,7 @@ def test_disinherit_conserves_weight():
 def edge_order(g, t, descending=True):
     """The edges by name in the order kron placement walks them, checked
     against the sort of :func:`oracles.edge_order_sorted`."""
-    keys, _ = _edge_keys(_on_tree(g, t))
+    keys, _ = _edge_keys(on_tree(g, t))
     order = list(_pairs(t.vertices, keys[_depth_order(keys, t, descending)]))
     assert order == edge_order_sorted(g, t, descending)
     return order
@@ -271,13 +287,13 @@ def test_edge_order_deepest_first():
 def test_edge_order_lexicographic_ties():
     g = load_graph("a1\ta2\na2\ta1\n")
     t = load_hierarchy(FOUR_TREE, g)
-    assert edge_order(g.with_vertices(t.vertices), t) == [("a1", "a2"), ("a2", "a1")]
+    assert edge_order(with_vertices(g, t.vertices), t) == [("a1", "a2"), ("a2", "a1")]
 
 
 def test_edge_order_singleton():
     g = load_graph("A\tB\n")
     t = load_hierarchy(FOUR_TREE, g)
-    assert edge_order(g.with_vertices(t.vertices), t) == [("A", "B")]
+    assert edge_order(with_vertices(g, t.vertices), t) == [("A", "B")]
 
 
 # --- probability masses -----------------------------------------------------
@@ -336,7 +352,7 @@ def test_kron_sampling_leaf_only_identity():
     # No reciprocal pairs, so nothing blocks under the default guard.
     g = load_graph("x\ty\t2\ny\tz\nz\tx\n")
     t = load_hierarchy("Br\tx\nBr\ty\nBr\tz\n", g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = kron_sampling(g, t)
     assert set(result.network.weights) == set(g.weights)
     assert all(w == 1.0 for w in result.network.weights.values())
@@ -345,7 +361,7 @@ def test_kron_sampling_leaf_only_identity():
 def test_kron_sampling_guard_blocks_reverse_direction():
     g = load_graph("A\tB\nB\tA\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\ta1\nA\ta2\nB\tb1\nB\tb2\n", g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = kron_sampling(g, t)
     assert result.network.weights == {("a1", "b1"): 1.0}
     assert provenance(result)[("a1", "b1")] == {("A", "B"), ("B", "A")}
@@ -356,7 +372,7 @@ def test_kron_sampling_guard_blocks_reverse_direction():
 def test_kron_sampling_degenerate_edge_dropped():
     g = load_graph("A\ta1\nB\tb1\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\ta1\nB\tb1\nB\tb2\n", g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     result = kron_sampling(g, t)
     # A sits above the single leaf a1, so A->a1 has no off-diagonal candidates.
     assert dropped(result) == {("A", "a1"): 1.0}
@@ -411,7 +427,7 @@ def test_conversions_map_a_smaller_universe_onto_the_tree(convert):
         g, t = oracle_pair(seed)
         small = from_edges(g.weights)
         smaller += small.vertices != t.vertices
-        assert audit(convert(small, t)) == audit(convert(small.with_vertices(t.vertices), t)), seed
+        assert audit(convert(small, t)) == audit(convert(with_vertices(small, t.vertices), t)), seed
     assert smaller >= 200
 
 
@@ -459,7 +475,7 @@ KERNEL_SCRIPT = """
 import hashlib, random, sys
 sys.path[:0] = sys.argv[1:3]
 from conftest import kron_resistances, random_pair
-from oracles import degree_loop, kron_resistance_reference, provenance
+from oracles import children, degree_loop, kron_resistance_reference, provenance
 from unires.graph import serialize_graph
 from unires.resolution import kron_sampling
 for case in sys.argv[3:]:
@@ -472,7 +488,7 @@ for case in sys.argv[3:]:
     print(case, hashlib.sha256(text.encode()).hexdigest())
     if n:  # every leaf pair of the sized pair, against the slow reference bit for bit
         degree = degree_loop(g)
-        leaves = [v for v in t.vertices if not t.children[v] and degree[v]]
+        leaves = [v for v in t.vertices if not children(t)[v] and degree[v]]
         pairs = [(u, v) for u in leaves for v in leaves if u < v]
         assert kron_resistances(g, leaves, pairs) == kron_resistance_reference(g, leaves, pairs), case
 """
@@ -485,7 +501,7 @@ def test_kron_placement_is_the_same_under_three_blas_kernels():
     # reference's bit for bit.  "seed:n" fixes the size; a bare seed draws it.
     g, t = random_pair(random.Random(0), 300, branching=True)
     degree = degree_loop(g)
-    assert sum(1 for v in t.vertices if not t.children[v] and degree[v]) > 3 * SPD_BLOCK
+    assert sum(1 for v in t.vertices if not children(t)[v] and degree[v]) > 3 * SPD_BLOCK
     here = Path(__file__).resolve().parent
     argv = [sys.executable, "-c", KERNEL_SCRIPT, str(here.parent / "src"), str(here), *map(str, NOISE_SEEDS), "0:300"]
     outputs = set()
@@ -513,7 +529,7 @@ def test_targeted_cases_match_loop_oracles(case):
     graph_text, tree_text = TARGETED[case]
     g = load_graph(graph_text)
     t = load_hierarchy(tree_text, g)
-    g = g.with_vertices(t.vertices)
+    g = with_vertices(g, t.vertices)
     assert audit(inherit(g, t)) == inherit_loop(g, t)
     for descending in (True, False):
         for guard in GUARD_MODES:
