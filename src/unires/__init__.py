@@ -31,7 +31,7 @@ from .resolution import (
 )
 from .spectral import NumericalError
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CentralityTable",

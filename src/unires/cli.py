@@ -149,7 +149,12 @@ def cmd_convert(args: argparse.Namespace) -> int:
     elif args.method == "disinherit":
         result = disinherit(graph, hierarchy)
     else:
-        result = kron_sampling(graph, hierarchy, descending=args.sort_direction == "desc", guard=args.guard_mode)
+        result = kron_sampling(graph, hierarchy)
+    if len(result.hierarchy.vertices) == 1:  # disinherit, when an edge is on the root
+        root = result.hierarchy.vertices[0]
+        u, v = next(e for e in _pairs(result.vertices, result.dropped) if root in e)
+        raise DomainError(f"edge ({u!r}, {v!r}) is on the root, so disinherit pulls every vertex into it "
+                          "and leaves a one-vertex tree, which hierarchy.tsv cannot hold")
     names = ["network.tsv", "hierarchy.tsv", "provenance.tsv", "manifest.json"]
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], names)
     _write(outdir / "network.tsv", _graph_blocks(result.network))
@@ -160,10 +165,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
         "version": __version__,
         "command": "convert",
         "method": args.method,
-        "flags": {
-            "sort_direction": args.sort_direction,
-            "guard_mode": args.guard_mode,
-        },
         "inputs": {
             "graph": {"path": args.graph, "sha256": digests[0]},
             "hierarchy": {"path": args.hierarchy, "sha256": digests[1]},
@@ -310,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--hierarchy", required=True)
     convert.add_argument("--method", required=True, choices=METHODS)
     convert.add_argument("--out", default=".")
-    convert.add_argument("--sort-direction", choices=("desc", "asc"), default="desc",
-                         help="depth-product order for kron edge placement (default: desc)")
-    convert.add_argument("--guard-mode", choices=("any", "directed"), default="any",
-                         help="what blocks a kron candidate set (default: any direction)")
     convert.set_defaults(func=cmd_convert)
 
     metrics = sub.add_parser("metrics", help="summary metrics of one network")

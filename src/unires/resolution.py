@@ -27,8 +27,6 @@ import numpy as np
 from .graph import DomainError, Graph, Hierarchy, _pairs, on_tree
 from .spectral import _resistances
 
-GUARD_MODES = ("any", "directed")
-
 # Kron masses this close (relative) to a candidate set's best tie with it, so
 # that rounding in the resistances (BLAS kernel, solve route) decides nothing.
 MASS_TIE_RTOL = 1e-9
@@ -164,17 +162,15 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     return ResolutionResult(network, hierarchy, names, np.column_stack((out[inverse], keys[kept])), keys[~kept], weights[~kept])
 
 
-def _depth_order(keys: np.ndarray, t: Hierarchy, descending: bool) -> np.ndarray:
+def _depth_order(keys: np.ndarray, t: Hierarchy) -> np.ndarray:
     """The positions of the ascending edge keys ``keys`` (see
-    :func:`_edge_keys`) sorted by the product of endpoint tree depths.
-
-    Descending considers the deepest edges first, so plain leaf-leaf edges
-    are placed before anything at internal vertices; ``descending=False``
-    inverts the depth ordering for sensitivity analysis.  The sort is
-    stable, so ties keep key order, which is name-pair order."""
+    :func:`_edge_keys`) sorted by the product of endpoint tree depths,
+    deepest first, so plain leaf-leaf edges are placed before anything at
+    internal vertices.  The sort is stable, so ties keep key order, which
+    is name-pair order."""
     depth = t.ids.depth
     product = depth[keys // len(t.vertices)] * depth[keys % len(t.vertices)]
-    return np.argsort(-product if descending else product, kind="stable")
+    return np.argsort(-product, kind="stable")
 
 
 def _masses(resistance: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -197,29 +193,28 @@ def _argmax_keys(score: np.ndarray, key: np.ndarray, heads: np.ndarray, rtol: fl
     return best, np.minimum.reduceat(np.where(tied, key, np.iinfo(np.int64).max), heads)
 
 
-def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = "any") -> ResolutionResult:
+def kron_sampling(g: Graph, t: Hierarchy) -> ResolutionResult:
     """Represent every input edge by at most one leaf-level edge.
 
     Pipeline: eliminate all non-leaf vertices by Kron reduction onto the
     connectivity-bearing leaves, compute pairwise effective resistances
     there, combine them with inherited report counts into masses (see
-    :func:`_masses`), then walk the input edges deepest-first.  For each
-    edge the candidate set is all ordered leaf pairs under its endpoints;
-    if an output edge already connects those leaf sets the input edge is
-    merely recorded against it, otherwise the maximum-mass candidate is
-    added with weight 1; masses within ``MASS_TIE_RTOL`` of the best tie.
+    :func:`_masses`), then walk the input edges deepest first (see
+    :func:`_depth_order`).  For each edge (u, v) the candidate set is all
+    ordered leaf pairs (s, d) with s under u and d under v.  If an output
+    edge already runs from u's leaves to v's, the input edge is merely
+    recorded against it; otherwise the maximum-mass candidate is added
+    with weight 1; masses within ``MASS_TIE_RTOL`` of the best tie.
     Candidates with zero mass everywhere fall back to the inherited count,
     then to lexicographic order.
 
-    ``guard`` controls what blocks a candidate set: ``"any"`` (default)
-    blocks on an existing output edge in either direction between the leaf
-    sets, ``"directed"`` only on a same-direction edge.  The hierarchy is
-    returned unchanged, and the output edges are in key order (see
-    :func:`_edge_keys`), not in placement order.  Fully deterministic:
+    Only an output edge in the same direction blocks a candidate set, never
+    one from v's leaves to u's, so reciprocal pairs survive: the paper's
+    Table 1 gives Kron a reciprocity close to the original network's.  The
+    hierarchy is returned unchanged, and the output edges are in key order
+    (see :func:`_edge_keys`), not in placement order.  Fully deterministic:
     reruns are byte-identical.
     """
-    if guard not in GUARD_MODES:
-        raise DomainError(f"guard must be one of {GUARD_MODES}, got {guard!r}")
     g = on_tree(g, t)
     edges, weights, edge, key, pairs, inverse, counts, _ = _leaf_pairs(g, t)
     names, n = t.vertices, len(t.vertices)
@@ -242,14 +237,10 @@ def kron_sampling(g: Graph, t: Hierarchy, descending: bool = True, guard: str = 
     winner[edge[heads]] = np.where(best > 0.0, by_mass, by_count)
 
     keys, winners, bounds = key.tolist(), winner.tolist(), bounds.tolist()
-    reverse = (key % n * n + key // n).tolist() if guard == "any" else None
     owner = [-1] * len(edges)  # per input edge: the output pair key it is recorded against
     placed: set[int] = set()
-    for i in _depth_order(edges, t, descending).tolist():
-        a, b = bounds[i], bounds[i + 1]
-        blockers = placed.intersection(keys[a:b])
-        if reverse is not None:
-            blockers |= placed.intersection(reverse[a:b])
+    for i in _depth_order(edges, t).tolist():
+        blockers = placed.intersection(keys[bounds[i]:bounds[i + 1]])
         owner[i] = min(blockers) if blockers else winners[i]
         placed.add(owner[i])
     owner = np.array(owner, dtype=np.int64)

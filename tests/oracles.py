@@ -222,19 +222,19 @@ def _argmax_scan(candidates, score, rtol=0.0):
     return next(cand for cand in candidates if score[cand] >= best * (1.0 - rtol))
 
 
-def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: str = "any"):
+def kron_sampling_loop(g: Graph, t: Hierarchy):
     """Returns (weights, provenance, dropped) of Kron placement, walking
     every candidate of every input edge.
 
     Counts come from :func:`inherit_loop` and resistances from
     :func:`kron_resistance_reference`; masses are ``r * count`` (0 for
     infinite ``r``) divided by their total summed in pair order.  Edges are
-    taken by depth product (root at depth 1), ties in name order.  An edge
-    whose candidates meet an output edge (either direction under ``"any"``)
-    joins the smallest such edge; otherwise the first candidate in name
-    order whose mass is within ``MASS_TIE_RTOL`` (relative) of the largest
-    is placed, or the first with the largest count when no mass is
-    positive.
+    taken by depth product (root at depth 1), deepest first, ties in name
+    order.  An edge one of whose candidates is already an output edge
+    (same direction only) joins the smallest such edge; otherwise the first
+    candidate in name order whose mass is within ``MASS_TIE_RTOL``
+    (relative) of the largest is placed, or the first with the largest
+    count when no mass is positive.
     """
 
     def depth(v: str) -> int:
@@ -254,7 +254,7 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
         masses = {e: m / total for e, m in masses.items()}
 
     order = sorted(g.weights)
-    order.sort(key=lambda e: depth(e[0]) * depth(e[1]), reverse=descending)
+    order.sort(key=lambda e: depth(e[0]) * depth(e[1]), reverse=True)
     out: dict[tuple[str, str], float] = {}
     prov: dict[tuple[str, str], set] = {}
     dropped: dict[tuple[str, str], float] = {}
@@ -265,8 +265,6 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
             dropped[(u, v)] = g.weights[(u, v)]
             continue
         blockers = [c for c in candidates if c in out]
-        if guard == "any":
-            blockers += [(d, s) for s, d in candidates if (d, s) in out]
         if blockers:
             prov[min(blockers)].add((u, v))
             continue
@@ -278,11 +276,10 @@ def kron_sampling_loop(g: Graph, t: Hierarchy, descending: bool = True, guard: s
     return out, {e: frozenset(srcs) for e, srcs in prov.items()}, dropped
 
 
-def edge_order_sorted(g: Graph, t: Hierarchy, descending: bool = True) -> list[tuple[str, str]]:
+def edge_order_sorted(g: Graph, t: Hierarchy) -> list[tuple[str, str]]:
     """The edges by the product of their endpoints' depths (root at depth
-    1), deepest first unless ``descending`` is false, ties in name order."""
-    sign = -1 if descending else 1
-    return sorted(g.weights, key=lambda e: (sign * depth_walk(t, e[0]) * depth_walk(t, e[1]), e))
+    1), deepest first, ties in name order."""
+    return sorted(g.weights, key=lambda e: (-depth_walk(t, e[0]) * depth_walk(t, e[1]), e))
 
 
 def anchor_walk(g: Graph, t: Hierarchy, v: str) -> str:

@@ -247,6 +247,8 @@ def test_criterion_6_full_dataset_reproduction():
         "original": (g, 0.0509, 6, 2.614, 0.3140, 0.4223),
         "inherit": (inh.network, 0.3143, 6, 1.932, 0.5926, 0.3567),
         "disinherit": (dis.network, 0.182, 4, 1.771, 0.5066, 0.7238),
+        # Kron keeps reciprocal pairs, as only a same-direction output edge
+        # blocks a candidate set; blocking either direction would give 0.
         "kron": (kron.network, 0.0659, 6, 2.4836, 0.2298, 0.4160),
     }
     for name, (net, density, diameter, cpl, clustering, reciprocity) in table1.items():

@@ -76,6 +76,16 @@ def test_convert_disinherit(tmp_path):
     assert "dropped\ta1->a2" in (out / "provenance.tsv").read_text().splitlines()
 
 
+def test_convert_disinherit_refuses_an_edge_on_the_root(tmp_path, capsys):
+    # Every vertex collapses onto the root, and hierarchy.tsv has no line
+    # for a one-vertex tree, so the output would not read back.
+    gp, hp = write_pair(tmp_path, "R\ta1\nR\tA\n", "R\tA\nA\ta1\nA\ta2\n")
+    out = tmp_path / "run"
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "disinherit", "--out", str(out)]) == 2
+    assert "edge ('R', 'A') is on the root" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_missing_hierarchy(tmp_path, capsys):
     gp, _ = write_pair(tmp_path)
     missing = str(tmp_path / "nope.tsv")
@@ -131,9 +141,9 @@ GOLDEN = {
         "provenance.tsv": "c6e8edcce7b19a789a2eb417db8fd14e229d0fa79fb3d20de1a6dcd8b68fa7cc",
     },
     "kron": {
-        "network.tsv": "fbffdab369084e8d953966da72aae00ec269005081c997ece8652a84b39722fb",
+        "network.tsv": "6a0b72015f8e0413e35a9f590de2c17a4bfa37b1f988f86267564441a0ea9f3a",
         "hierarchy.tsv": "163d2b298f3ac3cd85a7f0050fe85190d58876985c63f5118d2e1f7f3fd669ce",
-        "provenance.tsv": "aede17ae07580c4b86906f529972a495d8a7c04334d626a37b567822eec06c36",
+        "provenance.tsv": "74a4fe93773b93c6be3e8f09768c3a49d02679408a975c3ba62a4ebf852f318d",
     },
 }
 
@@ -145,9 +155,9 @@ MESSY_GOLDEN = {
     "disinherit": {**GOLDEN["disinherit"],
                    "network.tsv": "fa0ade8955b671eaa7f44cbfcc0d492c6a16206f58447e796c1b322e1ef116de"},
     "kron": {
-        "network.tsv": "c414604d8e14561ff51e02fd38babe2ec34c9a8beb6bbd2e1fb7f11923924c85",
+        "network.tsv": "74f724a54613c6a669ec5586fc3341cf838142f9610604c0ced43e63c35bf8ab",
         "hierarchy.tsv": "163d2b298f3ac3cd85a7f0050fe85190d58876985c63f5118d2e1f7f3fd669ce",
-        "provenance.tsv": "bcbbd76329d3489c5124e713ecf093f1210aeb436ad3a3d96513c47d01961e86",
+        "provenance.tsv": "2a66738e813bfc90ffb602d1ddea8a40f9938e00f0dd040bde871e90f45b8915",
     },
 }
 
@@ -331,10 +341,16 @@ def test_provenance_file_matches_the_nested_sort_writer(tmp_path, monkeypatch):
             gp, hp = write_pair(tmp_path, serialize_graph(g), serialize_hierarchy(t))
             for method, convert in (("inherit", inherit), ("disinherit", disinherit), ("kron", kron_sampling)):
                 out = tmp_path / f"{method}{k}-{size}"
-                assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]) == 0
+                code = main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)])
                 result = convert(g, t)
+                if len(result.hierarchy.vertices) == 1:  # disinherit, with an edge on the root: refused
+                    assert code == 2 and not out.exists()
+                    written = "".join(unires.cli._provenance_lines(result)).encode()
+                else:
+                    assert code == 0
+                    written = (out / "provenance.tsv").read_bytes()
                 expected = provenance_nested_sort(provenance(result), dropped(result))
-                assert (out / "provenance.tsv").read_bytes() == expected.encode(), (size, k, method)
+                assert written == expected.encode(), (size, k, method)
 
 
 def test_convert_refuses_to_overwrite_inputs(tmp_path):
@@ -386,11 +402,10 @@ def test_convert_runs_are_byte_identical(tmp_path):
 def test_manifest_reconstructs_run(tmp_path):
     gp, hp = write_pair(tmp_path)
     out = tmp_path / "run"
-    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron",
-                 "--sort-direction", "asc", "--guard-mode", "directed", "--out", str(out)]) == 0
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["command", "inputs", "method", "outputs", "tool", "version"]
     assert manifest["method"] == "kron"
-    assert manifest["flags"] == {"sort_direction": "asc", "guard_mode": "directed"}
     assert manifest["inputs"]["graph"]["path"] == gp
     assert len(manifest["inputs"]["hierarchy"]["sha256"]) == 64
     assert manifest["version"]
@@ -493,7 +508,7 @@ def _python(*args, **env):
 def test_python_dash_m_runs_the_cli(module):
     done = _python("-m", module, "--version")
     assert done.returncode == 0
-    assert done.stdout.strip() == "unires 0.1.0"
+    assert done.stdout.strip() == "unires 0.2.0"
     done = _python("-m", module, "convert")
     assert done.returncode == 2
     assert "required" in done.stderr

@@ -12,7 +12,6 @@ import unires.resolution
 from unires.cli import main
 from unires.graph import DomainError, _pairs, load_graph, load_hierarchy, on_tree, serialize_graph, serialize_hierarchy
 from unires.resolution import (
-    GUARD_MODES,
     MASS_TIE_RTOL,
     _masses,
     _depth_order,
@@ -269,19 +268,18 @@ def test_disinherit_conserves_weight():
 # --- edge ordering -----------------------------------------------------------
 
 
-def edge_order(g, t, descending=True):
+def edge_order(g, t):
     """The edges by name in the order kron placement walks them, checked
     against the sort of :func:`oracles.edge_order_sorted`."""
     keys, _ = _edge_keys(on_tree(g, t))
-    order = list(_pairs(t.vertices, keys[_depth_order(keys, t, descending)]))
-    assert order == edge_order_sorted(g, t, descending)
+    order = list(_pairs(t.vertices, keys[_depth_order(keys, t)]))
+    assert order == edge_order_sorted(g, t)
     return order
 
 
 def test_edge_order_deepest_first():
     g, t = four_pair()
     assert edge_order(g, t) == [("a1", "a2"), ("A", "B")]
-    assert edge_order(g, t, descending=False) == [("A", "B"), ("a1", "a2")]
 
 
 def test_edge_order_lexicographic_ties():
@@ -349,8 +347,7 @@ def test_kron_sampling_hand_trace():
 
 
 def test_kron_sampling_leaf_only_identity():
-    # No reciprocal pairs, so nothing blocks under the default guard.
-    g = load_graph("x\ty\t2\ny\tz\nz\tx\n")
+    g = load_graph("x\ty\t2\ny\tx\ny\tz\nz\ty\t3\nz\tx\n")
     t = load_hierarchy("Br\tx\nBr\ty\nBr\tz\n", g)
     g = with_vertices(g, t.vertices)
     result = kron_sampling(g, t)
@@ -358,15 +355,15 @@ def test_kron_sampling_leaf_only_identity():
     assert all(w == 1.0 for w in result.network.weights.values())
 
 
-def test_kron_sampling_guard_blocks_reverse_direction():
+def test_kron_sampling_keeps_reciprocal_pairs():
+    # Only a same-direction output edge blocks, so B->A is not recorded
+    # against a1->b1 but places its own reverse edge.
     g = load_graph("A\tB\nB\tA\n")
     t = load_hierarchy("Br\tA\nBr\tB\nA\ta1\nA\ta2\nB\tb1\nB\tb2\n", g)
     g = with_vertices(g, t.vertices)
     result = kron_sampling(g, t)
-    assert result.network.weights == {("a1", "b1"): 1.0}
-    assert provenance(result)[("a1", "b1")] == {("A", "B"), ("B", "A")}
-    directed = kron_sampling(g, t, guard="directed")
-    assert directed.network.weights == {("a1", "b1"): 1.0, ("b1", "a1"): 1.0}
+    assert result.network.weights == {("a1", "b1"): 1.0, ("b1", "a1"): 1.0}
+    assert provenance(result) == {("a1", "b1"): {("A", "B")}, ("b1", "a1"): {("B", "A")}}
 
 
 def test_kron_sampling_degenerate_edge_dropped():
@@ -377,12 +374,6 @@ def test_kron_sampling_degenerate_edge_dropped():
     # A sits above the single leaf a1, so A->a1 has no off-diagonal candidates.
     assert dropped(result) == {("A", "a1"): 1.0}
     assert ("b2", "b1") in result.network.weights or ("b1", "b2") in result.network.weights
-
-
-def test_kron_sampling_bad_guard():
-    g, t = four_pair()
-    with pytest.raises(DomainError):
-        kron_sampling(g, t, guard="sometimes")
 
 
 def test_kron_sampling_invariants_random():
@@ -396,26 +387,18 @@ def test_kron_sampling_invariants_random():
         all_sources = set(resolved)
         assert all_sources | set(dropped(result)) == set(g.weights)
         assert not all_sources & set(dropped(result))
-        # Some provenance source of each output edge has it inside its
-        # candidate rectangle; every source connects the rectangle somehow.
+        # Every provenance source of each output edge has it inside its
+        # candidate rectangle, in the same direction.
         for (s, d), sources in provenance(result).items():
-            creators = [
-                (u, v)
-                for u, v in sources
-                if s in leafset_recursive(t, u) | {u} and d in leafset_recursive(t, v) | {v}
-            ]
-            assert creators
             for u, v in sources:
                 lu, lv = leafset_recursive(t, u), leafset_recursive(t, v)
-                assert (s in lu and d in lv) or (s in lv and d in lu)
+                assert s in lu and d in lv
 
 
-@pytest.mark.parametrize("guard", GUARD_MODES)
-@pytest.mark.parametrize("descending", [True, False])
-def test_kron_sampling_matches_loop_oracle(descending, guard):
+def test_kron_sampling_matches_loop_oracle():
     for seed in range(300):
         g, t = oracle_pair(seed)
-        assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard), seed
+        assert audit(kron_sampling(g, t)) == kron_sampling_loop(g, t), seed
 
 
 @pytest.mark.parametrize("convert", [inherit, disinherit, kron_sampling])
@@ -531,9 +514,7 @@ def test_targeted_cases_match_loop_oracles(case):
     t = load_hierarchy(tree_text, g)
     g = with_vertices(g, t.vertices)
     assert audit(inherit(g, t)) == inherit_loop(g, t)
-    for descending in (True, False):
-        for guard in GUARD_MODES:
-            assert audit(kron_sampling(g, t, descending, guard)) == kron_sampling_loop(g, t, descending, guard)
+    assert audit(kron_sampling(g, t)) == kron_sampling_loop(g, t)
     if case == "edgeless":
         assert audit(inherit(g, t)) == ({}, {}, {})
     if case == "diagonal":
@@ -571,14 +552,6 @@ def test_kron_sampling_deterministic():
         assert serialize_graph(first.network) == serialize_graph(second.network)
         assert provenance(first) == provenance(second)
         assert dropped(first) == dropped(second)
-
-
-def test_kron_sampling_sort_direction_flag():
-    g, t = four_pair()
-    ascending = kron_sampling(g, t, descending=False)
-    # A->B goes first and, with resistances infinite, picks (a1, B); the
-    # deeper a1->a2 then still places itself.
-    assert ascending.network.weights == {("a1", "B"): 1.0, ("a1", "a2"): 1.0}
 
 
 # --- shared properties -------------------------------------------------------
