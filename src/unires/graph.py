@@ -86,9 +86,11 @@ class Graph:
 
     ``vertices`` is the full vertex universe in sorted order; the position
     of a name in it is the vertex's dense integer id.  Edge ``k`` runs from
-    ``src[k]`` to ``dst[k]`` with weight ``w[k]``; the constructor checks
-    them and stores read-only copies.  Vertices without any incident edge
-    are allowed (hierarchy-only container vertices).
+    ``src[k]`` to ``dst[k]`` with weight ``w[k]``, and the edges are in
+    name-pair order: their keys ``src * n + dst`` strictly ascend.  The
+    constructor checks both orders and stores read-only copies.  Vertices
+    without any incident edge are allowed (hierarchy-only container
+    vertices).
     """
 
     vertices: tuple[str, ...]
@@ -113,16 +115,20 @@ class Graph:
         if len(bad):
             u, v, x = names[src[bad[0]]], names[dst[bad[0]]], w[bad[0]].item()
             raise ValidationError(f"edge ({u!r}, {v!r}) has non-positive weight {x!r}")
-        keys = np.sort(src * n + dst)
-        repeated = np.flatnonzero(keys[1:] == keys[:-1])
-        if len(repeated):
-            u, v = divmod(int(keys[repeated[0]]), n)
-            raise ValidationError(f"parallel edges ({names[u]!r}, {names[v]!r})")
+        keys = src * n + dst
+        step = np.flatnonzero(keys[1:] <= keys[:-1])
+        if len(step):
+            k = step[0]
+            (a, b), (u, v) = divmod(int(keys[k]), n), divmod(int(keys[k + 1]), n)
+            if keys[k] == keys[k + 1]:
+                raise ValidationError(f"parallel edges ({names[u]!r}, {names[v]!r})")
+            raise ValidationError(f"edge ({names[u]!r}, {names[v]!r}) after ({names[a]!r}, {names[b]!r}): "
+                                  "edges must be in name-pair order")
 
     @cached_property
     def weights(self) -> dict[Edge, float]:
-        """The edges as a name-pair → weight map in edge order, built on
-        first use; treat it as read-only."""
+        """The edges as a name-pair → weight map in name-pair order, built
+        on first use; treat it as read-only."""
         return dict(zip(_pairs(self.vertices, self.src * len(self.vertices) + self.dst), self.w.tolist()))
 
     @property
@@ -199,15 +205,6 @@ class Hierarchy:
         if self.vertices[i:i + 1] != (v,):
             raise DomainError(f"unknown vertex {v!r}")
         return bool(self.ids.leaf[i])
-
-
-def _first_sums(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` in the order they first appear, and per distinct
-    key its weights ``0.0 + w[k1] + w[k2] + ...`` in input order."""
-    order = np.argsort(keys, kind="stable")  # each key's positions stay in input order
-    new = np.diff(keys[order], prepend=-1) != 0  # where a key's positions begin, as keys are >= 0
-    by_first = np.argsort(order[new])  # np.bincount adds a bin's weights in turn, here in input order
-    return keys[order[new][by_first]], np.bincount(np.cumsum(new), weights=w[order])[1:][by_first]
 
 
 def _first_fault(fields: list[str], k: int, pair: np.ndarray, new: set[str]) -> tuple[int, str]:
@@ -289,7 +286,9 @@ def load_graph(text: str) -> Graph:
     names, w = sorted(index), np.concatenate(w)  # rebinding frees the blocks' arrays as they are joined
     ids = np.argsort(np.fromiter(map(index.__getitem__, names), dtype=np.int64))[np.concatenate(ids, axis=1)]
     ids = ids[0] * len(names) + ids[1]  # one key id(s) * n + id(d) a line; rebinding frees the pairs
-    edges, sums = _first_sums(ids, w)  # duplicate lines summed in line order
+    order = np.argsort(ids, kind="stable")  # each key's lines stay in line order
+    new = np.diff(ids[order], prepend=-1) != 0  # where a key's lines begin, as keys are >= 0
+    edges, sums = ids[order[new]], np.bincount(np.cumsum(new), weights=w[order])[1:]  # duplicate lines summed in line order
     if np.isinf(sums.max(initial=0.0)):  # kept lines come before any bad one, so an overflow among them comes first
         over = np.flatnonzero(np.isin(ids, edges[np.isinf(sums)]))
         over = over[np.argsort(ids[over], kind="stable")]  # each edge's lines in line order
@@ -303,7 +302,7 @@ def load_graph(text: str) -> Graph:
         (start, end), p, message = fault
         places = [i for i, raw in enumerate(text[start:end].split("\n")) if raw and raw[0] != "#"]
         raise ParseError(message, text.count("\n", 0, start) + 1 + places[p])
-    del ids, w  # lower the peak: the graph needs only the sums
+    del ids, w, order, new  # lower the peak: the graph needs only the sums
     return Graph(tuple(names), *np.divmod(edges, len(names)), sums)
 
 
@@ -343,9 +342,9 @@ def load_hierarchy(text: str, graph: Graph) -> Hierarchy:
 
 def _graph_blocks(g: Graph) -> Iterator[str]:
     """The text of :func:`serialize_graph`, ``BLOCK // 8`` lines at a time."""
-    order = np.argsort(g.src * len(g.vertices) + g.dst)  # ids follow name order, so this is name-pair order
     names = np.array(g.vertices, dtype=object)
-    for p in np.split(order, range(BLOCK // 8, len(order), BLOCK // 8)):
+    for k in range(0, g.edge_count, BLOCK // 8):
+        p = slice(k, k + BLOCK // 8)
         rows = zip(names[g.src[p]].tolist(), names[g.dst[p]].tolist(), g.w[p].tolist())
         yield "".join([f"{u}\t{v}\t{x!r}\n" for u, v, x in rows])
 

@@ -56,28 +56,20 @@ class ResolutionResult:
             array.flags.writeable = False
 
 
-def _edge_keys(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge of ``g`` keyed ``id(u) * n + id(v)``, in ascending key
-    order (which is name-pair order), and its weight."""
-    keys = g.src * len(g.vertices) + g.dst
-    order = np.argsort(keys)
-    return keys[order], g.w[order]
-
-
 def _leaf_pairs(g: Graph, t: Hierarchy):
-    """Every edge of ``g`` (on the ids of ``t``), in :func:`_edge_keys`
-    order, expanded by index arithmetic on the leaf ranges of
+    """Every edge of ``g`` (on the ids of ``t``), in name-pair order,
+    expanded by index arithmetic on the leaf ranges of
     :attr:`Hierarchy.ids` to the leaf pairs ``(s, d)`` under it.
 
     A pair is keyed ``id(s) * n + id(d)`` like the edges, so keys sort like
     name pairs.  Returns the edge keys, their weights; per listed
     off-diagonal pair its edge index, key and index into the distinct
     ascending keys ``pairs``; per distinct pair its weight summed in
-    sorted-edge order, as a loop over the edges would; and per edge its
+    edge order, as a loop over the edges would; and per edge its
     number of diagonal pairs (``s == d``).
     """
-    edges, weights = _edge_keys(g)
     names, n, tree = t.vertices, len(t.vertices), t.ids
+    edges, weights = g.src * n + g.dst, g.w
     leaves = tree.order[tree.leaf[tree.order]]
     u, v = np.divmod(edges, n)
     lo_u, hi_u, lo_v, hi_v = tree.lo[u], tree.hi[u], tree.lo[v], tree.hi[v]
@@ -145,8 +137,8 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
     tree connected.
     """
     g = on_tree(g, t)
-    keys, weights = _edge_keys(g)
     names, n = t.vertices, len(t.vertices)
+    keys, weights = g.src * n + g.dst, g.w
     anchor = _anchors(g, t)
     a, b = anchor[keys // n], anchor[keys % n]
     kept = a != b
@@ -163,8 +155,8 @@ def disinherit(g: Graph, t: Hierarchy) -> ResolutionResult:
 
 
 def _depth_order(keys: np.ndarray, t: Hierarchy) -> np.ndarray:
-    """The positions of the ascending edge keys ``keys`` (see
-    :func:`_edge_keys`) sorted by the product of endpoint tree depths,
+    """The positions of the ascending edge keys ``keys`` (``id(u) * n +
+    id(v)`` over ``t``) sorted by the product of endpoint tree depths,
     deepest first, so plain leaf-leaf edges are placed before anything at
     internal vertices.  The sort is stable, so ties keep key order, which
     is name-pair order."""
@@ -211,8 +203,8 @@ def kron_sampling(g: Graph, t: Hierarchy) -> ResolutionResult:
     Only an output edge in the same direction blocks a candidate set, never
     one from v's leaves to u's, so reciprocal pairs survive: the paper's
     Table 1 gives Kron a reciprocity close to the original network's.  The
-    hierarchy is returned unchanged, and the output edges are in key order
-    (see :func:`_edge_keys`), not in placement order.  Fully deterministic:
+    hierarchy is returned unchanged, and the output edges are in name-pair
+    order, as every graph's are, not in placement order.  Fully deterministic:
     reruns are byte-identical.
     """
     g = on_tree(g, t)

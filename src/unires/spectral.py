@@ -12,16 +12,18 @@ place by halves on matrix products, which run through BLAS at GEMM speed;
 only blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.
 
 A network's undirected edges are index arrays ``i < j`` and weights ``w``,
-each pair once, in the order of its first appearance.  :func:`_laplacian`
-builds a component's Laplacian blocks from them, never the whole matrix,
-summing each diagonal entry in edge order, so an edge order fixes every bit.
+each pair once, in the order of its first appearance among the directed
+edges, which a :class:`~unires.graph.Graph` holds in name-pair order.
+:func:`_laplacian` builds a component's Laplacian blocks from them, never
+the whole matrix, summing each diagonal entry in edge order, so the edge
+set fixes every bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import DomainError, Graph, _first_sums
+from .graph import DomainError, Graph
 
 # Rows at and below which _spd_inverse hands a block to LAPACK's LU inverse.
 SPD_BLOCK = 64
@@ -34,11 +36,15 @@ class NumericalError(RuntimeError):
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The symmetrized network as dense ids ``i < j`` and weights
     ``0.0 + w(u,v) + w(v,u)`` summed in edge order, each pair once, in the
-    order in which it first appears among ``g``'s edges.  A sum that
-    overflows float64 raises :class:`~unires.graph.DomainError`."""
+    order in which it first appears among ``g``'s edges (name-pair order).
+    A sum that overflows float64 raises :class:`~unires.graph.DomainError`."""
     lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
-    keys, sums = _first_sums(lo * len(g.vertices) + hi, g.w)
-    i, j = np.divmod(keys, len(g.vertices))
+    keys = lo * len(g.vertices) + hi
+    order = np.argsort(keys, kind="stable")  # each pair's edges stay in edge order
+    new = np.diff(keys[order], prepend=-1) != 0  # where a pair's edges begin, as keys are >= 0
+    first = np.argsort(order[new])  # the pairs by first appearance
+    i, j = np.divmod(keys[order[new]][first], len(g.vertices))
+    sums = np.bincount(np.cumsum(new), weights=g.w[order])[1:][first]  # np.bincount adds a bin's weights in turn
     if not np.isfinite(sums).all():
         k = int(np.flatnonzero(~np.isfinite(sums))[0])
         u, v = g.vertices[i[k]], g.vertices[j[k]]

@@ -14,7 +14,7 @@ from unires.graph import Graph, Hierarchy, on_tree
 from unires.resolution import _anchors
 from unires.spectral import _edge_arrays, _laplacian, _resistances
 
-from oracles import children, from_edges, tree
+from oracles import children, from_edges, parents, root, tree
 
 
 def traced_peak(f, *args) -> int:
@@ -121,6 +121,34 @@ def random_pair(
     t = branching_hierarchy(rng, labels) if branching else random_hierarchy(rng, labels)
     g = random_graph_on(rng, t, edge_budget=rng.randrange(1, max(2, 2 * n)), weights_from=weights_from)
     return g, t
+
+
+def planted_pair(rng: random.Random, n: int, density: float, p: float, branching: bool = True):
+    """A planted truth and its reports, on a tree over ``n`` names.
+
+    The truth holds each ordered pair of distinct leaves with probability
+    ``density``.  Each true edge is reported once, with each endpoint raised
+    to its parent one level at a time with probability ``p`` per level,
+    never onto the root.  Returns the graph of the reports whose endpoints
+    stay apart, each weighted by the number of true edges it stands for;
+    the tree; and every true edge mapped to its report, whose two ends are
+    equal where it collapsed onto one vertex.
+    """
+    t = (branching_hierarchy if branching else random_hierarchy)(rng, names(n))
+    up, top = parents(t), root(t)
+
+    def raised(x: str) -> str:
+        while up[x] != top and rng.random() < p:
+            x = up[x]
+        return x
+
+    leaves = [v for v in t.vertices if not children(t)[v]]
+    reports = {(s, d): (raised(s), raised(d)) for s in leaves for d in leaves if s != d and rng.random() < density}
+    counts: dict[tuple[str, str], float] = {}
+    for u, v in reports.values():
+        if u != v:
+            counts[(u, v)] = counts.get((u, v), 0.0) + 1.0
+    return from_edges(counts, vertices=t.vertices), t, reports
 
 
 def random_connected_weighted(rng: random.Random, n: int, extra_edges: int | None = None) -> Graph:

@@ -26,11 +26,13 @@ def valid(token: str) -> bool:
 
 
 def from_edges(weights: dict[tuple[str, str], float], vertices=()) -> Graph:
-    """A graph from a name-pair → weight map, with edges in its order; the
-    universe is the union of the given vertices and all edge endpoints."""
+    """A graph from a name-pair → weight map, with its edges sorted into
+    name-pair order; the universe is the union of the given vertices and
+    all edge endpoints."""
     names = tuple(sorted(set(vertices).union(*weights)))
     index = {v: i for i, v in enumerate(names)}
-    return Graph(names, [index[u] for u, _ in weights], [index[v] for _, v in weights], list(weights.values()))
+    edges = sorted(weights)
+    return Graph(names, [index[u] for u, _ in edges], [index[v] for _, v in edges], [weights[e] for e in edges])
 
 
 def with_vertices(g: Graph, extra) -> Graph:

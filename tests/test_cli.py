@@ -148,7 +148,7 @@ GOLDEN = {
 }
 
 # The same pair written messily (write_messy_pair): the repeated lines change
-# the weights, and kron's bits follow the order in which edges first appear.
+# the weights, and so the networks and kron's provenance.
 MESSY_GOLDEN = {
     "inherit": {**GOLDEN["inherit"],
                 "network.tsv": "6e5734d388b6fd53fb337a23d9e76a536be64849da6befbab053ef42a1e690d0"},
@@ -212,21 +212,23 @@ def test_convert_output_bytes_of_a_messy_input_are_pinned(tmp_path, method):
 
 
 def test_laplacian_of_a_messy_input_is_pinned(tmp_path):
-    # Kron's resistances follow the order in which edges first appear, but
-    # its placement is blind to the few ULPs that order moves, so pin the
-    # Laplacian (summed with np.bincount, no BLAS) that the input gives.
+    # The Laplacian (summed with np.bincount, no BLAS) follows the edge set
+    # alone: the messy lines give the bits of their summed edges written
+    # once each in name-pair order.
     gp, _ = write_messy_pair(tmp_path)
     g = load_graph(Path(gp).read_text())
-    lap = laplacian(g)
-    assert hashlib.sha256(lap.tobytes()).hexdigest() == "9f98d5a2cacfec7c669e544f5450d7807676d85cf92257e16994a93700ca9c61"
+    assert laplacian(g).tobytes() == laplacian(load_graph(serialize_graph(g))).tobytes()
 
 
 def test_kron_bytes_are_the_same_under_three_blas_kernels(tmp_path):
+    # And under one BLAS thread, the setting the benchmark gives every process.
     gp, hp = write_pinned_pair(tmp_path)
-    for kernel in ("Haswell", "Sandybridge", "Prescott"):
-        out = tmp_path / kernel
+    runs = {kernel: {"OPENBLAS_CORETYPE": kernel} for kernel in ("Haswell", "Sandybridge", "Prescott")}
+    runs["one-thread"] = {"OPENBLAS_NUM_THREADS": "1"}
+    for label, env in runs.items():
+        out = tmp_path / label
         done = _python("-m", "unires", "convert", "--graph", gp, "--hierarchy", hp, "--method", "kron",
-                       "--out", str(out), OPENBLAS_CORETYPE=kernel)
+                       "--out", str(out), **env)
         assert done.returncode == 0, done.stderr
         assert_pinned(out, GOLDEN["kron"])
 
@@ -301,6 +303,34 @@ def test_resistance_output_bytes_are_pinned(tmp_path, capsys):
     gp, _ = write_pinned_pair(tmp_path)
     assert main(["resistance", "--graph", gp]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESISTANCE_GOLDEN
+
+
+def test_line_order_moves_no_output_byte(tmp_path, capsys):
+    # The pinned pair's edges, one line each, in name-pair order and in three
+    # shuffled orders: the edge set alone fixes every output byte.
+    gp, hp = write_pinned_pair(tmp_path)
+    runs = [(["convert", "--method", m], GOLDEN[m]) for m in sorted(GOLDEN)]
+    runs += [([c], ANALYSIS_GOLDEN[c]) for c in sorted(ANALYSIS_GOLDEN)]
+    lines = Path(gp).read_text().splitlines(keepends=True)
+    rng = random.Random(4244)
+    outputs = []
+    for k in range(4):
+        if k:
+            rng.shuffle(lines)
+        path = tmp_path / f"order{k}.tsv"
+        path.write_text("".join(lines))
+        digests = {}
+        for argv, files in runs:
+            out = tmp_path / f"{k}-{len(digests)}"
+            assert main([*argv, "--graph", str(path), "--hierarchy", hp, "--out", str(out)]) == 0
+            digests[" ".join(argv)] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files}
+        capsys.readouterr()
+        assert main(["resistance", "--graph", str(path)]) == 0
+        digests["resistance"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        outputs.append(digests)
+    assert {key: outputs[0][key] for key in outputs[0] if key != "resistance"} == {" ".join(a): f for a, f in runs}
+    for digests in outputs[1:]:
+        assert digests == outputs[0]
 
 
 # Names whose "u->v" labels sort unlike the name pairs ("a" < "a-", but

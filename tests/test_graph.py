@@ -378,6 +378,9 @@ def test_conversion_trails_are_read_only():
 
 BAD_GRAPHS = {
     "parallel id pair": ((("a", "b"), [0, 0], [1, 1], [1.0, 2.0]), "parallel edges ('a', 'b')"),
+    "parallel pair apart": ((("a", "b", "c"), [0, 1, 0], [1, 2, 1], [1.0, 1.0, 1.0]), "edge ('a', 'b') after ('b', 'c')"),
+    "edges out of order": ((("a", "b", "c"), [0, 2, 1], [1, 0, 2], [1.0, 1.0, 1.0]),
+                           "edge ('b', 'c') after ('c', 'a'): edges must be in name-pair order"),
     "id above the range": ((("a", "b"), [0], [2], [1.0]), "outside the 2 vertex ids"),
     "negative id": ((("a", "b"), [-1], [1], [1.0]), "outside the 2 vertex ids"),
     "unsorted vertices": ((("b", "a"), [0], [1], [1.0]), "sorted and distinct"),
@@ -403,10 +406,9 @@ def test_graph_constructor_rejects(case):
     assert message in str(err.value)
 
 
-def test_graph_equality_ignores_edge_order():
-    g = Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
-    assert same_graph(g, Graph(("a", "b", "c"), [2, 0, 1], [0, 1, 2], [3.0, 1.0, 2.0]))
-    assert same_graph(g, from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0}))
-    assert not same_graph(g, Graph(("a", "b", "c"), [0, 1, 2], [1, 2, 0], [1.0, 2.0, 4.0]))
-    assert not same_graph(g, Graph(("a", "b", "c"), [0, 1], [1, 2], [1.0, 2.0]))
+def test_from_edges_sorts_its_map_into_name_pair_order():
+    g = from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 1.0})
+    assert (g.src.tolist(), g.dst.tolist(), g.w.tolist()) == ([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    assert not same_graph(g, from_edges({("c", "a"): 3.0, ("b", "c"): 2.0, ("a", "b"): 4.0}))
+    assert not same_graph(g, from_edges({("b", "c"): 2.0, ("a", "b"): 1.0}, vertices="c"))
     assert not same_graph(g, with_vertices(g, ["d"]))

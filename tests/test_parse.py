@@ -74,7 +74,8 @@ def test_load_graph_peak_memory_is_one_block_of_strings():
     # 50,000 lines over 700 names: the whole-document parse held about 260
     # bytes a line (the lines, then their fields); the blocks held about 102,
     # mostly in np.unique's arrays that summed the duplicates.  One stable
-    # argsort of the keys, and keys in place of id pairs, hold about 82.
+    # argsort of the keys, and keys in place of id pairs, hold about 82, and
+    # about 76 since the sums stay in key order.
     rng = random.Random(7)
     labels = names(700)
     text = "".join(f"{u}\t{v}\t{rng.choice(('1', '2.5', '3'))}\n" for u, v in (rng.sample(labels, 2) for _ in range(50_000)))

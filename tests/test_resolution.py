@@ -15,7 +15,6 @@ from unires.resolution import (
     MASS_TIE_RTOL,
     _masses,
     _depth_order,
-    _edge_keys,
     disinherit,
     inherit,
     kron_sampling,
@@ -46,7 +45,9 @@ from oracles import (
     same_tree,
     with_vertices,
 )
-from conftest import anchors_by_name, branching_hierarchy, kron_resistances, names, random_graph_on, random_pair
+from conftest import (
+    anchors_by_name, branching_hierarchy, kron_resistances, names, planted_pair, random_graph_on, random_pair,
+)
 
 FOUR_GRAPH = "A\tB\na1\ta2\n"
 FOUR_TREE = "Br\tA\nBr\tB\nA\ta1\nA\ta2\n"
@@ -265,13 +266,113 @@ def test_disinherit_conserves_weight():
         assert result.network.edge_count <= g.edge_count
 
 
+# --- planted truth -----------------------------------------------------------
+
+# Small and paper-sized trees, branching and deep, at three raising rates.
+PLANTED = [(n, p, branching) for n in (60, 383) for p in (0.1, 0.3, 0.6) for branching in (True, False)]
+
+
+def missed_by_inherit(result, reports):
+    """The true edges whose report stands (its ends apart) but whose leaf
+    pair the inherit output lacks."""
+    kept = result.network.weights
+    return [e for e, (u, v) in reports.items() if u != v and e not in kept]
+
+
+def disinherit_misfit(result, g, t, reports) -> list[str]:
+    """How disinherit's output differs from the reported truth collapsed
+    onto its output tree's leaves: each true leaf goes to its deepest kept
+    ancestor-or-self, which must be a leaf of the output tree and an end of
+    some report, self-loops go, and each pair counts its true edges."""
+    out = result.hierarchy
+    kept, up = set(out.vertices), parents(t)
+    leaves = {v for v, leaf in zip(out.vertices, out.ids.leaf.tolist()) if leaf}
+
+    def image(x: str) -> str:
+        while x not in kept:
+            x = up[x]
+        return x
+
+    expected: dict[tuple[str, str], float] = {}
+    for (s, d), (u, v) in reports.items():
+        if u != v and image(s) != image(d):
+            expected[(image(s), image(d))] = expected.get((image(s), image(d)), 0.0) + 1.0
+    misfit = [] if result.network.weights == expected else ["network"]
+    bearing = {x for edge in g.weights for x in edge}
+    ends = {x for edge in result.network.weights for x in edge}
+    return misfit + sorted(ends - (leaves & bearing))
+
+
+def test_planted_reports_stand_for_every_true_edge():
+    g, t, reports = planted_pair(random.Random(90), 60, 0.05, 0.3)
+    ups = parents(t)
+    for (s, d), (u, v) in reports.items():
+        assert not children(t)[s] and not children(t)[d] and s != d
+        for leaf, report in ((s, u), (d, v)):
+            while leaf != report:
+                leaf = ups[leaf]
+            assert report != root(t)
+    standing = [r for r in reports.values() if r[0] != r[1]]
+    assert sum(g.weights.values()) == len(standing)
+    assert set(g.weights) == set(standing)
+
+
+def test_inherit_keeps_every_true_edge_whose_report_stands():
+    rng = random.Random(91)
+    for n, p, branching in PLANTED:
+        g, t, reports = planted_pair(rng, n, 0.05, p, branching)
+        assert not missed_by_inherit(inherit(g, t), reports), (n, p, branching)
+
+
+def test_inherit_recall_catches_leaf_ranges_one_short():
+    # The mutant: every internal vertex's descendant-leaf range misses its last leaf.
+    rng = random.Random(92)
+    for n, p, branching in PLANTED[:4]:
+        g, t, reports = planted_pair(rng, n, 0.05, p, branching)
+        ids = t.ids
+        t.__dict__["ids"] = ids._replace(hi=np.where(ids.leaf, ids.hi, ids.hi - 1))
+        assert missed_by_inherit(inherit(g, t), reports), (n, p, branching)
+
+
+def test_disinherit_is_the_reported_truth_collapsed_onto_its_leaves():
+    rng = random.Random(93)
+    for n, p, branching in PLANTED:
+        g, t, reports = planted_pair(rng, n, 0.05, p, branching)
+        assert not disinherit_misfit(disinherit(g, t), g, t, reports), (n, p, branching)
+
+
+def test_disinherit_misfit_catches_anchors_one_level_up(monkeypatch):
+    # The mutant: every anchor replaced by its parent, unless that is the root.
+    def one_level_up(g, t):
+        anchor = anchors(g, t)
+        degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(t.vertices))
+        up = t.parent[anchor]  # -1 only at the root, which no report reaches
+        return np.where((degree[anchor] > 0) & (t.parent[up] >= 0), up, anchor)
+
+    # Where every anchor is a child of the root, the mutant moves nothing;
+    # every output it does change must be caught.
+    anchors, changed = unires.resolution._anchors, 0
+    rng = random.Random(94)
+    for n, p, branching in PLANTED:
+        g, t, reports = planted_pair(rng, n, 0.05, p, branching)
+        honest = disinherit(g, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(unires.resolution, "_anchors", one_level_up)
+            mutant = disinherit(g, t)
+        if mutant.hierarchy.vertices != honest.hierarchy.vertices:
+            changed += 1
+            assert disinherit_misfit(mutant, g, t, reports), (n, p, branching)
+    assert changed
+
+
 # --- edge ordering -----------------------------------------------------------
 
 
 def edge_order(g, t):
     """The edges by name in the order kron placement walks them, checked
     against the sort of :func:`oracles.edge_order_sorted`."""
-    keys, _ = _edge_keys(on_tree(g, t))
+    g = on_tree(g, t)
+    keys = g.src * len(g.vertices) + g.dst
     order = list(_pairs(t.vertices, keys[_depth_order(keys, t)]))
     assert order == edge_order_sorted(g, t)
     return order
