@@ -76,9 +76,10 @@ def _load_pair(graph_text: str, hierarchy_text: str) -> tuple[Graph, Hierarchy]:
     return on_tree(graph, hierarchy), hierarchy
 
 
-def _sha256(text: str) -> str:
+def _sha256(data: bytes):
+    """A SHA-256 hash object fed ``data``."""
     # CPython's built-in SHA-256, as random.py takes its sha512: hashlib would
-    # map OpenSSL, some 3.5 MB of resident memory, for two digests.
+    # map OpenSSL, some 3.5 MB of resident memory, for a few digests.
     try:
         from _sha2 import sha256  # 3.12 and later
     except ImportError:
@@ -86,7 +87,7 @@ def _sha256(text: str) -> str:
             from _sha256 import sha256  # 3.10 and 3.11
         except ImportError:
             from hashlib import sha256
-    return sha256(text.encode("utf-8")).hexdigest()
+    return sha256(data)
 
 
 def _prepare_outdir(out: str, inputs: list[str | None], filenames: list[str]) -> Path:
@@ -102,20 +103,28 @@ def _prepare_outdir(out: str, inputs: list[str | None], filenames: list[str]) ->
     return outdir
 
 
-def _write(path: Path, text: str | Iterable[str]) -> None:
+def _write(path: Path, text: str | Iterable[str | bytes]) -> str:
+    """Write ``text``, or its blocks one at a time, to ``path`` (text as
+    UTF-8, bytes as they are), and return the sha256 of the bytes written,
+    hashed block by block."""
+    digest = _sha256(b"")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with open(path, "wb") as fh:
+            for block in [text] if isinstance(text, str) else text:
+                data = block.encode("utf-8") if isinstance(block, str) else block
+                digest.update(data)
+                fh.write(data)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return digest.hexdigest()
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _provenance_lines(result: ResolutionResult) -> Iterator[str]:
-    """The text of ``provenance.tsv`` in blocks of about ``BLOCK // 8`` lines.
+def _provenance_lines(result: ResolutionResult) -> Iterator[bytes]:
+    """The UTF-8 bytes of ``provenance.tsv`` in blocks of about ``BLOCK // 8`` lines.
     A line is a head (``s->d`` or ``dropped``, then its only tab) and a tail
     ``u->v``; a block of whole heads is sorted.  Heads are ranked (equal ones
     equal, as names with ``->`` print some pairs alike) in one array of their
@@ -136,12 +145,12 @@ def _provenance_lines(result: ResolutionResult) -> Iterator[str]:
     for part in np.split(rows, starts[np.diff(starts // (BLOCK // 8), prepend=0) > 0]):
         u, v = np.divmod(tails[part], n)
         lines = sorted(map(bytes.__add__, heads[head[part]].tolist(), (arrow[u] + name[v]).tolist()))
-        yield b"\n".join([*lines, b""]).decode()
+        yield b"\n".join([*lines, b""])
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     graph_text, hierarchy_text = _read(args.graph), _read(args.hierarchy)
-    digests = _sha256(graph_text), _sha256(hierarchy_text)
+    digests = _sha256(graph_text.encode()).hexdigest(), _sha256(hierarchy_text.encode()).hexdigest()
     graph, hierarchy = _load_pair(graph_text, hierarchy_text)
     del graph_text, hierarchy_text
     if args.method == "inherit":
@@ -157,9 +166,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
                           "and leaves a one-vertex tree, which hierarchy.tsv cannot hold")
     names = ["network.tsv", "hierarchy.tsv", "provenance.tsv", "manifest.json"]
     outdir = _prepare_outdir(args.out, [args.graph, args.hierarchy], names)
-    _write(outdir / "network.tsv", _graph_blocks(result.network))
-    _write(outdir / "hierarchy.tsv", serialize_hierarchy(result.hierarchy))
-    _write(outdir / "provenance.tsv", _provenance_lines(result))
+    outputs = {
+        "network.tsv": _write(outdir / "network.tsv", _graph_blocks(result.network)),
+        "hierarchy.tsv": _write(outdir / "hierarchy.tsv", serialize_hierarchy(result.hierarchy)),
+        "provenance.tsv": _write(outdir / "provenance.tsv", _provenance_lines(result)),
+    }
     manifest = {
         "tool": "unires",
         "version": __version__,
@@ -169,7 +180,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             "graph": {"path": args.graph, "sha256": digests[0]},
             "hierarchy": {"path": args.hierarchy, "sha256": digests[1]},
         },
-        "outputs": names[:3],
+        "outputs": outputs,
     }
     _write(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0

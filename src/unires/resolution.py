@@ -213,8 +213,9 @@ def kron_sampling(g: Graph, t: Hierarchy) -> ResolutionResult:
     conn = t.ids.leaf & (np.bincount(np.concatenate((g.src, g.dst)), minlength=n) > 0)
     src, dst = np.divmod(pairs, n)
     both = conn[src] & conn[dst]
+    src, dst = src[both], dst[both]  # only the asked pairs live across the solve
     resistance = np.full(len(pairs), np.inf)
-    resistance[both] = _resistances(g, conn, src[both], dst[both])
+    resistance[both] = _resistances(g, conn, src, dst)
     mass = _masses(resistance, counts)
 
     # Each edge's choice does not depend on what is placed before it, only

@@ -9,7 +9,11 @@ smallest kept name), which replaces the Moore-Penrose pseudoinverse at
 lower cost.  Both the eliminated block and the grounded block are
 symmetric positive definite, and :func:`_spd_inverse` inverts each in
 place by halves on matrix products, which run through BLAS at GEMM speed;
-only blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.
+only blocks of at most ``SPD_BLOCK`` rows reach ``numpy.linalg.inv``.  The
+complement's product is one symmetric rank-e product ``y yᵀ`` (a BLAS
+syrk), with ``y`` the kept-eliminated block times the Cholesky factor of
+the eliminated block's inverse; a component where that route fails under
+rounding is factorized again with the product as two GEMMs.
 
 A network's undirected edges are index arrays ``i < j`` and weights ``w``,
 each pair once, in the order of its first appearance among the directed
@@ -125,6 +129,50 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _grounded_inverse(edge_arrays: tuple, edges: np.ndarray, members: np.ndarray, kept: np.ndarray,
+                      symmetric: bool, first: list[str]) -> np.ndarray:
+    """:func:`_spd_inverse` of the Schur complement of the Laplacian of a
+    component, its ``members`` and the ``edges`` among :func:`_edge_arrays`,
+    onto the members set in ``kept``, grounded at the first of them.
+
+    With ``symmetric``, the product ``l_ke l_ee⁻¹ l_keᵀ`` is ``y yᵀ`` with
+    ``y = l_ke m``, where ``m`` is the Cholesky factor of
+    :func:`_spd_inverse` of the eliminated block, so ``m mᵀ = l_ee⁻¹``: one
+    BLAS syrk, mirrored, so exactly symmetric, and its k×k buffer is
+    allocated only once the blocks and ``m`` are freed, beside ``y`` alone.
+    With nothing eliminated ``y`` is k×0 and the product +0.  Otherwise the
+    product is ``l_ke (l_ee⁻¹ l_keᵀ)``, two GEMMs, whose e×k product sits
+    beside the k×k buffer.  A block that rounds to one that is not positive
+    definite, where a factorization meets it, or a complement that is not
+    finite raises :class:`NumericalError`."""
+    i, j, w = edge_arrays
+    l_ee, l_ke, (r, c, v) = _laplacian(kept, *np.searchsorted(members, (i[edges], j[edges])), w[edges])
+    try:
+        p = _spd_inverse(l_ee)
+        del l_ee
+        if symmetric:
+            m = np.linalg.cholesky(p)
+            del p
+            y = l_ke @ m
+            del l_ke, m
+            schur = y @ y.T
+            del y
+        else:
+            x = p @ l_ke.T
+            del p
+            schur = l_ke @ x
+            del l_ke, x
+        # l_kk - product in one k×k buffer as (0 - product) + l_kk, the same
+        # bits with signed zeros: 0 - (+0) is +0, where -(+0) is -0.
+        np.subtract(0.0, schur, out=schur)
+        schur[r, c] += v
+        if not np.isfinite(schur).all():
+            raise NumericalError(f"non-finite Schur complement in component {first}")
+        return _spd_inverse(schur[1:, 1:])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular positive-definite block in component {first}") from exc
+
+
 def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Effective resistance between ids ``a[p]`` and ``b[p]``, all set in the
     mask ``keep``, in the Kron reduction of ``g`` onto ``keep``: 0 for equal
@@ -135,12 +183,17 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     Each component with an asked pair is factorized once: the Schur
     complement of its Laplacian onto its kept ids (the Laplacian itself when
     all are kept) is grounded at its lowest kept id, and ``R(x, y) = d[x] +
-    d[y] - (inv[x, y] + inv[y, x])`` is read from :func:`_spd_inverse` of
-    the grounded block, whose ground row and column are 0: a sum of
-    commuting terms, so ``R(x, y) == R(y, x)`` exactly, although ``inv`` is
-    not exactly symmetric."""
+    d[y] - (inv[x, y] + inv[y, x])`` is read from :func:`_grounded_inverse`,
+    whose ground row and column are 0: a sum of commuting terms, so ``R(x,
+    y) == R(y, x)`` exactly, although ``inv`` is not exactly symmetric.
+
+    The complement's product is the symmetric one.  Where that fails, which
+    only rounding far from exact arithmetic brings about (the inverse of the
+    eliminated block has no Cholesky factor as rounded, say), or reads a
+    resistance that is not finite, the component is factorized again with
+    the two GEMMs, and its failures stand."""
     n = len(g.vertices)
-    i, j, w = _edge_arrays(g)
+    i, j, w = edge_arrays = _edge_arrays(g)
     labels = _components(n, i, j)
     out = np.where(a == b, 0.0, np.inf)
     solve = np.flatnonzero((a != b) & (labels[a] == labels[b]))
@@ -155,27 +208,20 @@ def _resistances(g: Graph, keep: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
                 continue
             kept = keep[members]
             first = [g.vertices[x] for x in members[:3]]
-            l_ee, l_ke, (r, c, v) = _laplacian(kept, *np.searchsorted(members, (i[edges], j[edges])), w[edges])
-            try:
-                # l_kk - l_ke @ l_ee⁻¹ @ l_keᵀ in one k×k buffer as (0 - product) + l_kk,
-                # the same bits with signed zeros: 0 - (+0) is +0, where -(+0) is -0.
-                x = _spd_inverse(l_ee) @ l_ke.T
-                del l_ee
-                schur = l_ke @ x
-                del l_ke, x
-                np.subtract(0.0, schur, out=schur)
-                schur[r, c] += v
-                if not np.isfinite(schur).all():
-                    raise NumericalError(f"non-finite Schur complement in component {first}")
-                inv = _spd_inverse(schur[1:, 1:])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular positive-definite block in component {first}") from exc
-            members = members[kept]
-            asked = solve[asked]
-            x, y = np.searchsorted(members, a[asked]), np.searchsorted(members, b[asked])
-            diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
-            cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
-            out[asked] = diag[x] + diag[y] - cross
+            for symmetric in (True, False):
+                try:
+                    inv = _grounded_inverse(edge_arrays, edges, members, kept, symmetric, first)
+                except NumericalError:
+                    if symmetric:
+                        continue
+                    raise
+                at = solve[asked]
+                x, y = np.searchsorted(members[kept], (a[at], b[at]))
+                diag = np.concatenate(([0.0], inv.diagonal()))  # the ground, index 0, reads as 0
+                cross = np.where((x > 0) & (y > 0), inv[x - 1, y - 1] + inv[y - 1, x - 1], 0.0)
+                out[at] = diag[x] + diag[y] - cross
+                if np.isfinite(out[at]).all():
+                    break
     if not np.isfinite(out[solve]).all():
         raise NumericalError("effective resistance within a component is not finite")
     return out

@@ -426,9 +426,25 @@ def inverse_by_halves(a: np.ndarray) -> np.ndarray:
     return np.block([[x + yz @ y.T, -yz], [-yz.T, z]])
 
 
-def solve_by_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a⁻¹ b`` as the product with :func:`inverse_by_halves`."""
-    return inverse_by_halves(a) @ b
+def symmetric_product(l_ee: np.ndarray, l_ke: np.ndarray) -> np.ndarray:
+    """``l_ke l_ee⁻¹ l_keᵀ`` as ``y yᵀ``, with ``y = l_ke m`` and ``m`` the
+    lower Cholesky factor of :func:`inverse_by_halves` of ``l_ee``: the same
+    products, so the same bits, as the package's Schur complement."""
+    y = l_ke @ np.linalg.cholesky(inverse_by_halves(l_ee))
+    return y @ y.T
+
+
+def two_products(l_ee: np.ndarray, l_ke: np.ndarray) -> np.ndarray:
+    """``l_ke l_ee⁻¹ l_keᵀ`` as ``l_ke (l_ee⁻¹ l_keᵀ)`` through
+    :func:`inverse_by_halves`: the package's Schur complement where the
+    symmetric product fails."""
+    return l_ke @ (inverse_by_halves(l_ee) @ l_ke.T)
+
+
+def cholesky_product(l_ee: np.ndarray, l_ke: np.ndarray) -> np.ndarray:
+    """``l_ke l_ee⁻¹ l_keᵀ`` as ``l_ke (l_ee⁻¹ l_keᵀ)`` through
+    :func:`cholesky_solve`."""
+    return l_ke @ cholesky_solve(l_ee, l_ke.T)
 
 
 def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
@@ -458,17 +474,16 @@ def kron_reduce_loop(g: Graph, retain, solve=np.linalg.solve) -> Graph:
     return from_edges(out, vertices=retain)
 
 
-def kron_resistance_reference(g: Graph, retain, pairs, solve=solve_by_halves,
+def kron_resistance_reference(g: Graph, retain, pairs, product=symmetric_product,
                               invert=inverse_by_halves) -> dict[tuple[str, str], float]:
     """The resistances Kron placement must reproduce bit for bit, written the
     slow way.  Per component: its Laplacian, replaced by the Schur complement
-    onto the retained names when some are eliminated, grounded at its first
-    retained name; ``invert`` of the grounded block is re-embedded with a
-    zero row and column at the ground, and ``R`` is read as ``inv[i, i] +
-    inv[j, j] - (inv[i, j] + inv[j, i])``.  ``solve(a, b)`` gives ``a⁻¹ b``
-    for the eliminated block.  With :func:`cholesky_solve` and
-    :func:`cholesky_inverse` it gives the same route through scipy's
-    Cholesky factorization."""
+    ``l_kk - product(l_ee, l_ke)`` onto the retained names when some are
+    eliminated, grounded at its first retained name; ``invert`` of the
+    grounded block is re-embedded with a zero row and column at the ground,
+    and ``R`` is read as ``inv[i, i] + inv[j, j] - (inv[i, j] + inv[j, i])``.
+    With :func:`cholesky_product` and :func:`cholesky_inverse` it gives the
+    same route through scipy's Cholesky factorization."""
     retain = set(retain)
     comp_of = {v: comp for comp in components_sorted(g) for v in comp}
     inverses: dict[tuple[str, ...], tuple[list[str], np.ndarray]] = {}
@@ -486,8 +501,7 @@ def kron_resistance_reference(g: Graph, retain, pairs, solve=solve_by_halves,
             k = [i for i, x in enumerate(comp) if x in retain]
             e = [i for i, x in enumerate(comp) if x not in retain]
             if e:
-                l_ke = lap[np.ix_(k, e)]
-                lap = lap[np.ix_(k, k)] - l_ke @ solve(lap[np.ix_(e, e)], l_ke.T)
+                lap = lap[np.ix_(k, k)] - product(lap[np.ix_(e, e)], lap[np.ix_(k, e)])
             full = np.zeros((len(k), len(k)))
             full[1:, 1:] = invert(lap[1:, 1:])
             inverses[comp] = ([comp[i] for i in k], full)

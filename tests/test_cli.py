@@ -375,7 +375,7 @@ def test_provenance_file_matches_the_nested_sort_writer(tmp_path, monkeypatch):
                 result = convert(g, t)
                 if len(result.hierarchy.vertices) == 1:  # disinherit, with an edge on the root: refused
                     assert code == 2 and not out.exists()
-                    written = "".join(unires.cli._provenance_lines(result)).encode()
+                    written = b"".join(unires.cli._provenance_lines(result))
                 else:
                     assert code == 0
                     written = (out / "provenance.tsv").read_bytes()
@@ -438,7 +438,30 @@ def test_manifest_reconstructs_run(tmp_path):
     assert manifest["method"] == "kron"
     assert manifest["inputs"]["graph"]["path"] == gp
     assert len(manifest["inputs"]["hierarchy"]["sha256"]) == 64
+    assert sorted(manifest["outputs"]) == ["hierarchy.tsv", "network.tsv", "provenance.tsv"]
+    for name, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert manifest["version"]
+
+
+def test_manifest_digests_are_those_of_the_written_files(tmp_path, monkeypatch):
+    # Each output is hashed block by block as it is written; at block sizes
+    # of a few characters a block is a line or two.
+    for size in block_sizes(monkeypatch):
+        rng = random.Random(72)
+        for k in range(10):
+            t = random_hierarchy(rng, ADVERSARIAL_NAMES)
+            g = random_graph_on(rng, t, edge_budget=rng.randrange(1, 40))
+            gp, hp = write_pair(tmp_path, serialize_graph(g), serialize_hierarchy(t))
+            for method in ("inherit", "disinherit", "kron"):
+                out = tmp_path / f"{method}{k}-{size}"
+                if main(["convert", "--graph", gp, "--hierarchy", hp, "--method", method, "--out", str(out)]):
+                    assert method == "disinherit" and not out.exists()  # an edge on the root: refused
+                    continue
+                outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+                assert sorted(outputs) == ["hierarchy.tsv", "network.tsv", "provenance.tsv"]
+                for name, digest in outputs.items():
+                    assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), (size, k, method, name)
 
 
 def test_byte_order_mark_is_not_part_of_a_name(tmp_path, monkeypatch):
@@ -457,6 +480,8 @@ def test_byte_order_mark_is_not_part_of_a_name(tmp_path, monkeypatch):
     assert manifests[0]["inputs"]["graph"]["sha256"] == hashlib.sha256(FOUR_GRAPH.encode()).hexdigest()
     # With a BOM, CRLF line ends and a non-ASCII name at once, each digest is
     # of the parsed text, from the built-in SHA-256 and from hashlib's alike.
+    # Without the built-in one, hashlib hashes the two inputs and starts a
+    # hash for each of the four files written.
     texts = {"graph": FOUR_GRAPH.replace("a1", "ä1"), "hierarchy": FOUR_TREE.replace("a1", "ä1")}
     paths = {key: tmp_path / f"mixed_{key}.tsv" for key in texts}
     for key, text in texts.items():
@@ -479,7 +504,7 @@ def test_byte_order_mark_is_not_part_of_a_name(tmp_path, monkeypatch):
                     patch.setitem(sys.modules, module, None)
             assert main(["convert", "--graph", str(paths["graph"]), "--hierarchy", str(paths["hierarchy"]),
                          "--method", "inherit", "--out", str(out)]) == 0
-        assert len(calls) == (0 if route == "built-in" and builtin else 2)
+        assert len(calls) == (0 if route == "built-in" and builtin else 6)
         manifest = json.loads((out / "manifest.json").read_text())
         for key, text in texts.items():
             assert manifest["inputs"][key]["sha256"] == sha256(text.encode()).hexdigest()
@@ -822,6 +847,20 @@ def test_positive_definite_block_lost_to_rounding_exits_3(tmp_path, capsys, case
         if case == "singular":
             assert "singular positive-definite block in component ['v000', 'v001', 'v002']" in captured.err
     assert not out.exists()
+
+
+def test_kron_converts_an_eliminated_block_whose_inverse_has_no_factor(tmp_path):
+    # x0 and x1 are eliminated: their diagonals 3e19 + 1 and 3e19 + 2 round
+    # to 3e19, so their block is exactly singular as rounded, where the
+    # input's is positive definite.  LU's last pivot comes out as rounding
+    # noise, and the inverse through it has no Cholesky factor, so the
+    # symmetric product cannot be formed; the complement is taken as two
+    # products instead, and the run converts.
+    graph = "x0\tx1\t3e19\na\tx0\t1\nx1\tb\t2\na\tb\t1\n"
+    gp, hp = write_pair(tmp_path, graph, "R\ta\nR\tb\nR\tx0\nR\tx1\nx0\tc0\nx1\tc1\n")
+    out = tmp_path / "o"
+    assert main(["convert", "--graph", gp, "--hierarchy", hp, "--method", "kron", "--out", str(out)]) == 0
+    assert (out / "network.tsv").read_text() == "a\tb\t1.0\na\tc0\t1.0\nc0\tc1\t1.0\nc1\tb\t1.0\n"
 
 
 SUBNORMAL_PATH = "a1\tA\t1e-310\nA\tb1\t1e-310\nA\tc1\t1e-310\n"

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -19,12 +20,14 @@ from unires.resolution import (
     inherit,
     kron_sampling,
 )
-from unires.spectral import SPD_BLOCK
+from unires.spectral import SPD_BLOCK, _resistances
 
 from oracles import (
     active_vertices,
     anchor_walk,
     children,
+    cholesky_inverse,
+    cholesky_product,
     degree_loop,
     disinherit_collapse,
     dropped,
@@ -365,6 +368,49 @@ def test_disinherit_misfit_catches_anchors_one_level_up(monkeypatch):
     assert changed
 
 
+def kron_misfit_unraised(result, g) -> list[str]:
+    """How kron's output differs from reports that raised no endpoint: it
+    must be the reports' graph, every weight 1.0, with each input edge
+    linked to itself and nothing dropped."""
+    misfit = [] if same_graph(result.network, g) else ["network"]
+    misfit += [] if provenance(result) == {e: {e} for e in g.weights} else ["links"]
+    return misfit + (["dropped"] if dropped(result) else [])
+
+
+# Unraised truths: both tree shapes at both sizes, six seeds each.
+UNRAISED = [(n, branching, seed) for n in (60, 383) for branching in (True, False) for seed in range(6)]
+
+
+def test_kron_returns_an_unraised_planted_truth_exactly():
+    # With p = 0 each report is its true leaf pair, so each candidate set is
+    # that one pair, and only a same-direction output edge may block it:
+    # none does, as every report is a distinct pair.
+    for n, branching, seed in UNRAISED:
+        g, t, reports = planted_pair(random.Random(seed), n, 0.05, 0.0, branching)
+        assert all(u == s and v == d for (s, d), (u, v) in reports.items())
+        assert set(g.weights.values()) == {1.0}
+        assert not kron_misfit_unraised(kron_sampling(g, t), g), (n, branching, seed)
+
+
+def test_kron_unraised_truth_catches_blocking_on_the_reverse_direction():
+    # The mutant: an output edge from v's leaves to u's blocks (u, v) instead
+    # of one from u's to v's, which records each reciprocal true pair's
+    # second edge against its first.
+    source = inspect.getsource(unires.resolution.kron_sampling)
+    honest = "placed.intersection(keys[bounds[i]:bounds[i + 1]])"
+    assert source.count(honest) == 1
+    namespace = dict(vars(unires.resolution))
+    exec(source.replace(honest, "placed.intersection(k % n * n + k // n for k in keys[bounds[i]:bounds[i + 1]])"),
+         namespace)
+    mutant, reciprocal = namespace["kron_sampling"], 0
+    for n, branching, seed in UNRAISED:
+        g, t, _ = planted_pair(random.Random(seed), n, 0.05, 0.0, branching)
+        if any((v, u) in g.weights for u, v in g.weights):
+            reciprocal += 1
+            assert kron_misfit_unraised(mutant(g, t), g), (n, branching, seed)
+    assert reciprocal
+
+
 # --- edge ordering -----------------------------------------------------------
 
 
@@ -553,6 +599,32 @@ def test_kron_placement_does_not_depend_on_the_resistance_route(monkeypatch):
         placements.append([audit(kron_sampling(*default_pair(seed))) for seed in range(300)])
     for seed, (kron, *others) in enumerate(zip(*placements)):
         assert all(other == kron for other in others), seed
+
+
+def test_kron_outputs_do_not_depend_on_the_resistances_last_bits(monkeypatch):
+    # The premise that lets the Schur product change its rounding: scipy's
+    # Cholesky route gives resistances that differ from the package's in
+    # their last bits, and every output stays the same.  The planted pairs
+    # are at the paper's size, and the 300-vertex pair's blocks pass SPD_BLOCK.
+    cases = [planted_pair(random.Random(97), 383, 0.05, p, branching)[:2]
+             for p in (0.3, 0.6) for branching in (True, False)]
+    cases.append(random_pair(random.Random(0), 300, branching=True))
+    direct = [kron_sampling(g, t) for g, t in cases]
+    cholesky_route = by_id(lambda g, retain, pairs: kron_resistance_reference(g, retain, pairs, cholesky_product,
+                                                                              cholesky_inverse))
+    moved = []
+
+    def spy(g, keep, a, b):
+        theirs = cholesky_route(g, keep, a, b)
+        moved.append(np.count_nonzero(theirs != _resistances(g, keep, a, b)))
+        return theirs
+
+    monkeypatch.setattr(unires.resolution, "_resistances", spy)
+    for (g, t), ours in zip(cases, direct):
+        theirs = kron_sampling(g, t)
+        assert same_graph(theirs.network, ours.network)
+        assert np.array_equal(theirs.links, ours.links) and np.array_equal(theirs.dropped, ours.dropped)
+    assert all(moved)
 
 
 KERNEL_SCRIPT = """

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -7,12 +8,14 @@ import pytest
 import unires.spectral
 from unires.graph import Graph, ValidationError, load_graph
 from unires.resolution import inherit, kron_sampling
-from unires.spectral import SPD_BLOCK, _components, _edge_arrays, _laplacian, _resistances, _spd_inverse
+from unires.spectral import (
+    SPD_BLOCK, NumericalError, _components, _edge_arrays, _laplacian, _resistances, _spd_inverse,
+)
 
 from oracles import (
     children,
     cholesky_inverse,
-    cholesky_solve,
+    cholesky_product,
     degree_loop,
     from_edges,
     inverse_by_halves,
@@ -21,8 +24,10 @@ from oracles import (
     laplacian_loop,
     resistance_grounded,
     resistance_pinv,
+    symmetric_product,
     symmetrized,
     tree,
+    two_products,
 )
 from conftest import (
     kron_mask, kron_resistances, laplacian, names, networkx_graph, random_connected_weighted, random_pair, traced_peak,
@@ -320,6 +325,55 @@ def test_kron_resistance_tiny_fill_stays_finite():
     assert got[("b", "c")] == 1.0
 
 
+def finite_reference(g, retain, pairs, product):
+    """:func:`kron_resistance_reference` through ``product``, or None where
+    a block is singular or a resistance is not finite."""
+    try:
+        got = kron_resistance_reference(g, retain, pairs, product)
+    except np.linalg.LinAlgError:
+        return None
+    return got if all(map(math.isfinite, got.values())) else None
+
+
+def test_kron_resistance_takes_the_two_products_where_the_symmetric_one_fails():
+    # Connected graphs with weights up to 30 orders of magnitude apart, where
+    # rounding leaves blocks that are positive definite only on paper.  The
+    # resistances are the symmetric product's where its route gives finite
+    # ones, else those of the two GEMMs l_ke (l_ee⁻¹ l_keᵀ), bit for bit,
+    # and a refusal only where both fail.  Of 400,
+    # about 30 fall back, one or two of them (with the BLAS kernel) after the
+    # Cholesky factor was found.
+    rng = random.Random(0)
+    seen = collections.Counter()
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            n, s = rng.randrange(5, 30), rng.randrange(10, 31)
+            vs = [f"v{x:02d}" for x in range(n)]
+            lines = [f"{vs[rng.randrange(x)]}\t{vs[x]}\t{10 ** rng.uniform(-s, s)!r}\n" for x in range(1, n)]
+            lines += [f"{u}\t{v}\t{10 ** rng.uniform(-s, s)!r}\n"
+                      for u, v in (rng.sample(vs, 2) for _ in range(rng.randrange(2 * n)))]
+            retain = sorted(rng.sample(vs, rng.randrange(2, n)))
+            g, pairs = load_graph("".join(lines)), list(zip(retain, retain[1:]))
+            symmetric = finite_reference(g, retain, pairs, symmetric_product)
+            two = finite_reference(g, retain, pairs, two_products)
+            if symmetric is None and two is None:
+                with pytest.raises(NumericalError):
+                    kron_resistances(g, retain, pairs)
+            else:
+                assert kron_resistances(g, retain, pairs) == (two if symmetric is None else symmetric)
+            if symmetric is None and two is not None:
+                lap = laplacian_loop(g)
+                eliminated = [x for x, v in enumerate(g.vertices) if v not in retain]
+                try:
+                    np.linalg.cholesky(inverse_by_halves(lap[np.ix_(eliminated, eliminated)]))
+                    seen["after the factor"] += 1
+                except np.linalg.LinAlgError:
+                    seen["without a factor"] += 1
+            else:
+                seen[(symmetric is not None, two is not None)] += 1
+    assert seen["after the factor"] >= 1 and seen["without a factor"] >= 10 and seen[(False, False)] >= 1
+
+
 # --- Numerics: close to the Cholesky route and to the reduced network,
 # symmetric, exact at the ground ---------------------------------------------
 
@@ -359,18 +413,18 @@ def test_spd_inverse_overwrites_its_argument(rows):
 
 def test_schur_complement_bytes_match_the_gathered_blocks(monkeypatch):
     # The complement, seen as the base of the grounded block handed to the
-    # inverse, against lkk - lke @ x from index gathers of the whole
-    # Laplacian.  Vertex 0 and all its neighbours are kept, so its row of
-    # lke is zero and its row of the product +0, where the complement must
-    # hold +0 (0 - (+0)) and not -0 (-(+0)).
+    # inverse, against lkk - y @ y.T from index gathers of the whole
+    # Laplacian.  Vertex 0 and all its neighbours are kept, so its row of lke
+    # is zero and its row of the product +0, where the complement must hold
+    # +0 (0 - (+0)) and not -0 (-(+0)).  The product is exactly symmetric.
     g = random_connected_weighted(random.Random(5), 200)
     lap = laplacian(g)
     rng = np.random.default_rng(5)
     kept = (rng.random(200) < 0.6) | (lap[0] != 0)
     k, e = np.flatnonzero(kept), np.flatnonzero(~kept)
     assert len(k) > SPD_BLOCK and len(e) > SPD_BLOCK
-    l_ke = lap[np.ix_(k, e)]
-    product = l_ke @ (inverse_by_halves(lap[np.ix_(e, e)]) @ l_ke.T)
+    product = symmetric_product(lap[np.ix_(e, e)], lap[np.ix_(k, e)])
+    assert np.array_equal(product, product.T)
     expected = lap[np.ix_(k, k)] - product
     assert ((product == 0) & ~np.signbit(product) & (expected == 0)).any()
     seen = []
@@ -387,22 +441,34 @@ def test_schur_complement_bytes_match_the_gathered_blocks(monkeypatch):
 
 
 def test_resistances_peak_memory_is_one_component_matrix():
-    # One component of k kept and e eliminated vertices, both past
-    # 2·SPD_BLOCK: the blocks, the product and the complement never hold
-    # more than the component's (k + e)² Laplacian would.  With every vertex
-    # kept the grounded inverse holds one n × n buffer and, at the top level
-    # of the halving, two products of at most half size.  The slack covers
-    # numpy's ufunc buffers and the arrays over the edges and pairs.
-    g, t = random_pair(random.Random(3), 500, branching=True)
+    # One component of k = 667 kept and e = 285 eliminated vertices, both
+    # past 2·SPD_BLOCK.  The Kron half, phase by phase, in float64 entries:
+    # - the blocks l_ee and l_ke, e² + ke, with two products of at most
+    #   ⌈e/2⌉² while l_ee is inverted in place;
+    # - the Cholesky factor m of that inverse beside both blocks, 2e² + ke,
+    #   and y = l_ke @ m beside all three, 2e² + 2ke;
+    # - the k×k buffer of y @ y.T beside y, k² + ke, once the blocks and m
+    #   are freed;
+    # - the grounded inverse in that buffer, with two products of at most
+    #   ⌈k/2⌉² at the top level of the halving, k² + 2⌈k/2⌉².
+    # The former product l_ke @ (l_ee⁻¹ @ l_keᵀ) held l_ke, the e×k product
+    # and the k×k result at once, k² + 2ke, which exceeds this bound by
+    # about 0.9 MB on this component.  With every vertex kept the grounded
+    # inverse holds one n × n buffer and the same two half-size products.
+    # The slack covers numpy's ufunc buffers and the arrays over the edges
+    # and pairs.
+    g, t = random_pair(random.Random(3), 1000, branching=True)
     i, j, _ = _edge_arrays(g)
     labels = _components(len(g.vertices), i, j)
     component = labels == np.bincount(labels).argmax()
     keep = component & np.array([not children(t)[v] for v in g.vertices])
     k, e = int(keep.sum()), int((component & ~keep).sum())
-    assert k > 2 * SPD_BLOCK and e > 2 * SPD_BLOCK
+    assert (k, e) == (667, 285)
     slack = 384 * 1024
+    bound = 8 * max(2 * e * e + 2 * k * e, k * k + k * e, k * k + 2 * ((k + 1) // 2) ** 2) + slack
+    assert 8 * (k * k + 2 * k * e) > bound + 512 * 1024
     ids = np.flatnonzero(keep)
-    assert traced_peak(_resistances, g, keep, ids[:-1], ids[1:]) <= 8 * (k * k + 2 * k * e + e * e) + slack
+    assert traced_peak(_resistances, g, keep, ids[:-1], ids[1:]) <= bound
     n, ids = k + e, np.flatnonzero(component)
     every = np.ones(len(g.vertices), dtype=bool)
     assert traced_peak(_resistances, g, every, ids[:-1], ids[1:]) <= 8 * (n * n + 2 * ((n + 1) // 2) ** 2) + slack
@@ -414,7 +480,7 @@ def assert_close_to_other_routes(g, retain, pairs):
     builds the reduced network as a graph and solves it grounded, with the
     same zeros and infinities."""
     got = kron_resistances(g, retain, pairs)
-    for old in (kron_resistance_reference(g, retain, pairs, cholesky_solve, cholesky_inverse),
+    for old in (kron_resistance_reference(g, retain, pairs, cholesky_product, cholesky_inverse),
                 resistance_grounded(kron_reduce_loop(g, retain), pairs)):
         for pair in pairs:
             if old[pair] in (0.0, math.inf):
